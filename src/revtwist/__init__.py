@@ -15,7 +15,6 @@ from .surface import (
     BishopData,
     Hn_obstruction,
     QZetaReport,
-    SurfaceCurve,
     build_involution_maps,
     involution_jets,
     is_exceptional,

@@ -2,7 +2,7 @@
 
 Artifacts are flat text: CSV tables with '#' metadata lines, JSON for the
 obstruction report, key = value text for scalar reports.  Identical config
-and inputs produce byte-identical output apart from the version line.
+and inputs produce byte-identical output.
 """
 
 import argparse
@@ -27,6 +27,7 @@ from .twist import (
     SolverError,
     TwistParams,
     compute_constants,
+    curve_band,
     majorant_sequence,
     periodic_curve,
 )
@@ -139,7 +140,7 @@ def _curve_rows(crv) -> list[str]:
 def cmd_curve(args: argparse.Namespace) -> int:
     fam = load_family(args.family, args.s, hermitian=args.hermitian)
     tp = _twist_from_args(args)
-    K = args.K if args.K is not None else min(2 * args.n + 8, (args.grid - 1) // 2)
+    K = args.K if args.K is not None else curve_band(args.n, args.grid)
     crv = periodic_curve(fam, tp, args.n, args.j, grid_size=args.grid, K=K,
                          tol=args.tol)
     lines = _meta(args, effective_K=K)

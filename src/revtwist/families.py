@@ -8,6 +8,7 @@ the condition making atilde real on the slice eta = conj(xi).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +49,8 @@ class CoefficientFamily:
                     raise ValueError(f"negative index ({i},{j})")
                 if i + j <= 2 * self.s:
                     raise ValueError(f"entry ({i},{j}) has total degree <= 2s = {2 * self.s}")
+                if not cmath.isfinite(v):
+                    raise ValueError(f"entry ({i},{j}) = {v} is not finite")
                 if abs(v) > 1.0 + 1e-12:
                     raise ValueError(f"entry ({i},{j}) has modulus {abs(v)} > 1")
         object.__setattr__(self, "entries", ent)

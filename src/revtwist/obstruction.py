@@ -20,8 +20,8 @@ import numpy as np
 from .families import CoefficientFamily
 from .twist import (
     HypothesisViolation,
-    ResonanceData,
     TwistParams,
+    _beta_window,
     beta_reduce,
     periodic_curve,
 )
@@ -103,16 +103,6 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     return out
 
 
-def _resonant_base(tp: TwistParams, n: int, delta: float | None):
-    rd = beta_reduce(n, tp.alpha)
-    limit = math.pi if delta is None else float(delta)
-    if not -limit < rd.beta < 0.0:
-        raise HypothesisViolation(f"beta = {rd.beta:.6e} outside (-{limit:.6e}, 0)")
-    zeta0 = (-rd.beta / n) ** (1.0 / (2 * tp.s))
-    u = complex(np.exp(1j * (tp.alpha + zeta0 ** (2 * tp.s))))
-    return rd, zeta0, u
-
-
 def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w,
                           delta: float | None = None):
     """First-order response d zeta/dt of the branch curve to the family.
@@ -123,7 +113,8 @@ def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w,
     rotation closes up (u^n = 1) so each diagonal mode either cancels over
     the orbit sum or survives in full when its index gap is a multiple of n.
     """
-    _, zeta0, u = _resonant_base(tp, n, delta)
+    _, zeta0 = _beta_window(tp, n, delta)
+    u = complex(np.exp(1j * (tp.alpha + zeta0 ** (2 * tp.s))))
     w = np.asarray(w, dtype=complex)
     ub = np.conj(u)
     acc = np.zeros(w.shape, dtype=complex)
@@ -139,26 +130,33 @@ def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int,
     """Closed-form linear part of the w^n Laurent coefficient:
     -zeta0^{n-2s+1} (a_{n,0} + a_{0,n}) / (2s), the chain-rule image of the
     surviving orbit sum under zeta = zeta0 (1+h)^{-1/(2s)}."""
-    _, zeta0, _ = _resonant_base(tp, n, delta)
+    _, zeta0 = _beta_window(tp, n, delta)
     pair = a.entries.get((n, 0), 0.0) + a.entries.get((0, n), 0.0)
     return complex(-(zeta0 ** (n - 2 * tp.s + 1)) * pair / (2 * tp.s))
+
+
+def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int,
+                   grid_size: int | None, delta: float | None, tol: float):
+    """The j=2s branch curve with its Laurent band K, for reading w^n.
+
+    The grid must hold at least 4n points so the target coefficient is read
+    alias-free; Laurent data is retained through |k| <= 2n-1 (the whole
+    grid at n = 1).
+    """
+    G = 4 * n if grid_size is None else grid_size
+    if G < 4 * n:
+        raise ValueError(f"grid of {G} points is below 4n = {4 * n}: coefficient n would alias")
+    K = min(2 * n - 1, (G - 1) // 2) if n > 1 else (G - 1) // 2
+    crv = periodic_curve(a, tp, n, 2 * tp.s, grid_size=G, K=K, delta=delta, tol=tol)
+    return crv, K
 
 
 def Hk_estimate(a: CoefficientFamily, tp: TwistParams, n: int,
                 grid_size: int | None = None, delta: float | None = None,
                 tol: float = 1e-13):
-    """(numeric, leading) for the w^n coefficient of the j=2s branch curve.
-
-    The grid must hold at least 4n points so the target coefficient is read
-    alias-free; Laurent data is retained through |k| <= 2n-1.
-    """
-    if grid_size is None:
-        grid_size = 4 * n
-    if grid_size < 4 * n:
-        raise ValueError("grid must have at least 4n points to target coefficient n")
-    K = min(2 * n - 1, (grid_size - 1) // 2) if n > 1 else (grid_size - 1) // 2
-    crv = periodic_curve(a, tp, n, 2 * tp.s, grid_size=grid_size, K=K,
-                         delta=delta, tol=tol)
+    """(numeric, leading) for the w^n coefficient of the j=2s branch curve,
+    sampled on grid_size >= 4n points (default 4n)."""
+    crv, _ = _witness_curve(a, tp, n, grid_size, delta, tol)
     return crv.laurent[n], leading_Hk(a, tp, n, delta)
 
 
@@ -178,12 +176,7 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
         if not rd.beta < 0.0:
             raise HypothesisViolation(f"schedule entry n = {rd.n} has beta >= 0")
         n = rd.n
-        G = grid_size if grid_size is not None else 4 * n
-        if G < 4 * n:
-            raise ValueError("grid must have at least 4n points per schedule entry")
-        K = min(2 * n - 1, (G - 1) // 2) if n > 1 else (G - 1) // 2
-        crv = periodic_curve(a, tp, n, 2 * tp.s, grid_size=G, K=K,
-                             delta=delta, tol=tol)
+        crv, K = _witness_curve(a, tp, n, grid_size, delta, tol)
         radii = np.abs([z for _, z in crv.samples])
         tail_lo = max(1, (3 * K) // 4)
         alias = max(

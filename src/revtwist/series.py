@@ -1,12 +1,12 @@
 """Truncated bivariate power-series algebra over complex coefficients.
 
-Everything formal in this package is carried by three small containers: a
-``Jet`` (a series in two variables xi, eta truncated at total degree N), a
-``MapJet`` (a pair of Jets representing a formal plane transformation), and a
-``SeriesOneVar`` (a series in the single radial variable t = xi*eta).  All
-operations are pure and return new objects; coefficients of any algebraic
-combination are exact through the truncation order up to floating-point
-rounding.
+Everything formal in this package is carried by two small containers: a
+``Jet`` (a series in two variables xi, eta truncated at total degree N) and a
+``MapJet`` (a pair of Jets representing a formal plane transformation).  A
+series in the single radial variable t = xi*eta is a plain numpy array of
+its coefficients.  All operations are pure and return new objects;
+coefficients of any algebraic combination are exact through the truncation
+order up to floating-point rounding.
 """
 
 from __future__ import annotations
@@ -97,15 +97,6 @@ class Jet:
 
     def coeff(self, i: int, j: int) -> complex:
         return complex(self.coeffs[i, j])
-
-    def homogeneous_part(self, d: int) -> np.ndarray:
-        """Coefficients of total degree d as a dense (order+1)^2 array."""
-        out = np.zeros_like(self.coeffs)
-        for i in range(min(d, self.order) + 1):
-            j = d - i
-            if 0 <= j <= self.order:
-                out[i, j] = self.coeffs[i, j]
-        return out
 
     def truncate(self, order: int) -> "Jet":
         order = _check_order(order)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +35,12 @@ from .series import (
 )
 from .twist import (
     HypothesisViolation,
+    PeriodicCurve,
     TwistParams,
+    _beta_window,
     _exponent_fixed_point,
     _guard_inside,
-    beta_reduce,
+    curve_band,
     periodic_curve,
 )
 
@@ -84,6 +86,8 @@ def lambda_from_gamma(gamma: float, max_order: int = 64) -> BishopData:
     modulus exactly one.
     """
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
     if not gamma > 0.5:
         raise ValueError("only hyperbolic tangents (gamma > 1/2) are supported")
     lam = (1.0 + 1j * math.sqrt(4.0 * gamma * gamma - 1.0)) / (2.0 * gamma)
@@ -212,25 +216,11 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 # Periodic curves of phi = tau1 tau2
 
 
-@dataclass(frozen=True)
-class SurfaceCurve:
-    """Period-n curve of phi = tau1 tau2 sampled over the unit w-circle."""
-
-    n: int
-    j: int
-    samples: list
-    laurent: dict
-    residual: float
-    zeta0: float
-    grid_size: int
-    real_intersections: tuple | str | None = None
-
-
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
                    grid_size: int | None = None, K: int | None = None,
                    delta: float | None = None, tol: float = 1e-13,
                    intersect: bool = True, intersect_tol: float = 1e-9,
-                   abar: CoefficientFamily | None = None) -> SurfaceCurve:
+                   abar: CoefficientFamily | None = None) -> PeriodicCurve:
     """Solve the branch-j period-n curve of the involution product.
 
     Reuses the twist fixed-point solver with phi = tau1 tau2 injected as
@@ -240,20 +230,15 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
     _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = max(8 * n, 64) if grid_size is None else grid_size
     if K is None:
-        K = min(2 * n + 8, (G - 1) // 2)
+        K = curve_band(n, G)
     crv = periodic_curve(a, tp, n, j, grid_size=G, K=K, delta=delta, tol=tol,
                          map_eval=phi)
-    out = SurfaceCurve(n=n, j=j, samples=crv.samples, laurent=crv.laurent,
-                       residual=crv.residual, zeta0=crv.zeta0, grid_size=G)
     if intersect:
-        pts = real_intersection(out, tol=intersect_tol)
-        out = SurfaceCurve(n=n, j=j, samples=crv.samples, laurent=crv.laurent,
-                           residual=crv.residual, zeta0=crv.zeta0, grid_size=G,
-                           real_intersections=pts)
-    return out
+        crv = replace(crv, real_intersections=real_intersection(crv, tol=intersect_tol))
+    return crv
 
 
-def _laurent_eval(curve: SurfaceCurve):
+def _laurent_eval(curve: PeriodicCurve):
     ks = np.array(sorted(curve.laurent))
     cs = np.array([curve.laurent[k] for k in ks])
 
@@ -278,7 +263,7 @@ def _bisect_zero(f, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (lo + hi)
 
 
-def real_intersection(curve: SurfaceCurve, tol: float = 1e-9,
+def real_intersection(curve: PeriodicCurve, tol: float = 1e-9,
                       samples: int = 512):
     """Where the curve meets the totally real space xi, eta both real.
 
@@ -324,19 +309,18 @@ class QZetaReport:
     symmetric_coeff: complex
 
 
-def _require_even_resonance(tp: TwistParams, n: int):
+def _require_even_resonance(tp: TwistParams, n: int) -> float:
+    """Check 4s | n, beta in (-pi, 0) and an even winding; return zeta0."""
     if n % (4 * tp.s):
         raise HypothesisViolation("the second-order display needs 4s | n")
-    rd = beta_reduce(n, tp.alpha)
-    if rd.beta >= 0:
-        raise HypothesisViolation(f"beta = {rd.beta} is not in (-pi, 0)")
+    rd, zeta0 = _beta_window(tp, n, None)
     # The half-angle phase over one period is g*pi; the w^{2n} display
     # needs it to be a full turn, so the winding g must be even.
     if rd.g % 2:
         raise HypothesisViolation(
             f"resonance n = {n} has odd winding g = {rd.g}; the half-angle "
             "identity needs an even winding")
-    return rd
+    return zeta0
 
 
 def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
@@ -352,10 +336,9 @@ def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
     return 2.0 * vals[1] - vals[0]
 
 
-def _branch_scale(tp: TwistParams, beta: float, n: int, j: int) -> complex:
+def _branch_scale(tp: TwistParams, zeta0: float, n: int, j: int) -> complex:
     """Reference w^{2n} coefficient i n zeta_j(0)^{2n-2s+1} / s."""
     s = tp.s
-    zeta0 = (-beta / n) ** (1.0 / (2 * s))
     zj = zeta0 * cmath.exp(1j * j * math.pi / s)
     return 1j * n * zj ** (2 * n - 2 * s + 1) / s
 
@@ -388,10 +371,10 @@ def q_zeta_check(a_n0: complex, tp: TwistParams, n: int, j: int | None = None,
     relative gap between the two-phase measurement and that value.
     """
     s = tp.s
-    rd = _require_even_resonance(tp, n)
+    zeta0 = _require_even_resonance(tp, n)
     if j is None:
         j = 2 * s
-    predicted = _branch_scale(tp, rd.beta, n, j)
+    predicted = _branch_scale(tp, zeta0, n, j)
     x = abs(a_n0)
     if x == 0.0:
         return QZetaReport(n=n, j=j, t=t, a2_coeff=0.0, predicted=predicted,
@@ -428,13 +411,13 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     apply to the default estimator only.
     """
     s = tp.s
-    rd = _require_even_resonance(tp, n)
+    zeta0 = _require_even_resonance(tp, n)
     an0 = a.entries.get((n, 0), 0.0 + 0.0j)
     if an0 == 0 and not include_remainder:
         return 0.0
     prod = 1.0
     for j in range(1, 2 * s + 1):
-        scale = _branch_scale(tp, rd.beta, n, j)
+        scale = _branch_scale(tp, zeta0, n, j)
         if include_remainder:
             crv = surface_curves(a, tp, n, j, grid_size=grid_size,
                                  delta=delta, tol=tol, intersect=False,

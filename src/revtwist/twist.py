@@ -49,10 +49,12 @@ class TwistParams:
     def __post_init__(self):
         if not (isinstance(self.s, int) and self.s >= 1):
             raise ValueError("s must be a positive integer")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 < self.R < 1.0:
             raise ValueError("R must lie in (0, 1)")
-        if self.m0 <= 0:
-            raise ValueError("m0 must be positive")
+        if not 0.0 < self.m0 < math.inf:
+            raise ValueError(f"m0 must be positive and finite, got {self.m0}")
 
     def omega(self, t):
         """Rotation number alpha + t^s at radial value t = xi*eta."""
@@ -88,6 +90,11 @@ class CurveDomain:
 
 @dataclass(frozen=True)
 class PeriodicCurve:
+    """Period-n branch curve sampled over the unit w-circle.
+
+    ``real_intersections`` is filled in by ``surface_curves`` only.
+    """
+
     j: int
     samples: list
     laurent: dict
@@ -96,6 +103,7 @@ class PeriodicCurve:
     grid_size: int
     zeta0: float
     reality_defect: float | None = None
+    real_intersections: tuple | str | None = None
 
 
 @dataclass(frozen=True)
@@ -227,24 +235,31 @@ def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None
     return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s))
 
 
-def _branch_target(tp: TwistParams, n: int, j: int, delta: float | None) -> complex:
+def _beta_window(tp: TwistParams, n: int, delta: float | None) -> tuple[ResonanceData, float]:
+    """Resonance data of period n, whose beta must lie in (-delta, 0) (in
+    (-pi, 0) when delta is None), and the radius zeta0 = (-beta/n)^{1/(2s)}."""
     rd = beta_reduce(n, tp.alpha)
     limit = math.pi if delta is None else float(delta)
     if not -limit < rd.beta < 0.0:
         raise HypothesisViolation(
             f"beta = {rd.beta:.6e} outside (-{limit:.6e}, 0): period {n} carries no curve here"
         )
-    j = operator.index(j)
-    if not 1 <= j <= 2 * tp.s:
-        raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
-    zeta0 = (-rd.beta / n) ** (1.0 / (2 * tp.s))
-    return zeta0, complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
+    return rd, (-rd.beta / n) ** (1.0 / (2 * tp.s))
+
+
+def curve_band(n: int, grid_size: int) -> int:
+    """Default Laurent half-width of a sampled curve: 2n+8, capped by the grid."""
+    return min(2 * n + 8, (grid_size - 1) // 2)
 
 
 def _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval):
     if map_eval is None:
         map_eval = make_varphi(a, tp)
-    zeta0, target = _branch_target(tp, n, j, delta)
+    _, zeta0 = _beta_window(tp, n, delta)
+    j = operator.index(j)
+    if not 1 <= j <= 2 * tp.s:
+        raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
+    target = complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
     w = np.asarray(w, dtype=complex)
     wmod = np.abs(w)
     if not (np.all(wmod > 0.5) and np.all(wmod < 2.0)):
@@ -301,21 +316,17 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     Laurent coefficients come from the discrete Fourier transform over the
     grid (alias rule: coefficient k is read at index k mod grid_size), so the
     grid must satisfy grid_size >= 2K+1.
+
+    The curve is validated numerically: the solver's |h| <= 1/2 guard and
+    an n-step return residual of at most 1e-10.  The guard alone keeps
+    |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
+    ignored; the paper's constants come from ``compute_constants``.
     """
     if grid_size < 2 * K + 1:
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
     zeta, zeta0, ret = _solve_branch(a, tp, n, j, w, delta, tol, 50, map_eval)
-
-    if check_domain:
-        # |zeta| = zeta0 |1+h|^{-1/(2s)} <= zeta0 2^{1/(2s)} under the |h| <= 1/2 guard
-        dom = compute_constants(tp, n)
-        bound = max(dom.r0, zeta0 * 2.0 ** (1.0 / (2 * tp.s)) * (1.0 + 1e-9))
-        zmax = float(np.abs(zeta).max())
-        if zmax > bound:
-            raise DomainError(f"curve radius {zmax:.3e} exceeds the validated bound {bound:.3e}")
-
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
     reality = None
@@ -379,7 +390,7 @@ def _calibrate_c2(tp: TwistParams, n: int, c1: float) -> float:
                 return c
         except DomainError:
             pass
-    raise RuntimeError("c2 calibration failed: |h| > 1/4 persists down to c1/2^12")
+    raise SolverError("c2 calibration failed: |h| > 1/4 persists down to c1/2^12")
 
 
 @lru_cache(maxsize=None)
@@ -394,6 +405,8 @@ def compute_constants(tp: TwistParams, n: int) -> CurveDomain:
     c2 = _calibrate_c2(tp, n, c1)
     eps0 = c2
     delta = (c2 / 4.0) ** (2 * s)
+    if delta == 0.0:
+        raise SolverError(f"delta = (c2/4)^{2 * s} underflows float64 at s = {s} (c2 = {c2:.3e})")
     r0 = 0.5 * eps0 * n ** (-1.0 / (2 * s))
     return CurveDomain(epsilon0=eps0, delta=delta, r0=r0, d0=d0, n=n, c1=c1, c2=c2)
 
@@ -406,10 +419,13 @@ def majorant_sequence(tp: TwistParams, n: int, K: int | None = None,
               (1-f_k)^{-2s-2} / (1 - (2 d0/R) e^{k d0^{2s}} (1-f_k)^{-1}).
     The bound is proven, so a violation flags a constants-pipeline bug.
     """
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
     if K is None:
         K = n
-    if K > n:
-        raise ValueError("K may not exceed n")
+    if not 0 <= K <= n:
+        raise ValueError(f"K must lie in 0..n = {n}, got {K}")
     s, m0, R = tp.s, tp.m0, tp.R
     d0 = _d0(tp, n)
     t0 = d0 ** (2 * s)

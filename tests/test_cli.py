@@ -126,6 +126,41 @@ class TestExitCodes:
         assert all(not r["nonconstant"] for r in rep["rows"])
         assert not rep["witness"]
 
+    def test_curve_s3_exits_zero(self, tmp_path):
+        fam = write(tmp_path / "f.txt", "7 0 0.01 0\n")
+        out = tmp_path / "c.csv"
+        rc = main(["curve", "--alpha", repr((2 * math.pi - 0.3) / 6), "--s", "3",
+                   "--n", "6", "--j", "6", "--family", fam, "--hermitian",
+                   "--grid", "64", "--out", str(out)])
+        assert rc == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert len(rows) == 65
+        assert float(rows[1].split(",")[-1]) < 1e-10
+
+    @pytest.mark.parametrize("s,n,cause", [("3", "10", "underflows"), ("4", "1", "calibration")])
+    def test_constants_failure_is_one_line(self, s, n, cause, capsys):
+        rc = main(["constants", "--alpha", "1", "--s", s, "--n", n])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("solver failure:") and cause in err[0]
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["majorant", "--alpha", "1", "--s", "1", "--n", "0"], "n must"),
+        (["majorant", "--alpha", "1", "--s", "1", "--n", "-5"], "n must"),
+        (["majorant", "--alpha", "1", "--s", "1", "--n", "10", "--K", "-3"], "K must"),
+        (["majorant", "--alpha", "nan", "--s", "1", "--n", "10"], "alpha"),
+        (["bishop", "--gamma", "inf"], "gamma"),
+        (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
+          "--family", "NAN_FAMILY"], "finite"),
+    ])
+    def test_bad_input_fails_at_boundary(self, argv, cause, tmp_path, capsys):
+        fam = write(tmp_path / "f.txt", "4 0 nan 0\n")
+        rc = main([fam if a == "NAN_FAMILY" else a for a in argv])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+
 
 class TestCurveArtifact:
     def test_csv_shape_and_header(self, tmp_path):

@@ -15,6 +15,8 @@ def test_validation_rules():
         CoefficientFamily({(3, 0): 0.5}, s=0)
     with pytest.raises(ValueError, match="negative"):
         CoefficientFamily({(-1, 4): 0.5}, s=1)
+    with pytest.raises(ValueError, match="finite"):
+        CoefficientFamily({(4, 0): complex(float("nan"), 0.0)}, s=1)
     # boundary: total degree must strictly exceed 2s
     with pytest.raises(ValueError):
         CoefficientFamily({(2, 2): 0.5}, s=2)

@@ -103,6 +103,11 @@ class TestTwistParams:
             TwistParams(alpha=0.1, s=1, R=1.0)
         with pytest.raises(ValueError):
             TwistParams(alpha=0.1, s=1, m0=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                TwistParams(alpha=bad, s=1)
+            with pytest.raises(ValueError, match="m0"):
+                TwistParams(alpha=0.1, s=1, m0=bad)
 
     def test_omega(self):
         tp = TwistParams(alpha=0.3, s=2)
@@ -445,6 +450,40 @@ class TestPeriodicCurve:
             xin, etan = iterate(v, n, (xi, eta))
             assert abs(complex(xin) - xi) < 1e-10
             assert abs(complex(etan) - eta) < 1e-10
+
+    def test_s3_curve_converges(self):
+        n = 6
+        tp = TwistParams(alpha=resonant_alpha(n, 1, -0.3), s=3)
+        fam = CoefficientFamily({(7, 0): 0.01}, 3, hermitian=True)
+        crv = periodic_curve(fam, tp, n, 6, grid_size=64, K=16)
+        assert crv.residual < 1e-10
+        assert abs(crv.zeta0 - (0.3 / n) ** (1 / 6)) < 1e-15
+
+    @pytest.mark.parametrize("s,n,beta", [(1, 7, -0.08), (2, 8, -0.2), (3, 12, -0.6)])
+    def test_radius_within_guard_bound(self, s, n, beta):
+        # |h| <= 1/2 in the solver forces zeta0 (3/2)^{-1/(2s)} <= |zeta| <= zeta0 2^{1/(2s)}.
+        tp = TwistParams(alpha=resonant_alpha(n, 1, beta), s=s)
+        for seed in range(3):
+            fam = random_hermitian_family(np.random.default_rng(seed), s,
+                                          [2 * s + 1, 2 * s + 3], 0.05)
+            crv = periodic_curve(fam, tp, n, 2 * s, grid_size=32, K=8)
+            radii = np.abs([z for _, z in crv.samples])
+            assert radii.max() <= crv.zeta0 * 2.0 ** (1.0 / (2 * s))
+            assert radii.min() >= crv.zeta0 * 1.5 ** (-1.0 / (2 * s))
+            assert radii.max() > radii.min()
+
+    def test_curve_runs_never_consult_constants(self):
+        from revtwist.obstruction import divergence_witness
+        from revtwist.surface import surface_curves
+
+        n = 7
+        tp = TwistParams(alpha=resonant_alpha(n, 1, -0.08), s=1)
+        fam = CoefficientFamily({(7, 0): 0.05}, 1, hermitian=True)
+        before = compute_constants.cache_info()
+        periodic_curve(fam, tp, n, 2, grid_size=32, K=8)
+        divergence_witness(fam, tp, [beta_reduce(n, tp.alpha)])
+        surface_curves(fam, tp, n, 2, grid_size=32)
+        assert compute_constants.cache_info() == before
 
     def test_grid_too_small_for_K(self):
         tp = TwistParams(alpha=resonant_alpha(5, 1, -0.12), s=1)
