@@ -1,6 +1,7 @@
 """Divergence obstructions from families of periodic curves.
 
-For a resonant period n (beta in (-delta, 0)) the branch curve zeta(w)
+For a resonant period n (beta in (-pi, 0); `select_resonant_n` picks the
+periods whose beta lies in a window (-delta, 0)) the branch curve zeta(w)
 deviates from the circle zeta0 at first order in the perturbation, and the
 coefficient of w^n in its Laurent expansion has an explicit leading term
 driven only by the (n,0) and (0,n) modes of the family.  A schedule of such
@@ -103,8 +104,7 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     return out
 
 
-def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w,
-                          delta: float | None = None):
+def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w):
     """First-order response d zeta/dt of the branch curve to the family.
 
     zeta = zeta0 (1+h)^{-1/(2s)} gives d zeta = -zeta0 dh/(2s), so the value
@@ -113,7 +113,7 @@ def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w,
     rotation closes up (u^n = 1) so each diagonal mode either cancels over
     the orbit sum or survives in full when its index gap is a multiple of n.
     """
-    _, zeta0 = _beta_window(tp, n, delta)
+    _, zeta0 = _beta_window(tp, n)
     u = complex(np.exp(1j * (tp.alpha + zeta0 ** (2 * tp.s))))
     w = np.asarray(w, dtype=complex)
     ub = np.conj(u)
@@ -125,43 +125,33 @@ def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w,
     return complex(out) if out.ndim == 0 else out
 
 
-def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int,
-               delta: float | None = None) -> complex:
+def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int) -> complex:
     """Closed-form linear part of the w^n Laurent coefficient:
     -zeta0^{n-2s+1} (a_{n,0} + a_{0,n}) / (2s), the chain-rule image of the
     surviving orbit sum under zeta = zeta0 (1+h)^{-1/(2s)}."""
-    _, zeta0 = _beta_window(tp, n, delta)
+    _, zeta0 = _beta_window(tp, n)
     pair = a.entries.get((n, 0), 0.0) + a.entries.get((0, n), 0.0)
     return complex(-(zeta0 ** (n - 2 * tp.s + 1)) * pair / (2 * tp.s))
 
 
-def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int,
-                   grid_size: int | None, delta: float | None, tol: float):
+def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int, tol: float):
     """The j=2s branch curve with its Laurent band K, for reading w^n.
 
-    The grid must hold at least 4n points so the target coefficient is read
-    alias-free; Laurent data is retained through |k| <= 2n-1 (the whole
-    grid at n = 1).
+    The grid holds 4n points so the target coefficient is read alias-free;
+    Laurent data is retained through |k| <= K = 2n-1.
     """
-    G = 4 * n if grid_size is None else grid_size
-    if G < 4 * n:
-        raise ValueError(f"grid of {G} points is below 4n = {4 * n}: coefficient n would alias")
-    K = min(2 * n - 1, (G - 1) // 2) if n > 1 else (G - 1) // 2
-    crv = periodic_curve(a, tp, n, 2 * tp.s, grid_size=G, K=K, delta=delta, tol=tol)
-    return crv, K
+    K = 2 * n - 1
+    return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * n, K=K, tol=tol), K
 
 
-def Hk_estimate(a: CoefficientFamily, tp: TwistParams, n: int,
-                grid_size: int | None = None, delta: float | None = None,
-                tol: float = 1e-13):
+def Hk_estimate(a: CoefficientFamily, tp: TwistParams, n: int):
     """(numeric, leading) for the w^n coefficient of the j=2s branch curve,
-    sampled on grid_size >= 4n points (default 4n)."""
-    crv, _ = _witness_curve(a, tp, n, grid_size, delta, tol)
-    return crv.laurent[n], leading_Hk(a, tp, n, delta)
+    sampled on 4n points with solver step tolerance 1e-13."""
+    crv, _ = _witness_curve(a, tp, n, 1e-13)
+    return crv.laurent[n], leading_Hk(a, tp, n)
 
 
 def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
-                       grid_size: int | None = None, delta: float | None = None,
                        tol: float = 1e-13) -> ObstructionReport:
     """Per-period intervals I_k = [min |zeta|, max |zeta|] with verdicts.
 
@@ -176,7 +166,7 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
         if not rd.beta < 0.0:
             raise HypothesisViolation(f"schedule entry n = {rd.n} has beta >= 0")
         n = rd.n
-        crv, K = _witness_curve(a, tp, n, grid_size, delta, tol)
+        crv, K = _witness_curve(a, tp, n, tol)
         radii = np.abs([z for _, z in crv.samples])
         tail_lo = max(1, (3 * K) // 4)
         alias = max(
@@ -186,7 +176,7 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
         threshold = 10.0 * (tol + alias)
         rows.append(ObstructionRow(
             n=n, beta=rd.beta,
-            Hk_numeric=crv.laurent[n], Hk_leading=leading_Hk(a, tp, n, delta),
+            Hk_numeric=crv.laurent[n], Hk_leading=leading_Hk(a, tp, n),
             I_min=float(radii.min()), I_max=float(radii.max()),
             width=width, threshold=threshold,
             nonconstant=width > threshold, residual=crv.residual,

@@ -428,28 +428,28 @@ def series_eval(a, t):
     return out
 
 
+# Offset (i0, j0) of the diagonal (k+i0, k+j0) that carries the
+# coefficients c_k of each kind of radial series.
+_DIAGONALS = {"plain": (0, 0), "xi": (1, 0), "eta": (0, 1)}
+
+
+def _diagonal(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the `kind` diagonal inside the triangle."""
+    if kind not in _DIAGONALS:
+        raise ValueError(f"unknown kind {kind!r}")
+    i0, j0 = _DIAGONALS[kind]
+    k = np.arange((order - i0 - j0) // 2 + 1)
+    return k + i0, k + j0
+
+
 def radial_to_jet(series, order: int, kind: str = "plain") -> Jet:
     """Lift a one-variable series in t = xi*eta into a Jet.
 
     kind "plain" gives sum c_k (xi eta)^k; "xi" gives xi * sum c_k (xi eta)^k
     (coefficients on the (k+1, k) diagonal); "eta" the mirror.
     """
-    c = _as_series(series)
-    entries: dict[tuple[int, int], complex] = {}
-    for k, v in enumerate(c):
-        if v == 0:
-            continue
-        if kind == "plain":
-            i, j = k, k
-        elif kind == "xi":
-            i, j = k + 1, k
-        elif kind == "eta":
-            i, j = k, k + 1
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-        if i + j > order:
-            break
-        entries[(i, j)] = v
+    rows, cols = _diagonal(kind, order)
+    entries = {(int(i), int(j)): v for i, j, v in zip(rows, cols, _as_series(series)) if v != 0}
     return Jet.from_entries(entries, order)
 
 
@@ -468,32 +468,11 @@ def diagonal_series(f: Jet, kind: str) -> np.ndarray:
     kind "xi" reads coefficients of xi (xi eta)^k at (k+1, k); "eta" reads
     eta (xi eta)^k at (k, k+1); "plain" reads (xi eta)^k at (k, k).
     """
-    n = f.order
-    if kind == "plain":
-        ks = range(n // 2 + 1)
-        return np.array([f.coeffs[k, k] for k in ks])
-    if kind == "xi":
-        ks = range((n - 1) // 2 + 1)
-        return np.array([f.coeffs[k + 1, k] for k in ks])
-    if kind == "eta":
-        ks = range((n - 1) // 2 + 1)
-        return np.array([f.coeffs[k, k + 1] for k in ks])
-    raise ValueError(f"unknown kind {kind!r}")
+    return f.coeffs[_diagonal(kind, f.order)]
 
 
 def off_diagonal_residual(f: Jet, kind: str) -> float:
     """Max modulus of coefficients NOT on the given diagonal."""
     c = f.coeffs.copy()
-    n = f.order
-    if kind == "xi":
-        for k in range((n - 1) // 2 + 1):
-            c[k + 1, k] = 0.0
-    elif kind == "eta":
-        for k in range((n - 1) // 2 + 1):
-            c[k, k + 1] = 0.0
-    elif kind == "plain":
-        for k in range(n // 2 + 1):
-            c[k, k] = 0.0
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    c[_diagonal(kind, f.order)] = 0.0
     return float(np.abs(c).max())

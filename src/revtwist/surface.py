@@ -36,10 +36,10 @@ from .series import (
 from .twist import (
     HypothesisViolation,
     PeriodicCurve,
+    SolverError,
     TwistParams,
     _beta_window,
-    _exponent_fixed_point,
-    _guard_inside,
+    _phase_conjugate,
     curve_band,
     periodic_curve,
 )
@@ -113,29 +113,11 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
     after tau1.
     """
 
-    def phi_a(xi, eta):
-        ph = np.exp(1j * a.eval(xi, eta))
-        return ph * xi, eta / ph
-
-    def phi_a_inv(xi, eta):
-        c = _exponent_fixed_point(a, xi, eta, -1, "phi_a inverse")
-        ph = np.exp(-1j * c)
-        return ph * xi, eta / ph
-
     def t1(xi, eta):
         ph = np.exp(0.5j * tp.omega(xi * eta))
         return ph * eta, xi / ph
 
-    def tau1(xi, eta):
-        xi = np.asarray(xi, dtype=complex)
-        eta = np.asarray(eta, dtype=complex)
-        _guard_inside(xi, eta, "tau1")
-        x, y = phi_a_inv(xi, eta)
-        x, y = t1(x, y)
-        x, y = phi_a(x, y)
-        _guard_inside(x, y, "tau1")
-        return x, y
-
+    tau1 = _phase_conjugate(a, t1, a, "tau1")
     if abar is None:
 
         def tau2(xi, eta):
@@ -148,28 +130,11 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
         # is phi_b for b = -abar.
         b = abar.scaled(-1.0)
 
-        def psi(xi, eta):
-            ph = np.exp(1j * b.eval(xi, eta))
-            return ph * xi, eta / ph
-
-        def psi_inv(xi, eta):
-            c = _exponent_fixed_point(b, xi, eta, -1, "tau2 inverse")
-            ph = np.exp(-1j * c)
-            return ph * xi, eta / ph
-
         def t2(xi, eta):
             ph = np.exp(0.5j * tp.omega(xi * eta))
             return eta / ph, ph * xi
 
-        def tau2(xi, eta):
-            xi = np.asarray(xi, dtype=complex)
-            eta = np.asarray(eta, dtype=complex)
-            _guard_inside(xi, eta, "tau2")
-            x, y = psi_inv(xi, eta)
-            x, y = t2(x, y)
-            x, y = psi(x, y)
-            _guard_inside(x, y, "tau2")
-            return x, y
+        tau2 = _phase_conjugate(b, t2, b, "tau2")
 
     def phi(xi, eta):
         return tau1(*tau2(xi, eta))
@@ -185,12 +150,14 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
     Matches build_involution_maps through the jet order; feeds the normal
     form pipeline, which expects maps as power series.
     """
-    atilde = a.to_jet(order)
-    e_plus = jet_exp_i(atilde)
-    e_minus = jet_exp_i(-1.0 * atilde)
     xi = Jet.coordinate("xi", order)
     eta = Jet.coordinate("eta", order)
-    phi_a = MapJet(jet_mul(xi, e_plus), jet_mul(eta, e_minus))
+
+    def conjugate(f: CoefficientFamily, model: MapJet) -> MapJet:
+        # phi_f . model . phi_f^{-1}, phi_f = (xi e^{i f}, eta e^{-i f})
+        ftilde = f.to_jet(order)
+        phi_f = MapJet(jet_mul(xi, jet_exp_i(ftilde)), jet_mul(eta, jet_exp_i(-1.0 * ftilde)))
+        return map_compose(phi_f, map_compose(model, map_inverse(phi_f)))
 
     half = np.zeros(order + 1, dtype=complex)
     half[tp.s] = 0.5j
@@ -198,16 +165,13 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
     t1 = MapJet(radial_to_jet(c, order, "eta"),
                 radial_to_jet(series_reciprocal(c), order, "xi"))
 
-    tau1 = map_compose(phi_a, map_compose(t1, map_inverse(phi_a)))
+    tau1 = conjugate(a, t1)
     if abar is None:
         tau2 = rho_conjugate(tau1, "surface")
     else:
-        btilde = abar.to_jet(order)
-        psi = MapJet(jet_mul(xi, jet_exp_i(-1.0 * btilde)),
-                     jet_mul(eta, jet_exp_i(btilde)))
         t2 = MapJet(radial_to_jet(series_reciprocal(c), order, "eta"),
                     radial_to_jet(c, order, "xi"))
-        tau2 = map_compose(psi, map_compose(t2, map_inverse(psi)))
+        tau2 = conjugate(abar.scaled(-1.0), t2)
     phi = map_compose(tau1, tau2)
     return tau1, tau2, phi
 
@@ -217,24 +181,23 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 
 
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
-                   grid_size: int | None = None, K: int | None = None,
-                   delta: float | None = None, tol: float = 1e-13,
-                   intersect: bool = True, intersect_tol: float = 1e-9,
+                   grid_size: int | None = None, tol: float = 1e-13,
+                   intersect: bool = True,
                    abar: CoefficientFamily | None = None) -> PeriodicCurve:
     """Solve the branch-j period-n curve of the involution product.
 
     Reuses the twist fixed-point solver with phi = tau1 tau2 injected as
-    the map; the returned Laurent data is the input for the real-space
-    intersection search and the w^{2n} probes.
+    the map, on grid_size points (default max(8n, 64)) with the Laurent
+    band of `curve_band`; the returned Laurent data is the input for the
+    real-space intersection search and the w^{2n} probes.  intersect=True
+    fills in `real_intersections`.
     """
     _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = max(8 * n, 64) if grid_size is None else grid_size
-    if K is None:
-        K = curve_band(n, G)
-    crv = periodic_curve(a, tp, n, j, grid_size=G, K=K, delta=delta, tol=tol,
+    crv = periodic_curve(a, tp, n, j, grid_size=G, K=curve_band(n, G), tol=tol,
                          map_eval=phi)
     if intersect:
-        crv = replace(crv, real_intersections=real_intersection(crv, tol=intersect_tol))
+        crv = replace(crv, real_intersections=real_intersection(crv))
     return crv
 
 
@@ -263,16 +226,15 @@ def _bisect_zero(f, lo: float, hi: float, iters: int = 60) -> float:
     return 0.5 * (lo + hi)
 
 
-def real_intersection(curve: PeriodicCurve, tol: float = 1e-9,
-                      samples: int = 512):
+def real_intersection(curve: PeriodicCurve, samples: int = 512):
     """Where the curve meets the totally real space xi, eta both real.
 
     A point (zeta w, zeta / w) is real only when zeta and w are both real
     or both pure imaginary, so the search runs along the four axis
     segments of the annulus: the defect is Im(zeta) over real w and
     Re(zeta) over imaginary w.  Sign changes are refined by bisection; a
-    segment whose defect stays below tol everywhere is a continuum of real
-    points and is reported as the string "continuum".
+    segment whose defect stays below 1e-9 everywhere is a continuum of
+    real points and is reported as the string "continuum".
     """
     at = _laurent_eval(curve)
     vs = np.linspace(0.55, 1.8, samples)
@@ -283,7 +245,7 @@ def real_intersection(curve: PeriodicCurve, tol: float = 1e-9,
             return z.imag if axis.imag == 0 else z.real
 
         g = np.array([defect(v) for v in vs])
-        if np.abs(g).max() < tol:
+        if np.abs(g).max() < 1e-9:
             return "continuum"
         sign = np.sign(g)
         for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
@@ -313,7 +275,7 @@ def _require_even_resonance(tp: TwistParams, n: int) -> float:
     """Check 4s | n, beta in (-pi, 0) and an even winding; return zeta0."""
     if n % (4 * tp.s):
         raise HypothesisViolation("the second-order display needs 4s | n")
-    rd, zeta0 = _beta_window(tp, n, None)
+    rd, zeta0 = _beta_window(tp, n)
     # The half-angle phase over one period is g*pi; the w^{2n} display
     # needs it to be a full turn, so the winding g must be even.
     if rd.g % 2:
@@ -324,14 +286,11 @@ def _require_even_resonance(tp: TwistParams, n: int) -> float:
 
 
 def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
-                t: float, grid_size, delta, tol,
-                abar: CoefficientFamily | None = None) -> complex:
+                t: float) -> complex:
     """Richardson-extrapolated w^{2n} coefficient of zeta(t a) / t^2."""
     vals = []
     for tt in (t, 0.5 * t):
-        crv = surface_curves(a.scaled(tt), tp, n, j, grid_size=grid_size,
-                             delta=delta, tol=tol, intersect=False,
-                             abar=None if abar is None else abar.scaled(tt))
+        crv = surface_curves(a.scaled(tt), tp, n, j, intersect=False)
         vals.append(crv.laurent[2 * n] / tt**2)
     return 2.0 * vals[1] - vals[0]
 
@@ -343,52 +302,60 @@ def _branch_scale(tp: TwistParams, zeta0: float, n: int, j: int) -> complex:
     return 1j * n * zj ** (2 * n - 2 * s + 1) / s
 
 
-def _two_phase_a2(x: float, tp: TwistParams, n: int, j: int, t: float,
-                  grid_size, delta, tol) -> tuple[complex, complex]:
+def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, j: int,
+                  t: float) -> tuple[complex, complex]:
     """Separate the a^2 part of the w^{2n} response from the symmetric rest.
 
     Probes the single-mode family at phases e^{+i pi/4} and e^{-i pi/4} of
     equal modulus x: the a^2 part flips sign between the probes while the
     symmetric quadratic remainder takes the same value, so the half
     difference isolates the a^2 coefficient exactly through second order.
+    Raises SolverError before probing when the expected w^{2n} signal of
+    the smaller probe, |reference| x^2 (t/2)^2, is within three decades of
+    the rounding floor eps zeta0 of the sampled curve: the result would be
+    noise.
     """
+    signal = abs(_branch_scale(tp, zeta0, n, j)) * x * x * (0.5 * t) ** 2
+    floor = 1e3 * np.finfo(float).eps * zeta0
+    if signal < floor:
+        raise SolverError(
+            f"w^{2 * n} probe signal {signal:.3e} at t = {t:g} is below 1e3 eps zeta0 = "
+            f"{floor:.3e}: raise t or the amplitude")
     probes = {}
     for sgn in (1.0, -1.0):
         fam = CoefficientFamily({(n, 0): x * cmath.exp(sgn * 0.25j * math.pi)},
                                 tp.s, False, _validate=False)
-        probes[sgn] = _quad_coeff(fam, tp, n, j, t, grid_size, delta, tol)
+        probes[sgn] = _quad_coeff(fam, tp, n, j, t)
     a2 = (probes[1.0] - probes[-1.0]) / (2j * x * x)
     sym = (probes[1.0] + probes[-1.0]) / (2.0 * x * x)
     return a2, sym
 
 
-def q_zeta_check(a_n0: complex, tp: TwistParams, n: int, j: int | None = None,
-                 t: float = 1e-3, grid_size: int | None = None,
-                 delta: float | None = None, tol: float = 1e-13) -> QZetaReport:
+def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
+                 t: float = 1e-3) -> QZetaReport:
     """Measure the pure a_{n,0}^2 part of the w^{2n} response and compare.
 
-    The reference value is i n zeta_j(0)^{2n-2s+1} / s; rel_error is the
-    relative gap between the two-phase measurement and that value.
+    The measurement is taken on the branch j = 2s with probe size t.  The
+    reference value is i n zeta_j(0)^{2n-2s+1} / s; rel_error is the
+    relative gap between the two-phase measurement and that value.  Raises
+    SolverError when t |a_n0| is too small for the probe to rise above
+    rounding.
     """
-    s = tp.s
     zeta0 = _require_even_resonance(tp, n)
-    if j is None:
-        j = 2 * s
+    j = 2 * tp.s
     predicted = _branch_scale(tp, zeta0, n, j)
     x = abs(a_n0)
     if x == 0.0:
         return QZetaReport(n=n, j=j, t=t, a2_coeff=0.0, predicted=predicted,
                            rel_error=1.0, symmetric_coeff=0.0)
-    a2, sym = _two_phase_a2(x, tp, n, j, t, grid_size, delta, tol)
+    a2, sym = _two_phase_a2(x, tp, zeta0, n, j, t)
     rel = abs(a2 - predicted) / abs(predicted)
     return QZetaReport(n=n, j=j, t=t, a2_coeff=a2, predicted=predicted,
                        rel_error=rel, symmetric_coeff=sym)
 
 
 def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
-                   t: float = 1e-3, grid_size: int | None = None,
-                   delta: float | None = None, tol: float = 1e-13,
-                   include_remainder: bool = False,
+                   t: float = 1e-3, include_remainder: bool = False,
                    abar: CoefficientFamily | None = None) -> float:
     """Estimate the isolation obstruction, a product over the 2s branches.
 
@@ -407,8 +374,9 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     reversor forces the curve to be real over real w, a continuum of real
     points, and the full product vanishes identically for every a; it is
     nonzero only for an independent abar, the regime where isolated
-    intersections exist.  The t, grid refinement and extrapolation knobs
-    apply to the default estimator only.
+    intersections exist.  The probe size t applies to the default
+    estimator only, which raises SolverError when t |a_{n,0}| is too small
+    for the probe to rise above rounding.
     """
     s = tp.s
     zeta0 = _require_even_resonance(tp, n)
@@ -419,12 +387,10 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     for j in range(1, 2 * s + 1):
         scale = _branch_scale(tp, zeta0, n, j)
         if include_remainder:
-            crv = surface_curves(a, tp, n, j, grid_size=grid_size,
-                                 delta=delta, tol=tol, intersect=False,
-                                 abar=abar)
+            crv = surface_curves(a, tp, n, j, intersect=False, abar=abar)
             factor = 2.0 * (crv.laurent[2 * n] / scale).real
         else:
-            a2, _ = _two_phase_a2(abs(an0), tp, n, j, t, grid_size, delta, tol)
+            a2, _ = _two_phase_a2(abs(an0), tp, zeta0, n, j, t)
             factor = 2.0 * (an0 * an0 * a2 / scale).real
         prod *= factor
     return prod

@@ -162,32 +162,38 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     raise SolverError(f"{what}: exponent iteration did not converge")
 
 
+def _phase_conjugate(f: CoefficientFamily, model, g: CoefficientFamily, what: str):
+    """Pointwise evaluator of phi_f . model . phi_g^{-1}.
+
+    phi_f multiplies (xi, eta) by (e^{i f}, e^{-i f}) at the point; the
+    inverse of phi_g goes through the exponent identity
+    c = g(e^{-ic} xi, e^{ic} eta).  Input and output must stay inside the
+    unit polydisk.
+    """
+
+    def conjugated(xi, eta):
+        xi = np.asarray(xi, dtype=complex)
+        eta = np.asarray(eta, dtype=complex)
+        _guard_inside(xi, eta, f"{what} input")
+        ph = np.exp(-1j * _exponent_fixed_point(g, xi, eta, -1, f"{what} inverse"))
+        x, y = model(ph * xi, eta / ph)
+        ph = np.exp(1j * f.eval(x, y))
+        x, y = ph * x, y / ph
+        _guard_inside(x, y, f"{what} output")
+        return x, y
+
+    return conjugated
+
+
 def make_varphi(a: CoefficientFamily, tp: TwistParams):
     """Pointwise evaluator of phi_a . T . phibar_a^{-1}.
 
     Each factor multiplies the coordinates by reciprocal unit factors, so
     xi*eta is preserved to rounding regardless of the family.  phibar_a is
-    the coefficient-conjugate of phi_a; its inverse is evaluated through the
-    defining fixed-point identity for the exponent.
+    the coefficient-conjugate of phi_a, which is phi_g for g = -abar.
     """
-    a_bar = a.conjugated()
-
-    def varphi(xi, eta):
-        xi = np.asarray(xi, dtype=complex)
-        eta = np.asarray(eta, dtype=complex)
-        _guard_inside(xi, eta, "varphi input")
-        # phibar_a^{-1}: (e^{ic} xi, e^{-ic} eta), c = abar(e^{ic} xi, e^{-ic} eta)
-        c = _exponent_fixed_point(a_bar, xi, eta, +1, "phibar_a^{-1}")
-        ph = np.exp(1j * c)
-        xi, eta = ph * xi, eta / ph
-        xi, eta = twist_eval(tp, xi, eta)
-        # phi_a: multiply by e^{+-i atilde(point)}
-        ph = np.exp(1j * a.eval(xi, eta))
-        xi, eta = ph * xi, eta / ph
-        _guard_inside(xi, eta, "varphi output")
-        return xi, eta
-
-    return varphi
+    return _phase_conjugate(a, lambda xi, eta: twist_eval(tp, xi, eta),
+                            a.conjugated().scaled(-1.0), "varphi")
 
 
 def varphi_eval(a: CoefficientFamily, tp: TwistParams, point):
@@ -235,14 +241,13 @@ def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None
     return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s))
 
 
-def _beta_window(tp: TwistParams, n: int, delta: float | None) -> tuple[ResonanceData, float]:
-    """Resonance data of period n, whose beta must lie in (-delta, 0) (in
-    (-pi, 0) when delta is None), and the radius zeta0 = (-beta/n)^{1/(2s)}."""
+def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
+    """Resonance data of period n, whose beta must lie in (-pi, 0), and the
+    radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi."""
     rd = beta_reduce(n, tp.alpha)
-    limit = math.pi if delta is None else float(delta)
-    if not -limit < rd.beta < 0.0:
+    if not rd.beta < 0.0:
         raise HypothesisViolation(
-            f"beta = {rd.beta:.6e} outside (-{limit:.6e}, 0): period {n} carries no curve here"
+            f"beta = {rd.beta:.6e} outside (-{math.pi:.6e}, 0): period {n} carries no curve here"
         )
     return rd, (-rd.beta / n) ** (1.0 / (2 * tp.s))
 
@@ -252,10 +257,10 @@ def curve_band(n: int, grid_size: int) -> int:
     return min(2 * n + 8, (grid_size - 1) // 2)
 
 
-def _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval):
+def _solve_branch(a, tp, n, j, w, tol, map_eval):
     if map_eval is None:
         map_eval = make_varphi(a, tp)
-    _, zeta0 = _beta_window(tp, n, delta)
+    _, zeta0 = _beta_window(tp, n)
     j = operator.index(j)
     if not 1 <= j <= 2 * tp.s:
         raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
@@ -268,7 +273,7 @@ def _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval):
     inv_root = -1.0 / (2 * tp.s)
     zeta = np.full(w.shape, target, dtype=complex)
     step = math.inf
-    for _ in range(max_iter):
+    for _ in range(50):
         h = h_eval(zeta, w, a, tp, n, map_eval)
         if float(np.abs(h).max()) > 0.5:
             raise DomainError("|h| > 1/2: contraction hypothesis lost")
@@ -278,7 +283,7 @@ def _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval):
         if step <= tol:
             break
     else:
-        raise SolverError(f"no convergence in {max_iter} iterations; last step {step:.3e}")
+        raise SolverError(f"no convergence in 50 iterations; last step {step:.3e}")
 
     h = h_eval(zeta, w, a, tp, n, map_eval)
     eq_res = float(np.abs(zeta * np.exp(-inv_root * np.log(1.0 + h)) - target).max())
@@ -293,24 +298,24 @@ def _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval):
     return zeta, zeta0, ret
 
 
-def solve_branch(a, tp: TwistParams, n: int, j: int, w, delta: float | None = None,
-                 tol: float = 1e-13, max_iter: int = 50, map_eval=None):
+def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     """Solve the branch-j periodic-point equation at w (scalar or array).
 
-    Returns zeta with zeta (1+h(zeta,w))^{1/(2s)} = e^{i j pi / s} (-beta/n)^{1/(2s)},
-    verified both against the equation (absolute residual below 10*tol) and by
-    the n-step return test. Raises
-    HypothesisViolation when beta is not in (-delta, 0), DomainError when the
-    orbit leaves the validated region, SolverError on convergence failure.
+    Returns zeta with zeta (1+h(zeta,w))^{1/(2s)} = e^{i j pi / s} (-beta/n)^{1/(2s)}.
+    The fixed-point iteration stops once a step is at most 1e-13 (50 steps
+    at most); zeta is verified both against the equation (absolute residual
+    below 1e-12) and by the n-step return test.  Raises HypothesisViolation
+    when beta is not in (-pi, 0), DomainError when the orbit leaves the
+    validated region, SolverError on convergence failure.
     """
     scalar = np.isscalar(w) or np.asarray(w).ndim == 0
-    zeta, _, _ = _solve_branch(a, tp, n, j, w, delta, tol, max_iter, map_eval)
+    zeta, _, _ = _solve_branch(a, tp, n, j, w, 1e-13, None)
     return complex(zeta) if scalar else zeta
 
 
 def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
-                   K: int = 32, delta: float | None = None, tol: float = 1e-13,
-                   map_eval=None, check_domain: bool = True) -> PeriodicCurve:
+                   K: int = 32, tol: float = 1e-13, map_eval=None,
+                   check_domain: bool = True) -> PeriodicCurve:
     """Sample the branch over the unit w-circle and take its Laurent data.
 
     Laurent coefficients come from the discrete Fourier transform over the
@@ -326,7 +331,7 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
-    zeta, zeta0, ret = _solve_branch(a, tp, n, j, w, delta, tol, 50, map_eval)
+    zeta, zeta0, ret = _solve_branch(a, tp, n, j, w, tol, map_eval)
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
     reality = None

@@ -107,9 +107,10 @@ class TestPredictedLinearZeta:
 
     def test_resonance_gate(self):
         fam = CoefficientFamily({(7, 0): 0.1, (0, 7): 0.1}, 1, hermitian=True)
-        # n = 6 has beta well below -delta for this alpha
+        # n = 2 has beta = 2 alpha, about +1.72: the period carries no curve
+        assert tw.beta_reduce(2, ALPHA).beta > 0
         with pytest.raises(HypothesisViolation):
-            ob.predicted_linear_zeta(fam, TP, 6, W3, delta=0.3)
+            ob.predicted_linear_zeta(fam, TP, 2, W3)
 
 
 class TestHkEstimate:
@@ -156,10 +157,16 @@ class TestHkEstimate:
             hermitian=True)
         assert ob.leading_Hk(pure, TP, N1) == ob.leading_Hk(mixed, TP, N1)
 
-    def test_grid_must_resolve_the_mode(self):
-        fam = CoefficientFamily({(7, 0): 0.1, (0, 7): 0.1}, 1, hermitian=True)
-        with pytest.raises(ValueError, match="grid"):
-            ob.Hk_estimate(fam, TP, N1, grid_size=20)
+    @pytest.mark.parametrize("n, alpha, entries", [
+        (1, -0.25, {(3, 0): 0.02, (0, 3): 0.02}),
+        (N1, ALPHA, {(7, 0): 0.1, (0, 7): 0.1, (3, 0): 0.05, (0, 3): 0.05}),
+    ])
+    def test_witness_grid_and_band(self, n, alpha, entries):
+        # The estimate reads w^n off the j = 2s curve on 4n points with band 2n-1.
+        fam = CoefficientFamily(entries, 1, hermitian=True)
+        tp = TwistParams(alpha=alpha, s=1)
+        crv = tw.periodic_curve(fam, tp, n, 2, grid_size=4 * n, K=2 * n - 1)
+        assert ob.Hk_estimate(fam, tp, n)[0] == crv.laurent[n]
 
 
 class TestDivergenceWitness:

@@ -18,7 +18,7 @@ from revtwist.surface import (
     real_intersection,
     surface_curves,
 )
-from revtwist.twist import HypothesisViolation, TwistParams
+from revtwist.twist import HypothesisViolation, SolverError, TwistParams
 
 # One resonance configuration shared by the curve-level tests: n = 4 with
 # winding g = 2 keeps both 4s | n and the even-winding requirement satisfied
@@ -303,6 +303,20 @@ class TestQZetaCheck:
         with pytest.raises(HypothesisViolation):
             q_zeta_check(0.05, TwistParams(alpha=(2 * math.pi - 2) / 4, s=1),
                          4)
+
+    @pytest.mark.parametrize("s, alpha", [
+        (1, (8 * math.pi - 2) / 16),
+        (2, (4 * math.pi - 1.5) / 16),
+    ])
+    def test_probe_below_rounding_is_refused(self, s, alpha):
+        # At n = 16 and the default t = 1e-3 the w^32 signal of the smaller
+        # probe is 1.3e-6 and 1.4 times eps zeta0; measured anyway, these
+        # gave rel_error 1.6e5 and 2.6.
+        tp = TwistParams(alpha=alpha, s=s)
+        with pytest.raises(SolverError, match="probe signal"):
+            q_zeta_check(0.05, tp, 16)
+        with pytest.raises(SolverError, match="probe signal"):
+            Hn_obstruction(CoefficientFamily({(16, 0): 0.05}, s), tp, 16)
 
 
 class TestHnObstruction:

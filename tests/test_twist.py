@@ -393,8 +393,6 @@ class TestSolveBranch:
         with pytest.raises(HypothesisViolation, match="outside"):
             solve_branch(fam, tp_pos, n, 2, 1.0 + 0.0j)
         tp_neg = TwistParams(alpha=resonant_alpha(n, 7, -0.2), s=1)
-        with pytest.raises(HypothesisViolation):
-            solve_branch(fam, tp_neg, n, 2, 1.0 + 0.0j, delta=0.1)
         with pytest.raises(ValueError, match="branch index"):
             solve_branch(fam, tp_neg, n, 3, 1.0 + 0.0j)
         with pytest.raises(ValueError, match="annulus"):
