@@ -382,10 +382,11 @@ def full_normalize(
     conjugator = map_compose(phi2, map_compose(phi1, map_compose(mw.Phi0, change)))
     lam = mw.M[0]
     target = normal_form_map(lam, eps, s, n)
-    achieved = map_compose(map_compose(conjugator, phi), map_inverse(conjugator))
+    conjugator_inv = map_inverse(conjugator)
+    achieved = map_compose(map_compose(conjugator, phi), conjugator_inv)
     residual = map_residual(achieved, target)
     tau_residual = map_residual(
-        map_compose(map_compose(conjugator, tau), map_inverse(conjugator)), MapJet.swap(n)
+        map_compose(map_compose(conjugator, tau), conjugator_inv), MapJet.swap(n)
     )
     residual = max(residual, tau_residual)
     if reality == "standard":

@@ -140,14 +140,37 @@ def jet_add(a: Jet, b: Jet) -> Jet:
     return Jet(a.coeffs + b.coeffs, a.order)
 
 
+@lru_cache(maxsize=None)
+def _product_pairs(order: int) -> tuple[np.ndarray, ...]:
+    """Gather plan of the product truncated at total degree `order`.
+
+    Output entry (p, q) of the triangle is the sum of a[i, j] * b[p-i, q-j]
+    over its own (p+1)(q+1) pairs, C(order+4, 4) pairs in all.  Returns the
+    flat output index of every triangle entry, the flat indices into a and
+    b of every pair, grouped by output in that order, and the offset at
+    which each group starts.  The arrays are shared, hence read-only.
+    """
+    rows, cols = np.nonzero(_triangle_mask(order))
+    counts = (rows + 1) * (cols + 1)
+    starts = np.cumsum(counts) - counts
+    group = np.repeat(np.arange(len(rows)), counts)
+    i, j = np.divmod(np.arange(counts.sum()) - starts[group], cols[group] + 1)
+    w = order + 1
+    plan = (rows * w + cols, i * w + j, (rows[group] - i) * w + (cols[group] - j), starts)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """Cauchy product truncated at total degree N.
 
     Every surviving coefficient is the exact (up to rounding) finite sum
-    of products; there is no truncation bias below order N.  A factor
-    with only a few nonzero entries is applied by shift-and-add; the
-    dense case packs the rows into one long vector (rows padded so no
-    column overlap can occur) and runs a single direct 1-D convolution.
+    of its own coefficient products: no padding, no FFT, and no
+    truncation bias below order N.  A factor with only a few nonzero
+    entries is applied by shift-and-add; otherwise the pairs of every
+    output entry are gathered from a plan cached per order
+    (`_product_pairs`), multiplied, and summed group by group.
     """
     _same_order(a, b)
     n = a.order
@@ -159,15 +182,12 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
         out = np.zeros((n + 1, n + 1), dtype=complex)
         for i, j in zip(*np.nonzero(a.coeffs)):
             out[i:, j:] += a.coeffs[i, j] * b.coeffs[: n + 1 - i, : n + 1 - j]
+        out[~_triangle_mask(n)] = 0.0
     else:
-        m = 2 * n + 1
-        pa = np.zeros((n + 1, m), dtype=complex)
-        pb = np.zeros((n + 1, m), dtype=complex)
-        pa[:, : n + 1] = a.coeffs
-        pb[:, : n + 1] = b.coeffs
-        flat = np.convolve(pa.ravel(), pb.ravel())
-        out = flat[: (n + 1) * m].reshape(n + 1, m)[:, : n + 1]
-    out = np.where(_triangle_mask(n), out, 0.0)
+        dest, ia, ib, starts = _product_pairs(n)
+        out = np.zeros((n + 1) * (n + 1), dtype=complex)
+        out[dest] = np.add.reduceat(a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib], starts)
+        out = out.reshape(n + 1, n + 1)
     return Jet(out, n)
 
 
@@ -215,8 +235,37 @@ class MapJet:
         return self.x.eval(xi, eta), self.y.eval(xi, eta)
 
 
+def _powers(y: Jet) -> np.ndarray:
+    """Coefficient tables of y^0, ..., y^N stacked along a first axis."""
+    n = y.order
+    pw = [Jet.constant(1.0, n), y]
+    for _ in range(n - 1):
+        pw.append(jet_mul(pw[-1], y))
+    return np.stack([p.coeffs for p in pw])
+
+
+def _compose(f: Jet, x: Jet, ypow: np.ndarray) -> Jet:
+    """f(x, y) through degree N, given the power table of y."""
+    n = f.order
+    # rows[i] = sum_j f[i, j] y^j; then a Horner sweep in x.
+    rows = np.tensordot(f.coeffs, ypow, axes=(1, 0))
+    out = Jet(rows[n], n)
+    for i in range(n - 1, -1, -1):
+        out = Jet(jet_mul(out, x).coeffs + rows[i], n)
+    return out
+
+
+def _check_inner(f: Jet, phi: MapJet) -> None:
+    _same_order(f, phi.x)
+    if not phi.fixes_origin():
+        raise ValueError("composition target must fix the origin")
+
+
 def jet_compose(f: Jet, phi: MapJet) -> Jet:
     """Coefficients of f(phi) through degree N.
+
+    The powers of phi.y are built once and contracted with f's rows in
+    one tensor product; a Horner sweep in phi.x then takes N products.
 
     Parameters
     ----------
@@ -225,32 +274,19 @@ def jet_compose(f: Jet, phi: MapJet) -> Jet:
         Must fix the origin; otherwise composition is not a polynomial
         operation on truncated series.
     """
-    _same_order(f, phi.x)
-    if not phi.fixes_origin():
-        raise ValueError("composition target must fix the origin")
-    n = f.order
-    # Powers of the second component once, then a Horner sweep in the first.
-    ypow = [Jet.constant(1.0, n)]
-    for _ in range(n):
-        ypow.append(jet_mul(ypow[-1], phi.y))
-
-    def row(i: int) -> Jet:
-        acc = np.zeros_like(f.coeffs)
-        for j in range(n + 1 - i):
-            c = f.coeffs[i, j]
-            if c != 0.0:
-                acc = acc + c * ypow[j].coeffs
-        return Jet(acc, n)
-
-    out = row(n)
-    for i in range(n - 1, -1, -1):
-        out = jet_add(jet_mul(out, phi.x), row(i))
-    return out
+    _check_inner(f, phi)
+    return _compose(f, phi.x, _powers(phi.y))
 
 
 def map_compose(outer: MapJet, inner: MapJet) -> MapJet:
-    """outer(inner(.)) through degree N."""
-    return MapJet(jet_compose(outer.x, inner), jet_compose(outer.y, inner))
+    """outer(inner(.)) through degree N.
+
+    Both components share one power table of inner.y, so a composition
+    costs about 3N jet products (N - 1 for the table, N per Horner sweep).
+    """
+    _check_inner(outer.x, inner)
+    ypow = _powers(inner.y)
+    return MapJet(_compose(outer.x, inner.x, ypow), _compose(outer.y, inner.x, ypow))
 
 
 def map_inverse(phi: MapJet) -> MapJet:

@@ -12,6 +12,7 @@ import pytest
 
 from revtwist.series import (
     DEFAULT_ORDER,
+    MAX_ORDER,
     Jet,
     MapJet,
     coeffs_close,
@@ -63,12 +64,72 @@ def brute_mul(a, b):
     return out
 
 
+def sparse_jet(rng, order, count=4):
+    """A jet with `count` nonzero entries at random places of the triangle."""
+    i, j = np.nonzero(np.add.outer(np.arange(order + 1), np.arange(order + 1)) <= order)
+    pick = rng.choice(len(i), size=min(count, len(i)), replace=False)
+    c = np.zeros((order + 1, order + 1), dtype=complex)
+    c[i[pick], j[pick]] = rng.standard_normal(len(pick)) + 1j * rng.standard_normal(len(pick))
+    return Jet(c, order)
+
+
 def test_mul_matches_brute_force():
     rng = np.random.default_rng(11)
     for _ in range(4):
         a = random_jet(rng, 9)
         b = random_jet(rng, 9)
         assert coeffs_close(jet_mul(a, b), brute_mul(a, b), 1e-13)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 9, 16, 20])
+def test_mul_kernels_match_brute_force(order):
+    # Both kernels: the dense gather plan and shift-and-add for a factor
+    # with at most 4 nonzero entries (either side), and the zero jet.
+    rng = np.random.default_rng(100 + order)
+    dense = [random_jet(rng, order) for _ in range(3)]
+    sparse = [sparse_jet(rng, order, k) for k in (1, 4)]
+    zero = Jet.zero(order)
+    cases = [(dense[0], dense[1]), (dense[2], dense[2])]
+    cases += [(s, d) for s in sparse for d in dense[:1]] + [(d, s) for s in sparse for d in dense[1:2]]
+    cases += [(zero, dense[0]), (dense[1], zero), (zero, zero)]
+    for a, b in cases:
+        got = jet_mul(a, b)
+        assert coeffs_close(got, brute_mul(a, b), 1e-13)
+        i = np.arange(order + 1)
+        assert not got.coeffs[(i[:, None] + i[None, :]) > order].any()
+
+
+def test_mul_is_exact_on_integers():
+    # Integer coefficients keep every partial sum an integer below 2^53, so
+    # an exact finite sum of coefficient products (README: no FFT) must
+    # reproduce Python integer arithmetic bit for bit.
+    n = 16
+    rng = np.random.default_rng(16)
+    tri = np.add.outer(np.arange(n + 1), np.arange(n + 1)) <= n
+    re_a, im_a, re_b, im_b = (np.where(tri, rng.integers(-8, 9, (n + 1, n + 1)), 0) for _ in range(4))
+    got = jet_mul(Jet(re_a + 1j * im_a, n), Jet(re_b + 1j * im_b, n)).coeffs
+    want_re = [[0] * (n + 1) for _ in range(n + 1)]
+    want_im = [[0] * (n + 1) for _ in range(n + 1)]
+    for i1, j1 in zip(*np.nonzero(tri)):
+        for i2 in range(n + 1 - i1 - j1):
+            for j2 in range(n + 1 - i1 - j1 - i2):
+                ar, ai = int(re_a[i1, j1]), int(im_a[i1, j1])
+                br, bi = int(re_b[i2, j2]), int(im_b[i2, j2])
+                want_re[i1 + i2][j1 + j2] += ar * br - ai * bi
+                want_im[i1 + i2][j1 + j2] += ar * bi + ai * br
+    assert np.array_equal(got.real, np.array(want_re, dtype=float))
+    assert np.array_equal(got.imag, np.array(want_im, dtype=float))
+
+
+def test_mul_runs_at_max_order():
+    # With every triangle entry 1, entry (p, q) of the square counts its
+    # (p+1)(q+1) contributing pairs.
+    n = MAX_ORDER
+    i = np.arange(n + 1)
+    tri = (i[:, None] + i[None, :]) <= n
+    ones = Jet(tri.astype(complex), n)
+    want = np.where(tri, (i[:, None] + 1) * (i[None, :] + 1), 0)
+    assert np.array_equal(jet_mul(ones, ones).coeffs, want.astype(complex))
 
 
 def test_mul_ring_laws():
@@ -139,6 +200,21 @@ def test_compose_requires_origin():
     phi = MapJet(Jet.constant(1.0, 5), Jet.coordinate("eta", 5))
     with pytest.raises(ValueError):
         jet_compose(f, phi)
+    with pytest.raises(ValueError):
+        map_compose(MapJet.identity(5), phi)
+
+
+def test_map_compose_matches_componentwise():
+    # map_compose shares one power table of phi.y between the components.
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 10):
+        f = MapJet(random_jet(rng, n, zero_constant=True), random_jet(rng, n, zero_constant=True))
+        phi = MapJet(
+            random_jet(rng, n, scale=0.5, zero_constant=True),
+            random_jet(rng, n, scale=0.5, zero_constant=True),
+        )
+        want = MapJet(jet_compose(f.x, phi), jet_compose(f.y, phi))
+        assert map_residual(map_compose(f, phi), want) <= 1e-13 * max(1.0, want.max_abs())
 
 
 def test_compose_numeric_consistency():
