@@ -120,8 +120,8 @@ class NormalFormResult:
             raise ValueError("eps = 0 requires the infinity marker for s")
 
 
-def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet]:
-    """Return (change, tau_std) with tau_std = change . tau . change^{-1} = (eta, xi).
+def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
+    """Return (change, change_inv, tau_std), tau_std = change . tau . change_inv = (eta, xi).
 
     The change is the half-power scaling average
     xi' = lambda0^{-1/2} (xi + lambda0 * (eta . tau)) / 2,
@@ -146,10 +146,11 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet]:
     cx = (Jet.coordinate("xi", n) + lam0 * tau.y) * (0.5 / half)
     cy = (Jet.coordinate("eta", n) + np.conj(lam0) * tau.x) * (0.5 * half)
     change = MapJet(cx, cy)
-    tau_std = map_compose(map_compose(change, tau), map_inverse(change))
+    change_inv = map_inverse(change)
+    tau_std = map_compose(map_compose(change, tau), change_inv)
     if map_residual(tau_std, MapJet.swap(n)) > CONJUGATION_TOL * scale:
         raise ValueError("linearization failed to reach the swap involution")
-    return change, tau_std
+    return change, change_inv, tau_std
 
 
 def mw_normalize(pair: InvolutionPair, order: int | None = None, sweep: str = "joint") -> MWResult:
@@ -354,8 +355,7 @@ def full_normalize(
     check_nonresonant(lam_phi, n)
 
     # Standardize the reversing involution, then normalize the pair.
-    change, tau_std = linearize_involution(tau)
-    change_inv = map_inverse(change)
+    change, change_inv, tau_std = linearize_involution(tau)
     phi_std = map_compose(map_compose(change, phi), change_inv)
     pair = InvolutionPair.from_maps(tau_std, map_compose(tau_std, phi_std))
     mw = mw_normalize(pair, n, sweep=sweep)

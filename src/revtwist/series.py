@@ -235,22 +235,33 @@ class MapJet:
         return self.x.eval(xi, eta), self.y.eval(xi, eta)
 
 
-def _powers(y: Jet) -> np.ndarray:
-    """Coefficient tables of y^0, ..., y^N stacked along a first axis."""
+def _degrees(*jets: Jet) -> np.ndarray:
+    """Total degrees at which any of the jets has a nonzero coefficient."""
+    i, j = np.nonzero(np.any([f.coeffs != 0 for f in jets], axis=0))
+    return i + j
+
+
+def _powers(y: Jet, top: int) -> np.ndarray:
+    """Coefficient tables of y^0, ..., y^top stacked along a first axis."""
     n = y.order
-    pw = [Jet.constant(1.0, n), y]
-    for _ in range(n - 1):
+    pw = [Jet.constant(1.0, n), y][: top + 1]
+    for _ in range(top - 1):
         pw.append(jet_mul(pw[-1], y))
     return np.stack([p.coeffs for p in pw])
 
 
 def _compose(f: Jet, x: Jet, ypow: np.ndarray) -> Jet:
-    """f(x, y) through degree N, given the power table of y."""
+    """f(x, y) through degree N, given the power table y^0, ..., y^D of y.
+
+    f must vanish above total degree D; its rows and columns beyond D are
+    never read.
+    """
     n = f.order
-    # rows[i] = sum_j f[i, j] y^j; then a Horner sweep in x.
-    rows = np.tensordot(f.coeffs, ypow, axes=(1, 0))
-    out = Jet(rows[n], n)
-    for i in range(n - 1, -1, -1):
+    top = len(ypow) - 1
+    # rows[i] = sum_j f[i, j] y^j; then a Horner sweep in x from row D.
+    rows = np.tensordot(f.coeffs[: top + 1, : top + 1], ypow, axes=(1, 0))
+    out = Jet(rows[top], n)
+    for i in range(top - 1, -1, -1):
         out = Jet(jet_mul(out, x).coeffs + rows[i], n)
     return out
 
@@ -264,8 +275,9 @@ def _check_inner(f: Jet, phi: MapJet) -> None:
 def jet_compose(f: Jet, phi: MapJet) -> Jet:
     """Coefficients of f(phi) through degree N.
 
-    The powers of phi.y are built once and contracted with f's rows in
-    one tensor product; a Horner sweep in phi.x then takes N products.
+    Only the powers of phi.y up to the top total degree D of f are built;
+    they are contracted with f's rows in one tensor product, and a Horner
+    sweep in phi.x then takes D products.  The zero jet composes to zero.
 
     Parameters
     ----------
@@ -275,26 +287,40 @@ def jet_compose(f: Jet, phi: MapJet) -> Jet:
         operation on truncated series.
     """
     _check_inner(f, phi)
-    return _compose(f, phi.x, _powers(phi.y))
+    top = int(_degrees(f).max(initial=-1))
+    if top < 0:
+        return f
+    return _compose(f, phi.x, _powers(phi.y, top))
 
 
 def map_compose(outer: MapJet, inner: MapJet) -> MapJet:
     """outer(inner(.)) through degree N.
 
-    Both components share one power table of inner.y, so a composition
-    costs about 3N jet products (N - 1 for the table, N per Horner sweep).
+    Both components share one power table of inner.y, built only up to
+    the top total degree D of outer, so a composition costs 3D - 1 jet
+    products (D - 1 for the table, D per Horner sweep) for D >= 1.  The
+    zero map composes to zero.
     """
     _check_inner(outer.x, inner)
-    ypow = _powers(inner.y)
+    top = int(_degrees(outer.x, outer.y).max(initial=-1))
+    if top < 0:
+        return outer
+    ypow = _powers(inner.y, top)
     return MapJet(_compose(outer.x, inner.x, ypow), _compose(outer.y, inner.x, ypow))
 
 
 def map_inverse(phi: MapJet) -> MapJet:
     """Compositional inverse, solved degree by degree.
 
-    The linear part is inverted exactly; nonlinear orders are filled in by
-    the fixed-point iteration psi <- L^{-1}(id - P(psi)), which gains at
-    least one correct degree per pass.
+    The linear part L is inverted exactly; nonlinear orders are filled in
+    by the fixed-point iteration psi <- L^{-1}(id - P(psi)) from
+    psi = L^{-1}, where P is the nonlinear part of phi.  If the lowest
+    nonzero total degree of P is d, psi = L^{-1} is right through degree
+    d - 1 and each pass fixes d - 1 more degrees, so (N - d) // (d - 1) + 1
+    passes reach degree N (none for a linear phi).  This holds bit for bit
+    in floating point: a degree-m coefficient of P(psi) is computed from
+    coefficients of psi of degree at most m - d + 1 alone.  The iteration
+    stops earlier once a pass returns its input unchanged.
     """
     n = phi.order
     if not phi.fixes_origin():
@@ -311,6 +337,11 @@ def map_inverse(phi: MapJet) -> MapJet:
     px[1, 0] = px[0, 1] = 0.0
     py[1, 0] = py[0, 1] = 0.0
     pnl = MapJet(Jet(px, n), Jet(py, n))
+    degrees = _degrees(pnl.x, pnl.y)
+    passes = 0
+    if degrees.size:
+        d = int(degrees.min())
+        passes = (n - d) // (d - 1) + 1
 
     ident = MapJet.identity(n)
 
@@ -321,7 +352,7 @@ def map_inverse(phi: MapJet) -> MapJet:
         )
 
     psi = linmap(ident)
-    for _ in range(n):
+    for _ in range(passes):
         nxt = linmap(ident - map_compose(pnl, psi))
         if np.array_equal(nxt.x.coeffs, psi.x.coeffs) and np.array_equal(
             nxt.y.coeffs, psi.y.coeffs

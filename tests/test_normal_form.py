@@ -79,7 +79,7 @@ def conjugate_map(frame, target):
 
 
 def test_linearize_swap_is_identity():
-    change, tau_std = linearize_involution(MapJet.swap(8))
+    change, _, tau_std = linearize_involution(MapJet.swap(8))
     assert map_residual(change, MapJet.identity(8)) == 0.0
     assert map_residual(tau_std, MapJet.swap(8)) == 0.0
 
@@ -90,7 +90,7 @@ def test_linearize_linear_involution():
     tau = MapJet(
         lam0 * Jet.coordinate("eta", n), np.conj(lam0) * Jet.coordinate("xi", n)
     )
-    change, tau_std = linearize_involution(tau)
+    change, _, tau_std = linearize_involution(tau)
     assert abs(change.x.coeff(1, 0) - lam0 ** -0.5) < 1e-14
     assert abs(change.y.coeff(0, 1) - lam0 ** 0.5) < 1e-14
     assert map_residual(tau_std, MapJet.swap(n)) < 1e-14
@@ -103,7 +103,7 @@ def test_linearize_nonlinear_real_involution():
     tau = conjugate_map(frame, MapJet.swap(n))
     assert involution_residual(tau) < 1e-12
 
-    change, tau_std = linearize_involution(tau)
+    change, _, tau_std = linearize_involution(tau)
     assert map_residual(tau_std, MapJet.swap(n)) < 1e-11
     # the intertwining identity change . tau = swap . change holds exactly
     lhs = map_compose(change, tau)
@@ -387,3 +387,54 @@ def test_full_normalize_reality_modes():
     res = full_normalize(phi, reality="none")
     assert (res.eps, res.s) == (1, 2)
     assert res.residual < 1e-9
+
+
+# --- operation counts ---------------------------------------------------------
+
+
+def count_series_ops(monkeypatch):
+    """Count jet_mul and map_compose calls, and the map_compose calls made
+    inside map_inverse (its passes), wherever the pipeline reaches them."""
+    from revtwist import normal_form, series
+
+    counts = {"jet_mul": 0, "map_compose": 0, "passes": 0}
+    inverting = []
+    mul, compose, invert = series.jet_mul, series.map_compose, series.map_inverse
+
+    def counted_mul(a, b):
+        counts["jet_mul"] += 1
+        return mul(a, b)
+
+    def counted_compose(f, g):
+        counts["map_compose"] += 1
+        if inverting:
+            counts["passes"] += 1
+        return compose(f, g)
+
+    def counted_invert(phi):
+        inverting.append(phi)
+        try:
+            return invert(phi)
+        finally:
+            inverting.pop()
+
+    for module in (series, normal_form):
+        monkeypatch.setattr(module, "jet_mul", counted_mul)
+        monkeypatch.setattr(module, "map_compose", counted_compose)
+        monkeypatch.setattr(module, "map_inverse", counted_invert)
+    return counts
+
+
+def test_full_normalize_operation_counts(monkeypatch):
+    # Machine-independent cost of one N=12 run on a criterion-2-style input:
+    # compositions stop at the outer map's top degree and inverses at the
+    # pass count its lowest nonlinear degree fixes.  Any change here is a
+    # change of algorithm and should be deliberate.
+    n = 12
+    target = normal_form_map(np.exp(0.7j), 1, 2, n)
+    frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
+    phi = conjugate_map(map_inverse(frame), target)
+    counts = count_series_ops(monkeypatch)
+    res = full_normalize(phi)
+    assert (res.eps, res.s) == (1, 2)
+    assert counts == {"jet_mul": 2466, "map_compose": 107, "passes": 51}

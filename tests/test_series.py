@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from revtwist import series
 from revtwist.series import (
     DEFAULT_ORDER,
     MAX_ORDER,
@@ -273,6 +274,123 @@ def test_inverse_rejects_singular():
     phi = MapJet(Jet.coordinate("xi", 4), Jet.zero(4))
     with pytest.raises(ValueError, match="singular"):
         map_inverse(phi)
+
+
+def homogeneous_jet(rng, order, degree):
+    """A jet whose nonzero coefficients all sit at total degree `degree`."""
+    c = random_jet(rng, order).coeffs.copy()
+    i = np.arange(order + 1)
+    c[(i[:, None] + i[None, :]) != degree] = 0.0
+    return Jet(c, order)
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_compose_trim_is_bitwise_exact(order):
+    # Trimming the power table and the Horner sweep to the outer map's top
+    # degree D drops only exact zeros: the result equals the contraction
+    # through all N powers bit for bit.
+    rng = np.random.default_rng(100 + order)
+    inner = MapJet(
+        random_jet(rng, order, scale=0.5, zero_constant=True),
+        random_jet(rng, order, scale=0.5, zero_constant=True),
+    )
+    full = series._powers(inner.y, order)
+    outers = [
+        MapJet(Jet.zero(order), Jet.zero(order)),
+        MapJet(random_jet(rng, order), random_jet(rng, order)),
+        # components of different top degree share the larger one
+        MapJet(homogeneous_jet(rng, order, 3), Jet.coordinate("eta", order)),
+    ]
+    outers += [
+        MapJet(homogeneous_jet(rng, order, d), homogeneous_jet(rng, order, d))
+        for d in range(order + 1)
+    ]
+    for outer in outers:
+        got = map_compose(outer, inner)
+        for f, g in ((outer.x, got.x), (outer.y, got.y)):
+            want = series._compose(f, inner.x, full).coeffs
+            assert np.array_equal(g.coeffs, want)
+            assert np.array_equal(jet_compose(f, inner).coeffs, want)
+
+
+def test_compose_cost_follows_outer_degree(monkeypatch):
+    # D - 1 products build the power table and D run each Horner sweep.
+    order = 12
+    rng = np.random.default_rng(7)
+    inner = MapJet(
+        random_jet(rng, order, scale=0.5, zero_constant=True),
+        random_jet(rng, order, scale=0.5, zero_constant=True),
+    )
+    calls = []
+    monkeypatch.setattr(series, "jet_mul", lambda a, b: calls.append(1) or jet_mul(a, b))
+    for d in (1, 2, 5, order):
+        del calls[:]
+        outer = MapJet(homogeneous_jet(rng, order, d), homogeneous_jet(rng, order, d))
+        map_compose(outer, inner)
+        assert len(calls) == 3 * d - 1
+        del calls[:]
+        jet_compose(outer.x, inner)
+        assert len(calls) == 2 * d - 1
+
+
+def reference_inverse(phi):
+    """map_inverse's fixed-point iteration with no pass bound, run until a
+    pass returns its input.
+
+    Returns the inverse and the number of passes taken.
+    """
+    n = phi.order
+    lin = phi.linear_part()
+    det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
+    inv = np.array([[lin[1, 1], -lin[0, 1]], [-lin[1, 0], lin[0, 0]]]) / det
+    px = phi.x.coeffs.copy()
+    py = phi.y.coeffs.copy()
+    px[1, 0] = px[0, 1] = py[1, 0] = py[0, 1] = 0.0
+    pnl = MapJet(Jet(px, n), Jet(py, n))
+    ident = MapJet.identity(n)
+
+    def linmap(m):
+        return MapJet(
+            Jet(inv[0, 0] * m.x.coeffs + inv[0, 1] * m.y.coeffs, n),
+            Jet(inv[1, 0] * m.x.coeffs + inv[1, 1] * m.y.coeffs, n),
+        )
+
+    psi = linmap(ident)
+    for passes in range(1, 2 * n + 2):
+        nxt = linmap(ident - map_compose(pnl, psi))
+        if np.array_equal(nxt.x.coeffs, psi.x.coeffs) and np.array_equal(
+            nxt.y.coeffs, psi.y.coeffs
+        ):
+            return psi, passes
+        psi = nxt
+    raise AssertionError("reference iteration did not settle")
+
+
+@pytest.mark.parametrize("order", [12, 20])
+def test_inverse_is_bitwise_exact_within_pass_bound(order, monkeypatch):
+    rng = np.random.default_rng(200 + order)
+    linear = np.array([[0.8, 0.3 - 0.1j], [-0.2j, 1.1]])
+    cases = [(MapJet(0.5j * Jet.coordinate("xi", order), Jet.coordinate("eta", order)), None)]
+    for d in range(2, order + 1):
+        u = MapJet(homogeneous_jet(rng, order, d), homogeneous_jet(rng, order, d))
+        cases.append((MapJet(Jet.coordinate("xi", order) + 0.1 * u.x,
+                             Jet.coordinate("eta", order) + 0.1 * u.y), d))
+    dense = MapJet(random_jet(rng, order, 0.05, zero_constant=True),
+                   random_jet(rng, order, 0.05, zero_constant=True))
+    cx, cy = dense.x.coeffs.copy(), dense.y.coeffs.copy()
+    cx[1, 0], cx[0, 1], cy[1, 0], cy[0, 1] = linear.ravel()
+    cases.append((MapJet(Jet(cx, order), Jet(cy, order)), 2))
+
+    passes = []
+    monkeypatch.setattr(series, "map_compose", lambda f, g: passes.append(1) or map_compose(f, g))
+    for phi, d in cases:
+        want, ref_passes = reference_inverse(phi)
+        del passes[:]
+        got = map_inverse(phi)
+        assert np.array_equal(got.x.coeffs, want.x.coeffs)
+        assert np.array_equal(got.y.coeffs, want.y.coeffs)
+        bound = 0 if d is None else (order - d) // (d - 1) + 1
+        assert len(passes) <= min(bound, ref_passes)
 
 
 def test_exp_i_radial():
