@@ -9,7 +9,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -35,19 +34,6 @@ from .twist import (
 
 def _g17(x: float) -> str:
     return f"{float(x):.17g}"
-
-
-def default_order() -> int:
-    raw = os.environ.get("REVTWIST_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        order = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"REVTWIST_ORDER must be an integer, got {raw!r}") from exc
-    if order < 2:
-        raise ValueError("REVTWIST_ORDER must be at least 2")
-    return order
 
 
 def _meta(args: argparse.Namespace, **tolerances) -> list[str]:
@@ -103,7 +89,7 @@ def _twist_from_args(args: argparse.Namespace) -> TwistParams:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    order = args.order if args.order is not None else default_order()
+    order = args.order if args.order is not None else DEFAULT_ORDER
     phi = load_map(args.map, order)
     tau = load_map(args.tau, order) if args.tau else None
     res = full_normalize(phi, tau=tau, order=order, reality=args.reality)
@@ -263,9 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="map file, 'x|y i j re im' lines")
     p.add_argument("--tau", default=None, help="optional reversor map file")
     p.add_argument("--order", type=int, default=None,
-                   help="truncation order (default REVTWIST_ORDER or %d)" % DEFAULT_ORDER)
+                   help="truncation order (default %d)" % DEFAULT_ORDER)
     p.add_argument("--reality", default="standard",
-                   choices=["standard", "surface", "none"])
+                   choices=["standard", "surface"])
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_normalize)
 

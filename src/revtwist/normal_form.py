@@ -64,7 +64,11 @@ def involution_residual(m: MapJet) -> float:
 
 @dataclass(frozen=True)
 class InvolutionPair:
-    """Two involutions whose linear parts are (lambda_j eta, lambda_j^{-1} xi)."""
+    """Two involutions whose linear parts are (lambda_j eta, lambda_j^{-1} xi).
+
+    Build it with ``from_maps``, which checks both involutions and demands
+    one truncation order for the pair.
+    """
 
     tau1: MapJet
     tau2: MapJet
@@ -73,6 +77,10 @@ class InvolutionPair:
 
     @staticmethod
     def from_maps(tau1: MapJet, tau2: MapJet) -> "InvolutionPair":
+        if tau1.order != tau2.order:
+            raise ValueError(
+                f"tau1 and tau2 have different truncation orders {tau1.order} and {tau2.order}"
+            )
         lams = []
         for tau in (tau1, tau2):
             res = involution_residual(tau)
@@ -153,16 +161,14 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     return change, change_inv, tau_std
 
 
-def mw_normalize(pair: InvolutionPair, order: int | None = None, sweep: str = "joint") -> MWResult:
+def mw_normalize(pair: InvolutionPair) -> MWResult:
     """Unique normalized conjugation of the pair to the product normal form.
 
-    Eliminates non-resonant coefficients of phi = tau1 . tau2 degree by
-    degree while pinning the resonant ((i+1,i) in xi, (i,i+1) in eta)
-    entries of the accumulated transformation to zero, which is exactly the
-    normalization that makes the conjugator unique.  ``sweep`` chooses the
-    per-degree elimination order: "joint" removes both components in one
-    step, "split" removes the xi component first, then eta; the final
-    transformation is the same either way (uniqueness).
+    Works at the pair's truncation order N.  Eliminates the non-resonant
+    coefficients of phi = tau1 . tau2 one degree at a time, both components
+    in one conjugation per degree, while pinning the resonant ((i+1,i) in
+    xi, (i,i+1) in eta) entries of the accumulated transformation to zero,
+    which is exactly the normalization that makes the conjugator unique.
 
     Returns
     -------
@@ -171,17 +177,11 @@ def mw_normalize(pair: InvolutionPair, order: int | None = None, sweep: str = "j
         multipliers Lambda1/Lambda2, the eigenvalue mu = lambda1/lambda2,
         and the worst off-form residual.
     """
-    if sweep not in ("joint", "split"):
-        raise ValueError(f"unknown sweep {sweep!r}")
-    n = pair.tau1.order if order is None else int(order)
-    if n > pair.tau1.order:
-        raise ValueError("requested order exceeds the pair's truncation order")
-    tau1 = MapJet(pair.tau1.x.truncate(n), pair.tau1.y.truncate(n))
-    tau2 = MapJet(pair.tau2.x.truncate(n), pair.tau2.y.truncate(n))
+    n = pair.tau1.order
     mu = pair.lambda1 / pair.lambda2
     check_nonresonant(mu, n)
 
-    phi_cur = map_compose(tau1, tau2)
+    phi_cur = map_compose(pair.tau1, pair.tau2)
     lin = phi_cur.linear_part()
     if max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu)) > 1e-9 * max(
         1.0, phi_cur.max_abs()
@@ -193,30 +193,23 @@ def mw_normalize(pair: InvolutionPair, order: int | None = None, sweep: str = "j
     mu_pows = {k: mu**k for k in range(-n - 1, n + 2)}
 
     for d in range(2, n + 1):
-        passes = ("xy",) if sweep == "joint" else ("x", "y")
-        for which in passes:
-            u1 = np.zeros_like(phi_cur.x.coeffs)
-            u2 = np.zeros_like(u1)
-            any_nonzero = False
-            for i in range(d + 1):
-                j = d - i
-                if "x" in which or which == "xy":
-                    if i == j + 1:
-                        u1[i, j] = -phi_total.x.coeffs[i, j]
-                    else:
-                        u1[i, j] = -phi_cur.x.coeffs[i, j] / (mu_pows[i - j] - mu)
-                    any_nonzero = any_nonzero or u1[i, j] != 0
-                if "y" in which or which == "xy":
-                    if j == i + 1:
-                        u2[i, j] = -phi_total.y.coeffs[i, j]
-                    else:
-                        u2[i, j] = -phi_cur.y.coeffs[i, j] / (mu_pows[i - j] - 1.0 / mu)
-                    any_nonzero = any_nonzero or u2[i, j] != 0
-            if not any_nonzero:
-                continue
-            psi = MapJet(ident.x + Jet(u1, n), ident.y + Jet(u2, n))
-            phi_cur = map_compose(map_compose(psi, phi_cur), map_inverse(psi))
-            phi_total = map_compose(psi, phi_total)
+        u1 = np.zeros_like(phi_cur.x.coeffs)
+        u2 = np.zeros_like(u1)
+        for i in range(d + 1):
+            j = d - i
+            if i == j + 1:
+                u1[i, j] = -phi_total.x.coeffs[i, j]
+            else:
+                u1[i, j] = -phi_cur.x.coeffs[i, j] / (mu_pows[i - j] - mu)
+            if j == i + 1:
+                u2[i, j] = -phi_total.y.coeffs[i, j]
+            else:
+                u2[i, j] = -phi_cur.y.coeffs[i, j] / (mu_pows[i - j] - 1.0 / mu)
+        if not (u1.any() or u2.any()):
+            continue
+        psi = MapJet(ident.x + Jet(u1, n), ident.y + Jet(u2, n))
+        phi_cur = map_compose(map_compose(psi, phi_cur), map_inverse(psi))
+        phi_total = map_compose(psi, phi_total)
 
     m_series = diagonal_series(phi_cur.x, "xi")
     m_inv = diagonal_series(phi_cur.y, "eta")
@@ -228,7 +221,7 @@ def mw_normalize(pair: InvolutionPair, order: int | None = None, sweep: str = "j
 
     phi_total_inv = map_inverse(phi_total)
     lambdas = []
-    for tau in (tau1, tau2):
+    for tau in (pair.tau1, pair.tau2):
         tt = map_compose(map_compose(phi_total, tau), phi_total_inv)
         lambdas.append(diagonal_series(tt.x, "eta"))
         lam_inv = diagonal_series(tt.y, "xi")
@@ -302,7 +295,6 @@ def full_normalize(
     phi: MapJet,
     tau: MapJet | None = None,
     order: int | None = None,
-    sweep: str = "joint",
     reality: str = "standard",
 ) -> NormalFormResult:
     """Run the whole pipeline and return the invariants of phi.
@@ -314,17 +306,22 @@ def full_normalize(
         Im lambda > 0, lambda not a root of unity of order <= N.
     tau : MapJet, optional
         Reversing involution; defaults to the swap (eta, xi).
-    reality : {"standard", "surface", "none"}
+    order : int, optional
+        Truncation order N of the computation; defaults to phi's.  It may
+        not exceed the truncation order of phi or of tau.
+    reality : {"standard", "surface"}
         "standard" demands the reality condition rho phi = phi rho for
         rho(xi, eta) = (etabar, xibar) and checks that the conjugator
-        inherits it.  "surface" and "none" skip that (the surface pair
-        satisfies a twisted condition instead) and instead verify post hoc
-        that the head of Gamma through order s came out real, which is
-        what the type extraction relies on; coefficients beyond the head
-        may acquire imaginary parts and are returned as computed.
+        inherits it.  "surface" skips that (the surface pair satisfies a
+        twisted condition instead) and instead verifies post hoc that the
+        head of Gamma through order s came out real, which is what the
+        type extraction relies on; coefficients beyond the head may acquire
+        imaginary parts and are returned as computed.
     """
     n = phi.order if order is None else int(order)
-    if order is not None and n != phi.order:
+    if n > phi.order or (tau is not None and n > tau.order):
+        raise ValueError(f"order {n} exceeds the truncation order of phi or tau")
+    if n != phi.order:
         phi = MapJet(phi.x.truncate(n), phi.y.truncate(n))
     if tau is None:
         tau = MapJet.swap(n)
@@ -344,7 +341,7 @@ def full_normalize(
         defect = reality_defect(phi, "standard")
         if defect > INVOLUTION_TOL * scale:
             raise ValueError(f"standard reality condition fails: defect {defect:.3e}")
-    elif reality not in ("surface", "none"):
+    elif reality != "surface":
         raise ValueError(f"unknown reality mode {reality!r}")
 
     lam_phi = phi.x.coeff(1, 0)
@@ -358,7 +355,7 @@ def full_normalize(
     change, change_inv, tau_std = linearize_involution(tau)
     phi_std = map_compose(map_compose(change, phi), change_inv)
     pair = InvolutionPair.from_maps(tau_std, map_compose(tau_std, phi_std))
-    mw = mw_normalize(pair, n, sweep=sweep)
+    mw = mw_normalize(pair)
 
     # Phi1 straightens tau to the exact swap: (Lambda1^{-1/2} xi, Lambda1^{1/2} eta).
     a_inv_half = series_pow(mw.Lambda1, -0.5)
@@ -366,7 +363,7 @@ def full_normalize(
 
     gamma = gamma_from_M(mw.M)
     eps, s = extract_eps_s(gamma)
-    if reality in ("surface", "none"):
+    if reality == "surface":
         # Only the head through order s decides the type (eps, s); beyond
         # it the twisted reality condition does not pin the normalization
         # choices and Gamma may acquire imaginary parts.

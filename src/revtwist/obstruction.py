@@ -84,6 +84,8 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
         raise ValueError("delta must lie in (0, pi)")
     if count < 1:
         raise ValueError("count must be positive")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     margin = 1e-8 + abs(alpha) * n_max * 1e-15
     out = []
     chunk = 1 << 20

@@ -258,7 +258,7 @@ def _compose(f: Jet, x: Jet, ypow: np.ndarray) -> Jet:
     """
     n = f.order
     top = len(ypow) - 1
-    # rows[i] = sum_j f[i, j] y^j; then a Horner sweep in x from row D.
+    # rows[i] = sum_j f[i, j] y^j; then a Horner loop in x from row D.
     rows = np.tensordot(f.coeffs[: top + 1, : top + 1], ypow, axes=(1, 0))
     out = Jet(rows[top], n)
     for i in range(top - 1, -1, -1):
@@ -277,7 +277,7 @@ def jet_compose(f: Jet, phi: MapJet) -> Jet:
 
     Only the powers of phi.y up to the top total degree D of f are built;
     they are contracted with f's rows in one tensor product, and a Horner
-    sweep in phi.x then takes D products.  The zero jet composes to zero.
+    loop in phi.x then takes D products.  The zero jet composes to zero.
 
     Parameters
     ----------
@@ -298,7 +298,7 @@ def map_compose(outer: MapJet, inner: MapJet) -> MapJet:
 
     Both components share one power table of inner.y, built only up to
     the top total degree D of outer, so a composition costs 3D - 1 jet
-    products (D - 1 for the table, D per Horner sweep) for D >= 1.  The
+    products (D - 1 for the table, D per Horner loop) for D >= 1.  The
     zero map composes to zero.
     """
     _check_inner(outer.x, inner)
@@ -363,7 +363,7 @@ def map_inverse(phi: MapJet) -> MapJet:
 
 
 def jet_exp_i(g: Jet) -> Jet:
-    """exp(i g) for a jet with zero constant term, by a Horner sweep."""
+    """exp(i g) for a jet with zero constant term, by a Horner loop."""
     if g.coeff(0, 0) != 0:
         raise ValueError("jet_exp_i requires zero constant term")
     n = g.order

@@ -327,6 +327,10 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
     ignored; the paper's constants come from ``compute_constants``.
     """
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1, got {grid_size}")
+    if K < 0:
+        raise ValueError(f"K must be non-negative, got {K}")
     if grid_size < 2 * K + 1:
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)

@@ -114,12 +114,11 @@ def test_criterion_2_normal_form_conjugacy():
         if (res.eps, res.s) == (eps, s) and res.residual < 1e-9:
             recovered += 1
     pair, _, _, _ = tnf.planted_pair(rng, cmath.exp(0.7j), order)
-    sweep_gap = map_residual(mw_normalize(pair, sweep="joint").Phi0,
-                             mw_normalize(pair, sweep="split").Phi0)
-    ok = recovered == 20 and sweep_gap < 1e-10
+    split_gap = map_residual(mw_normalize(pair).Phi0, tnf.split_elimination(pair))
+    ok = recovered == 20 and split_gap < 1e-10
     report(2, "normal-form conjugacy", ok,
            f"{recovered}/20 recovered, residual {worst_residual:.2e}, "
-           f"sweep gap {sweep_gap:.2e}",
+           f"split-oracle gap {split_gap:.2e}",
            time.perf_counter() - t0, 30.0)
 
 

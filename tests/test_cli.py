@@ -153,10 +153,20 @@ class TestExitCodes:
         (["bishop", "--gamma", "inf"], "gamma"),
         (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
           "--family", "NAN_FAMILY"], "finite"),
+        (["bishop", "--gamma", "1.0", "--max-order", "-5"], "max_order must"),
+        (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
+          "--family", "FAMILY", "--grid", "0"], "grid_size must"),
+        (["surface", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
+          "--family", "FAMILY", "--grid", "0"], "grid_size must"),
+        (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
+          "--family", "FAMILY", "--K", "-3"], "K must"),
+        (["obstruct", "--alpha", "1.41421356", "--s", "1", "--schedule-count", "3",
+          "--n-max", "0", "--family", "FAMILY"], "n_max must"),
     ])
     def test_bad_input_fails_at_boundary(self, argv, cause, tmp_path, capsys):
-        fam = write(tmp_path / "f.txt", "4 0 nan 0\n")
-        rc = main([fam if a == "NAN_FAMILY" else a for a in argv])
+        files = {"NAN_FAMILY": write(tmp_path / "nan.txt", "4 0 nan 0\n"),
+                 "FAMILY": write(tmp_path / "f.txt", "4 0 0.05 0.02\n")}
+        rc = main([files.get(a, a) for a in argv])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
@@ -251,22 +261,3 @@ class TestNormalize:
                if ln.startswith("# lambda_")]
         assert abs(complex(lam[0], lam[1]) - np.exp(0.73j)) < 1e-12
         assert "component,i,j,re,im" in text
-
-    def test_env_var_sets_order(self, tmp_path, monkeypatch, capsys):
-        tp = TwistParams(alpha=0.73, s=1)
-        a = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
-        tau1, _, phi = involution_jets(a, tp, order=6)
-        pm = dump_map(phi, tmp_path / "phi.txt")
-        tm = dump_map(tau1, tmp_path / "tau.txt")
-        monkeypatch.setenv("REVTWIST_ORDER", "6")
-        rc = main(["normalize", "--map", pm, "--tau", tm,
-                   "--reality", "surface"])
-        assert rc == 0
-        assert "# effective_order = 6" in capsys.readouterr().out
-
-    def test_bad_env_var_exits_one(self, tmp_path, monkeypatch, capsys):
-        pm = write(tmp_path / "phi.txt", "x 1 0 1 0\ny 0 1 1 0\n")
-        monkeypatch.setenv("REVTWIST_ORDER", "eight")
-        rc = main(["normalize", "--map", pm])
-        assert rc == 1
-        assert "REVTWIST_ORDER" in capsys.readouterr().err

@@ -148,6 +148,12 @@ def test_pair_rejects_non_involution():
     assert involution_residual(cross) < 1e-15
     with pytest.raises(ValueError, match="anti-diagonal"):
         InvolutionPair.from_maps(cross, good)
+    # each map is an involution through its own order, but a pair of
+    # mixed truncation orders has no common order to normalize at
+    pair, _, _, _ = planted_pair(np.random.default_rng(43), np.exp(0.7j), 12)
+    short = MapJet(pair.tau2.x.truncate(8), pair.tau2.y.truncate(8))
+    with pytest.raises(ValueError, match="truncation orders 12 and 8"):
+        InvolutionPair.from_maps(pair.tau1, short)
 
 
 # --- mw_normalize ------------------------------------------------------------
@@ -207,14 +213,36 @@ def test_mw_recovers_planted_transformation():
     assert reality_defect(mw.Phi0, "standard") < 1e-10
 
 
+def split_elimination(pair):
+    """Oracle for mw_normalize: the same normalized elimination, but at each
+    degree the xi component is removed first and the eta component after it.
+    The normalized conjugator is unique, so Phi0 must not depend on the order."""
+    n = pair.tau1.order
+    mu = pair.lambda1 / pair.lambda2
+    ident = MapJet.identity(n)
+    phi_cur, phi_total = map_compose(pair.tau1, pair.tau2), ident
+    for d in range(2, n + 1):
+        for component in ("x", "y"):
+            u1 = np.zeros((n + 1, n + 1), dtype=complex)
+            u2 = np.zeros_like(u1)
+            for i in range(d + 1):
+                j = d - i
+                if component == "x":
+                    u1[i, j] = (-phi_total.x.coeffs[i, j] if i == j + 1
+                                else -phi_cur.x.coeffs[i, j] / (mu ** (i - j) - mu))
+                else:
+                    u2[i, j] = (-phi_total.y.coeffs[i, j] if j == i + 1
+                                else -phi_cur.y.coeffs[i, j] / (mu ** (i - j) - 1.0 / mu))
+            psi = MapJet(ident.x + Jet(u1, n), ident.y + Jet(u2, n))
+            phi_cur = conjugate_map(psi, phi_cur)
+            phi_total = map_compose(psi, phi_total)
+    return phi_total
+
+
 def test_mw_sweep_orders_agree():
     rng = np.random.default_rng(43)
     pair, _, _, _ = planted_pair(rng, np.exp(0.7j), 12)
-    joint = mw_normalize(pair, sweep="joint")
-    split = mw_normalize(pair, sweep="split")
-    assert map_residual(joint.Phi0, split.Phi0) < 1e-10
-    with pytest.raises(ValueError, match="sweep"):
-        mw_normalize(pair, sweep="zigzag")
+    assert map_residual(mw_normalize(pair).Phi0, split_elimination(pair)) < 1e-10
 
 
 def test_mw_detects_resonance():
@@ -364,6 +392,16 @@ def test_full_normalize_rejects_bad_maps():
     rot = MapJet(res_lam * Jet.coordinate("xi", n), np.conj(res_lam) * Jet.coordinate("eta", n))
     with pytest.raises(ResonanceError):
         full_normalize(rot)
+    # an order above the map's or the reversor's own truncation order would
+    # zero-pad the jets and fail later with a misleading cause
+    planted = conjugate_map(
+        map_inverse(real_swap_commuting_map(np.random.default_rng(1), 8, 0.04)),
+        normal_form_map(np.exp(0.7j), 1, 2, 8),
+    )
+    with pytest.raises(ValueError, match="order 12 exceeds"):
+        full_normalize(planted, order=12)
+    with pytest.raises(ValueError, match="order 10 exceeds"):
+        full_normalize(down, tau=MapJet.swap(8))
 
 
 def test_full_normalize_reality_modes():
@@ -384,7 +422,7 @@ def test_full_normalize_reality_modes():
 
     with pytest.raises(ValueError, match="reality"):
         full_normalize(phi)
-    res = full_normalize(phi, reality="none")
+    res = full_normalize(phi, reality="surface")
     assert (res.eps, res.s) == (1, 2)
     assert res.residual < 1e-9
 

@@ -75,6 +75,8 @@ class TestBishop:
     def test_is_exceptional_directly(self):
         assert is_exceptional(-1.0 + 0j) == (True, 2)
         assert is_exceptional(cmath.exp(1j)) == (False, None)
+        with pytest.raises(ValueError, match="max_order must"):
+            is_exceptional(-1.0 + 0j, max_order=0)
 
     def test_rejects_elliptic_and_parabolic_gamma(self):
         for gamma in (0.5, 0.3, 0.0, -1.0):
