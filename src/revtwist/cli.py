@@ -127,8 +127,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     fam = load_family(args.family, args.s, hermitian=args.hermitian)
     tp = _twist_from_args(args)
     K = args.K if args.K is not None else curve_band(args.n, args.grid)
-    crv = periodic_curve(fam, tp, args.n, args.j, grid_size=args.grid, K=K,
-                         tol=args.tol)
+    crv = periodic_curve(fam, tp, args.n, args.j, grid_size=args.grid, K=K)
     lines = _meta(args, effective_K=K)
     lines.append(f"# zeta0 = {_g17(crv.zeta0)}")
     if crv.reality_defect is not None:
@@ -151,7 +150,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
 
 def cmd_majorant(args: argparse.Namespace) -> int:
     tp = _twist_from_args(args)
-    rep = majorant_sequence(tp, args.n, K=args.K, strict=False)
+    rep = majorant_sequence(tp, args.n, K=args.K)
     lines = _meta(args)
     lines.append(f"# d0 = {_g17(rep.d0)}")
     lines.append(f"# satisfied = {rep.satisfied}")
@@ -167,7 +166,7 @@ def cmd_obstruct(args: argparse.Namespace) -> int:
     tp = _twist_from_args(args)
     schedule = select_resonant_n(tp.alpha, args.delta, args.schedule_count,
                                  args.n_max)
-    report = divergence_witness(fam, tp, schedule, tol=args.tol)
+    report = divergence_witness(fam, tp, schedule)
     payload = {
         "meta": {
             "version": __version__,
@@ -186,8 +185,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     if args.abar is not None:
         abar = load_family(args.abar, args.s, hermitian=args.hermitian)
     tp = _twist_from_args(args)
-    crv = surface_curves(fam, tp, args.n, args.j, grid_size=args.grid,
-                         tol=args.tol, abar=abar)
+    crv = surface_curves(fam, tp, args.n, args.j, grid_size=args.grid, abar=abar)
     hits = crv.real_intersections
     if hits == "continuum":
         note = "continuum"
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=None, help="Laurent band half-width")
     p.add_argument("--family", required=True)
     p.add_argument("--hermitian", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-13)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_curve)
 
@@ -288,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resonance window (-delta, 0)")
     p.add_argument("--family", required=True)
     p.add_argument("--hermitian", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-13)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_obstruct)
 
@@ -301,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--abar", default=None,
                    help="independent second family (default: conjugate of --family)")
     p.add_argument("--hermitian", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-13)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_surface)
 

@@ -23,6 +23,7 @@ from .twist import (
     HypothesisViolation,
     TwistParams,
     _beta_window,
+    _step_bound,
     beta_reduce,
     periodic_curve,
 )
@@ -80,6 +81,8 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     n_max returns the partial list with a warning: existence of infinitely
     many resonant periods is only guaranteed asymptotically.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if not 0.0 < delta < math.pi:
         raise ValueError("delta must lie in (0, pi)")
     if count < 1:
@@ -136,29 +139,28 @@ def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int) -> complex:
     return complex(-(zeta0 ** (n - 2 * tp.s + 1)) * pair / (2 * tp.s))
 
 
-def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int, tol: float):
+def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int):
     """The j=2s branch curve with its Laurent band K, for reading w^n.
 
     The grid holds 4n points so the target coefficient is read alias-free;
     Laurent data is retained through |k| <= K = 2n-1.
     """
     K = 2 * n - 1
-    return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * n, K=K, tol=tol), K
+    return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * n, K=K), K
 
 
 def Hk_estimate(a: CoefficientFamily, tp: TwistParams, n: int):
     """(numeric, leading) for the w^n coefficient of the j=2s branch curve,
-    sampled on 4n points with solver step tolerance 1e-13."""
-    crv, _ = _witness_curve(a, tp, n, 1e-13)
+    sampled on 4n points with the stopping rule of `solve_branch`."""
+    crv, _ = _witness_curve(a, tp, n)
     return crv.laurent[n], leading_Hk(a, tp, n)
 
 
-def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
-                       tol: float = 1e-13) -> ObstructionReport:
+def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule) -> ObstructionReport:
     """Per-period intervals I_k = [min |zeta|, max |zeta|] with verdicts.
 
     A row is flagged nonconstant when its width clears 10x the noise budget
-    (solver tolerance plus the tail of the retained Laurent band).  All rows
+    (the solver's stopping bound plus the tail of the Laurent band).  All rows
     nonconstant makes the report a witness: periodic points filling an
     interval of radii at every scheduled scale is what a convergent
     normalization would forbid.  It is evidence, not a proof.
@@ -168,14 +170,14 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule,
         if not rd.beta < 0.0:
             raise HypothesisViolation(f"schedule entry n = {rd.n} has beta >= 0")
         n = rd.n
-        crv, K = _witness_curve(a, tp, n, tol)
+        crv, K = _witness_curve(a, tp, n)
         radii = np.abs([z for _, z in crv.samples])
         tail_lo = max(1, (3 * K) // 4)
         alias = max(
             max(abs(crv.laurent[k]), abs(crv.laurent[-k])) for k in range(tail_lo, K + 1)
         )
         width = float(radii.max() - radii.min())
-        threshold = 10.0 * (tol + alias)
+        threshold = 10.0 * (_step_bound(crv.zeta0, tp.s) + alias)
         rows.append(ObstructionRow(
             n=n, beta=rd.beta,
             Hk_numeric=crv.laurent[n], Hk_leading=leading_Hk(a, tp, n),

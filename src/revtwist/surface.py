@@ -183,21 +183,19 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 
 
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
-                   grid_size: int | None = None, tol: float = 1e-13,
-                   intersect: bool = True,
+                   grid_size: int | None = None, intersect: bool = True,
                    abar: CoefficientFamily | None = None) -> PeriodicCurve:
     """Solve the branch-j period-n curve of the involution product.
 
-    Reuses the twist fixed-point solver with phi = tau1 tau2 injected as
-    the map, on grid_size points (default max(8n, 64)) with the Laurent
-    band of `curve_band`; the returned Laurent data is the input for the
-    real-space intersection search and the w^{2n} probes.  intersect=True
-    fills in `real_intersections`.
+    Runs the solver of `solve_branch`, its stopping rule and gates included,
+    with phi = tau1 tau2 injected as the map, on grid_size points (default
+    max(8n, 64)) with the Laurent band of `curve_band`; the returned Laurent
+    data is the input for the real-space intersection search and the w^{2n}
+    probes.  intersect=True fills in `real_intersections`.
     """
     _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = max(8 * n, 64) if grid_size is None else grid_size
-    crv = periodic_curve(a, tp, n, j, grid_size=G, K=curve_band(n, G), tol=tol,
-                         map_eval=phi)
+    crv = periodic_curve(a, tp, n, j, grid_size=G, K=curve_band(n, G), map_eval=phi)
     if intersect:
         crv = replace(crv, real_intersections=real_intersection(crv))
     return crv

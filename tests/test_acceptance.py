@@ -197,7 +197,7 @@ def test_criterion_5_majorant_bound():
     for s in (1, 2):
         tp = TwistParams(alpha=0.73, s=s)
         for n in (10**2, 10**3, 10**4):
-            rep = majorant_sequence(tp, n, K=n, strict=False)
+            rep = majorant_sequence(tp, n, K=n)
             margin = float((rep.values - rep.bounds).max())
             worst_margin = max(worst_margin, margin)
             if not rep.satisfied:

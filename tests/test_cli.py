@@ -126,6 +126,21 @@ class TestExitCodes:
         assert all(not r["nonconstant"] for r in rep["rows"])
         assert not rep["witness"]
 
+    def test_obstruct_above_fixed_step_floor_exits_zero(self, tmp_path):
+        # n = 30 of this schedule has a solver rounding floor of 1.6e-13.
+        fam = write(tmp_path / "f.txt", "5 0 -0.019848387910666 0.025145008821470\n"
+                    "5 1 0.0037930366559 0.0158341263749\n"
+                    "5 2 -0.0221637009443 -0.0415694122349\n")
+        out = tmp_path / "r.json"
+        rc = main(["obstruct", "--alpha", "1.4660520412407083", "--s", "2",
+                   "--schedule-count", "2", "--n-max", "400", "--hermitian",
+                   "--family", fam, "--out", str(out)])
+        assert rc == 0
+        import json
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["n"] for r in rows] == [17, 30]
+        assert all(r["residual"] <= 1e-10 for r in rows)
+
     def test_curve_s3_exits_zero(self, tmp_path):
         fam = write(tmp_path / "f.txt", "7 0 0.01 0\n")
         out = tmp_path / "c.csv"

@@ -65,6 +65,9 @@ class TestSelectResonant:
             ob.select_resonant_n(ALPHA, 0.0, 1, 100)
         with pytest.raises(ValueError):
             ob.select_resonant_n(ALPHA, 4.0, 1, 100)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                ob.select_resonant_n(alpha, 0.3, 2, 100)
 
 
 class TestPredictedLinearZeta:

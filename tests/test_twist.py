@@ -25,7 +25,7 @@ from revtwist.twist import (
     twist_eval,
     varphi_eval,
 )
-from revtwist.twist import _d0
+from revtwist.twist import _beta_window, _d0, _step_bound
 
 
 def resonant_alpha(n, g, beta):
@@ -47,6 +47,17 @@ def random_hermitian_family(rng, s, degrees, scale):
                 ent[(i, j)] = c
                 ent[(j, i)] = np.conj(c)
     return CoefficientFamily(ent, s, hermitian=True)
+
+
+# `revtwist obstruct --alpha 1.4660520412407083 --s 2 --schedule-count 2
+# --n-max 400 --hermitian` schedules n = 30, where zeta0 = 0.07 puts the
+# rounding floor of a solver step at 1.6e-13, above 1e-13.
+FLOOR_ALPHA = 1.4660520412407083
+FLOOR_FAMILY = CoefficientFamily({
+    (5, 0): complex(-0.019848387910666, 0.025145008821470),
+    (5, 1): complex(0.0037930366559, 0.0158341263749),
+    (5, 2): complex(-0.0221637009443, -0.0415694122349),
+}, 2, hermitian=True)
 
 
 class TestBetaReduce:
@@ -93,6 +104,11 @@ class TestBetaReduce:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             beta_reduce(0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            beta_reduce(5, alpha)
 
 
 class TestTwistParams:
@@ -482,6 +498,24 @@ class TestPeriodicCurve:
         divergence_witness(fam, tp, [beta_reduce(n, tp.alpha)])
         surface_curves(fam, tp, n, 2, grid_size=32)
         assert compute_constants.cache_info() == before
+
+    def test_converges_above_fixed_step_floor(self):
+        # The grid and band of the witness row for n = 30.
+        tp = TwistParams(alpha=FLOOR_ALPHA, s=2)
+        crv = periodic_curve(FLOOR_FAMILY, tp, 30, 4, grid_size=120, K=59)
+        assert crv.residual <= 1e-10
+
+    def test_step_bound_is_1e13_where_rounding_allows(self):
+        # The README curve and the rows of the README obstruct schedule keep
+        # the 1e-13 stopping bound, and so their results.
+        readme = TwistParams(alpha=(4 * math.pi - 2.0) / 4, s=1)
+        assert _step_bound(_beta_window(readme, 4)[1], 1) == 1e-13
+        from revtwist.obstruction import select_resonant_n
+        tp = TwistParams(alpha=1.41421356, s=1)
+        for rd in select_resonant_n(tp.alpha, 0.3, 3, 500):
+            assert _step_bound(_beta_window(tp, rd.n)[1], 1) == 1e-13
+        floor = _step_bound(_beta_window(TwistParams(alpha=FLOOR_ALPHA, s=2), 30)[1], 2)
+        assert 6e-13 < floor < 7e-13
 
     def test_grid_too_small_for_K(self):
         tp = TwistParams(alpha=resonant_alpha(5, 1, -0.12), s=1)
