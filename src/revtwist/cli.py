@@ -73,6 +73,8 @@ def load_map(path: str | Path, order: int) -> MapJet:
             v = complex(float(parts[3]), float(parts[4]))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
+        if not cmath.isfinite(v):
+            raise ValueError(f"line {lineno}: entry {v} is not finite")
         if not 0 <= i <= order or not 0 <= j <= order or i + j > order:
             raise ValueError(f"line {lineno}: degree ({i},{j}) outside order {order}")
         (cx if parts[0] == "x" else cy)[i, j] = v

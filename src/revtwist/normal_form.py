@@ -101,6 +101,11 @@ class InvolutionPair:
 
 @dataclass(frozen=True)
 class MWResult:
+    """``residual`` is the worst of the conjugacy defect Phi0 . phi - F . Phi0
+    through degree N, M M^{-1} - 1, and the form defects of each
+    Phi0 . tau_j . Phi0^{-1} (with Lambda_j Lambda_j^{-1} - 1, M - Lambda1/Lambda2).
+    """
+
     Phi0: MapJet
     M: np.ndarray
     Lambda1: np.ndarray
@@ -141,7 +146,7 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     res = involution_residual(tau)
     scale = max(1.0, tau.max_abs())
     if res > INVOLUTION_TOL * scale:
-        raise ValueError(f"not an involution: residual {res:.3e}")
+        raise ValueError(f"tau is not an involution: residual {res:.3e}")
     lam0 = tau.x.coeff(0, 1)
     if abs(abs(lam0) - 1.0) > 1e-10:
         raise ValueError(f"|lambda0| = {abs(lam0)} off the unit circle")
@@ -164,58 +169,51 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
 def mw_normalize(pair: InvolutionPair) -> MWResult:
     """Unique normalized conjugation of the pair to the product normal form.
 
-    Works at the pair's truncation order N.  Eliminates the non-resonant
-    coefficients of phi = tau1 . tau2 one degree at a time, both components
-    in one conjugation per degree, while pinning the resonant ((i+1,i) in
-    xi, (i,i+1) in eta) entries of the accumulated transformation to zero,
-    which is exactly the normalization that makes the conjugator unique.
-
-    Returns
-    -------
-    MWResult
-        Phi0, the radial multiplier M (coefficients of M(t)), the involution
-        multipliers Lambda1/Lambda2, the eigenvalue mu = lambda1/lambda2,
-        and the worst off-form residual.
+    Works at the pair's truncation order N and solves the conjugacy
+    equation Phi0 . phi = F . Phi0 for phi = tau1 . tau2 directly, one
+    degree at a time.  With Phi0 and the normal form F known through degree
+    d - 1, the degree-d part of err = Phi0 . phi - F . Phi0 is cancelled:
+    off the resonant entries ((i+1,i) in xi, (i,i+1) in eta) by Phi0's
+    coefficient -err / (mu^{i-j} - mu) (1/mu in eta), on them by F, while
+    Phi0 stays zero there, which is exactly the normalization that makes
+    the conjugator unique.
     """
     n = pair.tau1.order
     mu = pair.lambda1 / pair.lambda2
     check_nonresonant(mu, n)
 
-    phi_cur = map_compose(pair.tau1, pair.tau2)
-    lin = phi_cur.linear_part()
-    if max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu)) > 1e-9 * max(
-        1.0, phi_cur.max_abs()
-    ):
+    phi = map_compose(pair.tau1, pair.tau2)
+    lin = phi.linear_part()
+    off = max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu))
+    if off > 1e-9 * max(1.0, phi.max_abs()):
         raise ValueError("tau1 . tau2 does not have the diagonal linear part (mu, 1/mu)")
 
-    ident = MapJet.identity(n)
-    phi_total = ident
+    # Phi0 starts at the identity and F at phi's own diagonal, so err
+    # vanishes through degree 1 up to phi's off-diagonal linear entries.
+    phi_total = MapJet.identity(n)
+    form = MapJet(lin[0, 0] * phi_total.x, lin[1, 1] * phi_total.y)
     mu_pows = {k: mu**k for k in range(-n - 1, n + 2)}
-
+    err = phi - form
     for d in range(2, n + 1):
-        u1 = np.zeros_like(phi_cur.x.coeffs)
-        u2 = np.zeros_like(u1)
+        u1, u2, f1, f2 = np.zeros((4, n + 1, n + 1), dtype=complex)
         for i in range(d + 1):
             j = d - i
             if i == j + 1:
-                u1[i, j] = -phi_total.x.coeffs[i, j]
+                f1[i, j] = err.x.coeffs[i, j]
             else:
-                u1[i, j] = -phi_cur.x.coeffs[i, j] / (mu_pows[i - j] - mu)
+                u1[i, j] = -err.x.coeffs[i, j] / (mu_pows[i - j] - mu)
             if j == i + 1:
-                u2[i, j] = -phi_total.y.coeffs[i, j]
+                f2[i, j] = err.y.coeffs[i, j]
             else:
-                u2[i, j] = -phi_cur.y.coeffs[i, j] / (mu_pows[i - j] - 1.0 / mu)
-        if not (u1.any() or u2.any()):
-            continue
-        psi = MapJet(ident.x + Jet(u1, n), ident.y + Jet(u2, n))
-        phi_cur = map_compose(map_compose(psi, phi_cur), map_inverse(psi))
-        phi_total = map_compose(psi, phi_total)
+                u2[i, j] = -err.y.coeffs[i, j] / (mu_pows[i - j] - 1.0 / mu)
+        phi_total = MapJet(phi_total.x + Jet(u1, n), phi_total.y + Jet(u2, n))
+        form = MapJet(form.x + Jet(f1, n), form.y + Jet(f2, n))
+        err = map_compose(phi_total, phi) - map_compose(form, phi_total)
 
-    m_series = diagonal_series(phi_cur.x, "xi")
-    m_inv = diagonal_series(phi_cur.y, "eta")
+    m_series = diagonal_series(form.x, "xi")
+    m_inv = diagonal_series(form.y, "eta")
     residual = max(
-        off_diagonal_residual(phi_cur.x, "xi"),
-        off_diagonal_residual(phi_cur.y, "eta"),
+        err.max_abs(),
         float(np.abs(series_mul(m_series, m_inv) - _one_series(len(m_series))).max()),
     )
 
@@ -235,7 +233,7 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     recomposed = series_mul(lambdas[0], series_reciprocal(lambdas[1]))
     residual = max(residual, float(np.abs(recomposed - m_series).max()))
 
-    if residual > 1e-6 * max(1.0, phi_cur.max_abs()):
+    if residual > 1e-6 * max(1.0, form.max_abs()):
         raise ValueError(f"normalization failed: off-form residual {residual:.3e}")
     return MWResult(phi_total, m_series, lambdas[0], lambdas[1], mu, residual)
 
@@ -317,6 +315,11 @@ def full_normalize(
         head of Gamma through order s came out real, which is what the
         type extraction relies on; coefficients beyond the head may acquire
         imaginary parts and are returned as computed.
+
+    The result is accepted only if conjugator . phi = target . conjugator
+    and conjugator . tau = swap . conjugator hold through degree N (and, in
+    "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
+    ``residual`` is the worst of these defects.
     """
     n = phi.order if order is None else int(order)
     if n > phi.order or (tau is not None and n > tau.order):
@@ -329,9 +332,7 @@ def full_normalize(
         tau = MapJet(tau.x.truncate(n), tau.y.truncate(n))
     scale = max(1.0, phi.max_abs(), tau.max_abs())
 
-    res_tau = involution_residual(tau)
-    if res_tau > INVOLUTION_TOL * scale:
-        raise ValueError(f"tau is not an involution: residual {res_tau:.3e}")
+    change, change_inv, tau_std = linearize_involution(tau)
     # (tau phi)^2 = id is exactly reversibility phi^{-1} = tau phi tau.
     tau2 = map_compose(tau, phi)
     res_rev = involution_residual(tau2)
@@ -351,8 +352,6 @@ def full_normalize(
         raise ValueError("normalization requires Im lambda > 0")
     check_nonresonant(lam_phi, n)
 
-    # Standardize the reversing involution, then normalize the pair.
-    change, change_inv, tau_std = linearize_involution(tau)
     phi_std = map_compose(map_compose(change, phi), change_inv)
     pair = InvolutionPair.from_maps(tau_std, map_compose(tau_std, phi_std))
     mw = mw_normalize(pair)
@@ -379,13 +378,10 @@ def full_normalize(
     conjugator = map_compose(phi2, map_compose(phi1, map_compose(mw.Phi0, change)))
     lam = mw.M[0]
     target = normal_form_map(lam, eps, s, n)
-    conjugator_inv = map_inverse(conjugator)
-    achieved = map_compose(map_compose(conjugator, phi), conjugator_inv)
-    residual = map_residual(achieved, target)
-    tau_residual = map_residual(
-        map_compose(map_compose(conjugator, tau), conjugator_inv), MapJet.swap(n)
+    residual = max(
+        map_residual(map_compose(conjugator, phi), map_compose(target, conjugator)),
+        map_residual(map_compose(conjugator, tau), MapJet(conjugator.y, conjugator.x)),
     )
-    residual = max(residual, tau_residual)
     if reality == "standard":
         residual = max(residual, reality_defect(conjugator, "standard"))
     if residual > 1e-6 * scale:

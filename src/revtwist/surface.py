@@ -70,7 +70,7 @@ def is_exceptional(lam: complex, max_order: int = 64) -> tuple[bool, int | None]
     """First k <= max_order with lam^k = 1, if any."""
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
-    if abs(abs(lam) - 1.0) > 1e-8:
+    if not abs(abs(lam) - 1.0) <= 1e-8:
         raise ValueError(f"|lambda| = {abs(lam)} is off the unit circle")
     power = 1.0 + 0.0j
     for k in range(1, max_order + 1):

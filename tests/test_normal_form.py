@@ -239,10 +239,15 @@ def split_elimination(pair):
     return phi_total
 
 
-def test_mw_sweep_orders_agree():
+@pytest.mark.parametrize("theta,n", [(0.7, 12)] + [(t, n) for t in (1.3, 2.4) for n in (8, 12, 16)])
+def test_mw_sweep_orders_agree(theta, n):
     rng = np.random.default_rng(43)
-    pair, _, _, _ = planted_pair(rng, np.exp(0.7j), 12)
-    assert map_residual(mw_normalize(pair).Phi0, split_elimination(pair)) < 1e-10
+    pair, _, _, _ = planted_pair(rng, np.exp(1j * theta), n)
+    phi0 = mw_normalize(pair).Phi0
+    assert map_residual(phi0, split_elimination(pair)) < 1e-10
+    # the normalization: Phi0 has no resonant entries beyond the identity
+    k = np.arange(1, (n + 1) // 2)
+    assert not phi0.x.coeffs[k + 1, k].any() and not phi0.y.coeffs[k, k + 1].any()
 
 
 def test_mw_detects_resonance():
@@ -326,6 +331,8 @@ def test_full_normalize_recovers_planted_invariants():
 
     res = full_normalize(phi)
     assert abs(res.lam - lam) < 1e-10
+    # with tau the swap, lambda is phi's own multiplier, bit for bit
+    assert res.lam == phi.x.coeff(1, 0)
     assert res.eps == 1
     assert res.s == 2
     assert res.residual < 1e-9
@@ -431,11 +438,12 @@ def test_full_normalize_reality_modes():
 
 
 def count_series_ops(monkeypatch):
-    """Count jet_mul and map_compose calls, and the map_compose calls made
-    inside map_inverse (its passes), wherever the pipeline reaches them."""
+    """Count jet_mul, map_compose and map_inverse calls, and the map_compose
+    calls made inside map_inverse (its passes), wherever the pipeline
+    reaches them."""
     from revtwist import normal_form, series
 
-    counts = {"jet_mul": 0, "map_compose": 0, "passes": 0}
+    counts = {"jet_mul": 0, "map_compose": 0, "passes": 0, "map_inverse": 0}
     inverting = []
     mul, compose, invert = series.jet_mul, series.map_compose, series.map_inverse
 
@@ -450,6 +458,7 @@ def count_series_ops(monkeypatch):
         return compose(f, g)
 
     def counted_invert(phi):
+        counts["map_inverse"] += 1
         inverting.append(phi)
         try:
             return invert(phi)
@@ -465,9 +474,11 @@ def count_series_ops(monkeypatch):
 
 def test_full_normalize_operation_counts(monkeypatch):
     # Machine-independent cost of one N=12 run on a criterion-2-style input:
-    # compositions stop at the outer map's top degree and inverses at the
-    # pass count its lowest nonlinear degree fixes.  Any change here is a
-    # change of algorithm and should be deliberate.
+    # the conjugacy equation is solved directly, so only the involution
+    # change and Phi0 are inverted; compositions stop at the outer map's top
+    # degree and inverses at the pass count its lowest nonlinear degree
+    # fixes.  Any change here is a change of algorithm and should be
+    # deliberate.
     n = 12
     target = normal_form_map(np.exp(0.7j), 1, 2, n)
     frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
@@ -475,4 +486,4 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 2466, "map_compose": 107, "passes": 51}
+    assert counts == {"jet_mul": 1277, "map_compose": 54, "passes": 11, "map_inverse": 2}
