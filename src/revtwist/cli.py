@@ -12,13 +12,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .families import load_family
 from .normal_form import full_normalize
 from .obstruction import divergence_witness, select_resonant_n
-from .series import DEFAULT_ORDER, Jet, MapJet
+from .series import DEFAULT_ORDER, Jet, MapJet, _check_order
 from .surface import lambda_from_gamma, surface_curves
 from .twist import (
     DomainError,
@@ -58,8 +56,8 @@ def _emit(path: str | None, lines: list[str]) -> None:
 
 def load_map(path: str | Path, order: int) -> MapJet:
     """Read a map jet from the text format: one 'x|y i j re im' line per entry."""
-    cx = np.zeros((order + 1, order + 1), dtype=complex)
-    cy = np.zeros((order + 1, order + 1), dtype=complex)
+    order = _check_order(order)
+    entries = {"x": {}, "y": {}}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -77,8 +75,11 @@ def load_map(path: str | Path, order: int) -> MapJet:
             raise ValueError(f"line {lineno}: entry {v} is not finite")
         if not 0 <= i <= order or not 0 <= j <= order or i + j > order:
             raise ValueError(f"line {lineno}: degree ({i},{j}) outside order {order}")
-        (cx if parts[0] == "x" else cy)[i, j] = v
-    return MapJet(Jet(cx, order), Jet(cy, order))
+        component = entries[parts[0]]
+        if (i, j) in component:
+            raise ValueError(f"line {lineno}: duplicate entry for {parts[0]} ({i},{j})")
+        component[i, j] = v
+    return MapJet(Jet.from_entries(entries["x"], order), Jet.from_entries(entries["y"], order))
 
 
 def _twist_from_args(args: argparse.Namespace) -> TwistParams:

@@ -1,8 +1,8 @@
 """Normal forms for reversible elliptic-type plane maps.
 
-The pipeline: bring the reversing involution to the exact swap (eta, xi),
-conjugate the involution pair (tau1, tau2 = tau.phi) to the product form
-(xi -> M(xi eta) xi) by the unique normalized transformation, read off
+The pipeline: bring the reversing involution to the exact swap S, solve
+Phi0 . phi = F . Phi0 for the unique normalized Phi0 and the product form
+F = (M(xi eta) xi, M^{-1} eta) (Phi0 then commutes with S), read off
 Gamma = -i log M, and extract the invariants (lambda, eps, s).  Conjugation
 convention throughout: Phi carries the map phi to Phi . phi . Phi^{-1}.
 """
@@ -24,7 +24,6 @@ from .series import (
     map_inverse,
     map_residual,
     off_diagonal_residual,
-    radial_map,
     radial_to_jet,
     reality_defect,
     series_log,
@@ -116,15 +115,13 @@ class MWResult:
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """Invariants {lambda, eps, s} plus the conjugator and radial data."""
+    """Invariants {lambda, eps, s}, the conjugator Phi, M and Gamma = -i log M."""
 
     Phi: MapJet
     lam: complex
     eps: int
     s: int | float
     M: np.ndarray
-    Lambda1: np.ndarray
-    Lambda2: np.ndarray
     Gamma: np.ndarray
     residual: float
 
@@ -166,27 +163,23 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     return change, change_inv, tau_std
 
 
-def mw_normalize(pair: InvolutionPair) -> MWResult:
-    """Unique normalized conjugation of the pair to the product normal form.
+def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
+    """Solve Phi0 . phi = F . Phi0 for the normalized Phi0 and the product form F.
 
-    Works at the pair's truncation order N and solves the conjugacy
-    equation Phi0 . phi = F . Phi0 for phi = tau1 . tau2 directly, one
-    degree at a time.  With Phi0 and the normal form F known through degree
-    d - 1, the degree-d part of err = Phi0 . phi - F . Phi0 is cancelled:
-    off the resonant entries ((i+1,i) in xi, (i,i+1) in eta) by Phi0's
-    coefficient -err / (mu^{i-j} - mu) (1/mu in eta), on them by F, while
-    Phi0 stays zero there, which is exactly the normalization that makes
-    the conjugator unique.
+    phi has the linear part (mu, 1/mu).  With Phi0 and F known through
+    degree d - 1, the degree-d part of err = Phi0 . phi - F . Phi0 is
+    cancelled: off the resonant entries ((i+1,i) in xi, (i,i+1) in eta) by
+    Phi0's coefficient -err / (mu^{i-j} - mu) (1/mu in eta), on them by F,
+    while Phi0 stays zero there, which is the normalization that makes the
+    conjugator unique.  Returns (Phi0, F, defect), the defect being the
+    worst of err after phi's truncation order N and of M M^{-1} - 1.
     """
-    n = pair.tau1.order
-    mu = pair.lambda1 / pair.lambda2
+    n = phi.order
     check_nonresonant(mu, n)
-
-    phi = map_compose(pair.tau1, pair.tau2)
     lin = phi.linear_part()
     off = max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu))
     if off > 1e-9 * max(1.0, phi.max_abs()):
-        raise ValueError("tau1 . tau2 does not have the diagonal linear part (mu, 1/mu)")
+        raise ValueError("phi does not have the diagonal linear part (mu, 1/mu)")
 
     # Phi0 starts at the identity and F at phi's own diagonal, so err
     # vanishes through degree 1 up to phi's off-diagonal linear entries.
@@ -212,10 +205,27 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
 
     m_series = diagonal_series(form.x, "xi")
     m_inv = diagonal_series(form.y, "eta")
-    residual = max(
+    defect = max(
         err.max_abs(),
         float(np.abs(series_mul(m_series, m_inv) - _one_series(len(m_series))).max()),
     )
+    return phi_total, form, defect
+
+
+def _check_off_form(residual: float, form: MapJet) -> None:
+    if residual > 1e-6 * max(1.0, form.max_abs()):
+        raise ValueError(f"normalization failed: off-form residual {residual:.3e}")
+
+
+def mw_normalize(pair: InvolutionPair) -> MWResult:
+    """Unique normalized conjugation of the pair to the product normal form.
+
+    Solves the conjugacy equation for phi = tau1 . tau2, then reads each
+    involution's radial factor Lambda_j from Phi0 . tau_j . Phi0^{-1}.
+    """
+    mu = pair.lambda1 / pair.lambda2
+    phi_total, form, residual = _solve_conjugacy(map_compose(pair.tau1, pair.tau2), mu)
+    m_series = diagonal_series(form.x, "xi")
 
     phi_total_inv = map_inverse(phi_total)
     lambdas = []
@@ -233,8 +243,7 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     recomposed = series_mul(lambdas[0], series_reciprocal(lambdas[1]))
     residual = max(residual, float(np.abs(recomposed - m_series).max()))
 
-    if residual > 1e-6 * max(1.0, form.max_abs()):
-        raise ValueError(f"normalization failed: off-form residual {residual:.3e}")
+    _check_off_form(residual, form)
     return MWResult(phi_total, m_series, lambdas[0], lambdas[1], mu, residual)
 
 
@@ -316,8 +325,10 @@ def full_normalize(
         type extraction relies on; coefficients beyond the head may acquire
         imaginary parts and are returned as computed.
 
-    The result is accepted only if conjugator . phi = target . conjugator
-    and conjugator . tau = swap . conjugator hold through degree N (and, in
+    The inner gate holds Phi0's conjugacy defect and swap asymmetry
+    Phi0.y - Phi0.x^T to 1e-6 of F's scale ("normalization failed").  The
+    result is accepted only if conjugator . phi = target . conjugator and
+    conjugator . tau = swap . conjugator hold through degree N (and, in
     "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
     ``residual`` is the worst of these defects.
     """
@@ -332,10 +343,9 @@ def full_normalize(
         tau = MapJet(tau.x.truncate(n), tau.y.truncate(n))
     scale = max(1.0, phi.max_abs(), tau.max_abs())
 
-    change, change_inv, tau_std = linearize_involution(tau)
+    change, change_inv, _ = linearize_involution(tau)
     # (tau phi)^2 = id is exactly reversibility phi^{-1} = tau phi tau.
-    tau2 = map_compose(tau, phi)
-    res_rev = involution_residual(tau2)
+    res_rev = involution_residual(map_compose(tau, phi))
     if res_rev > CONJUGATION_TOL * scale:
         raise ValueError(f"phi is not tau-reversible: residual {res_rev:.3e}")
     if reality == "standard":
@@ -350,17 +360,14 @@ def full_normalize(
         raise ValueError(f"|lambda| = {abs(lam_phi)} off the unit circle")
     if lam_phi.imag <= 0:
         raise ValueError("normalization requires Im lambda > 0")
-    check_nonresonant(lam_phi, n)
 
-    phi_std = map_compose(map_compose(change, phi), change_inv)
-    pair = InvolutionPair.from_maps(tau_std, map_compose(tau_std, phi_std))
-    mw = mw_normalize(pair)
+    phi0, form, defect = _solve_conjugacy(map_compose(map_compose(change, phi), change_inv), lam_phi)
+    # The swap-reversed S . Phi0 . S is again a normalized conjugator, so by
+    # uniqueness Phi0 commutes with the swap: Phi0.y is Phi0.x transposed.
+    _check_off_form(max(defect, float(np.abs(phi0.y.coeffs - phi0.x.coeffs.T).max())), form)
+    m_series = diagonal_series(form.x, "xi")
 
-    # Phi1 straightens tau to the exact swap: (Lambda1^{-1/2} xi, Lambda1^{1/2} eta).
-    a_inv_half = series_pow(mw.Lambda1, -0.5)
-    phi1 = radial_map(a_inv_half, n)
-
-    gamma = gamma_from_M(mw.M)
+    gamma = gamma_from_M(m_series)
     eps, s = extract_eps_s(gamma)
     if reality == "surface":
         # Only the head through order s decides the type (eps, s); beyond
@@ -375,8 +382,8 @@ def full_normalize(
     else:
         phi2 = phi2_from_Gamma(gamma, eps, s, n)
 
-    conjugator = map_compose(phi2, map_compose(phi1, map_compose(mw.Phi0, change)))
-    lam = mw.M[0]
+    conjugator = map_compose(phi2, map_compose(phi0, change))
+    lam = m_series[0]
     target = normal_form_map(lam, eps, s, n)
     residual = max(
         map_residual(map_compose(conjugator, phi), map_compose(target, conjugator)),
@@ -387,14 +394,4 @@ def full_normalize(
     if residual > 1e-6 * scale:
         raise ValueError(f"normal-form residual {residual:.3e} out of tolerance")
 
-    return NormalFormResult(
-        Phi=conjugator,
-        lam=lam,
-        eps=eps,
-        s=s,
-        M=mw.M,
-        Lambda1=mw.Lambda1,
-        Lambda2=mw.Lambda2,
-        Gamma=gamma,
-        residual=residual,
-    )
+    return NormalFormResult(conjugator, lam, eps, s, m_series, gamma, residual)

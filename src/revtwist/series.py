@@ -520,15 +520,6 @@ def radial_to_jet(series, order: int, kind: str = "plain") -> Jet:
     return Jet.from_entries(entries, order)
 
 
-def radial_map(a_series, order: int) -> MapJet:
-    """The radial transformation (a(xi eta) xi, a(xi eta)^{-1} eta)."""
-    inv = series_reciprocal(a_series)
-    return MapJet(
-        radial_to_jet(a_series, order, "xi"),
-        radial_to_jet(inv, order, "eta"),
-    )
-
-
 def diagonal_series(f: Jet, kind: str) -> np.ndarray:
     """Extract the radial series sitting on a diagonal of a Jet.
 

@@ -76,6 +76,10 @@ class TestLoadMap:
         with pytest.raises(ValueError, match="order"):
             load_map(write(tmp_path / "m.txt", "x 5 4 1 0\n"), 6)
 
+    def test_duplicate_entry(self, tmp_path):
+        with pytest.raises(ValueError, match="line 3: duplicate entry"):
+            load_map(write(tmp_path / "m.txt", "x 1 0 1 0\ny 0 1 1 0\nx 1 0 2 0\n"), 6)
+
     @pytest.mark.parametrize("entry", ["x 2 0 inf 0", "x 1 0 nan 0", "y 0 1 0 -inf"])
     def test_non_finite_entry(self, entry, tmp_path):
         with pytest.raises(ValueError, match="line 2: .* is not finite"):
@@ -184,13 +188,17 @@ class TestExitCodes:
           "--n-max", "0", "--family", "FAMILY"], "n_max must"),
         (["normalize", "--map", "INF_MAP", "--order", "6"], "line 1: entry (inf+0j) is not finite"),
         (["bishop", "--gamma", "1e200"], "unit circle"),
+        (["normalize", "--map", "MAP", "--order", "1000000"], "truncation order must be in [1, 64]"),
+        (["normalize", "--map", "MAP", "--order", "0"], "truncation order must be in [1, 64]"),
     ])
     def test_bad_input_fails_at_boundary(self, argv, cause, tmp_path, capsys):
         files = {"NAN_FAMILY": write(tmp_path / "nan.txt", "4 0 nan 0\n"),
                  "FAMILY": write(tmp_path / "f.txt", "4 0 0.05 0.02\n"),
                  "INF_MAP": write(tmp_path / "inf.txt", "x 2 0 inf 0\n"
                                   "x 1 0 0.6216099682706644 0.7833269096274834\n"
-                                  "y 0 1 0.6216099682706644 -0.7833269096274834\n")}
+                                  "y 0 1 0.6216099682706644 -0.7833269096274834\n"),
+                 "MAP": write(tmp_path / "m.txt", "x 1 0 0.6216099682706644 0.7833269096274834\n"
+                              "y 0 1 0.6216099682706644 -0.7833269096274834\n")}
         rc = main([files.get(a, a) for a in argv])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()

@@ -352,6 +352,37 @@ def test_full_normalize_negative_eps():
     assert res.residual < 1e-9
 
 
+def planted_swap_reversible(theta, s, n, seed=1):
+    target = normal_form_map(np.exp(1j * theta), 1, s, n)
+    frame = real_swap_commuting_map(np.random.default_rng(seed), n, 0.04)
+    return conjugate_map(map_inverse(frame), target)
+
+
+@pytest.mark.parametrize("theta,n", [(0.7, 12)] + [(t, n) for t in (1.3, 2.4) for n in (8, 12, 16)])
+def test_full_normalize_matches_swap_pair(theta, n):
+    # Oracle: the involution pair (S, S . phi) normalized by mw_normalize.
+    # Its Phi0 commutes with S, so Lambda1 is 1 and no radial change sits
+    # between Phi0 and the flattening Phi2.
+    phi = planted_swap_reversible(theta, 2, n)
+    swap = MapJet.swap(n)
+    mw = mw_normalize(InvolutionPair.from_maps(swap, map_compose(swap, phi)))
+    res = full_normalize(phi)
+    assert np.abs(mw.Lambda1 - np.eye(1, len(mw.Lambda1))[0]).max() < 1e-12
+    assert np.abs(mw.M - res.M).max() < 1e-12
+    phi2 = phi2_from_Gamma(res.Gamma, res.eps, res.s, n)
+    assert map_residual(res.Phi, map_compose(phi2, mw.Phi0)) < 1e-10
+
+
+def test_full_normalize_order_boundary():
+    # The highest order the inner gate accepts depends on lambda and s: at
+    # N = 24 lambda = e^{2.4i}, s = 2 still passes, while already at N = 16
+    # lambda = e^{0.7i}, s = 1 fails the inner gate with one error.
+    res = full_normalize(planted_swap_reversible(2.4, 2, 24))
+    assert (res.eps, res.s) == (1, 2) and res.residual < 1e-9
+    with pytest.raises(ValueError, match="normalization failed"):
+        full_normalize(planted_swap_reversible(0.7, 1, 16))
+
+
 def test_full_normalize_general_involution():
     rng = np.random.default_rng(46)
     lam = np.exp(0.9j)
@@ -474,11 +505,11 @@ def count_series_ops(monkeypatch):
 
 def test_full_normalize_operation_counts(monkeypatch):
     # Machine-independent cost of one N=12 run on a criterion-2-style input:
-    # the conjugacy equation is solved directly, so only the involution
-    # change and Phi0 are inverted; compositions stop at the outer map's top
-    # degree and inverses at the pass count its lowest nonlinear degree
-    # fixes.  Any change here is a change of algorithm and should be
-    # deliberate.
+    # the conjugacy equation is solved directly against the swap, so only
+    # the involution change is inverted (the identity here, in no pass);
+    # compositions stop at the outer map's top degree and inverses at the
+    # pass count its lowest nonlinear degree fixes.  Any change here is a
+    # change of algorithm and should be deliberate.
     n = 12
     target = normal_form_map(np.exp(0.7j), 1, 2, n)
     frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
@@ -486,4 +517,4 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 1277, "map_compose": 54, "passes": 11, "map_inverse": 2}
+    assert counts == {"jet_mul": 679, "map_compose": 34, "passes": 0, "map_inverse": 1}

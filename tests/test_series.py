@@ -27,7 +27,6 @@ from revtwist.series import (
     map_inverse,
     map_residual,
     off_diagonal_residual,
-    radial_map,
     radial_to_jet,
     reality_defect,
     rho_conjugate,
@@ -479,16 +478,6 @@ def test_radial_round_trip():
         j = radial_to_jet(a, 12, kind)
         assert np.abs(diagonal_series(j, kind)[:5] - a).max() == 0.0
         assert off_diagonal_residual(j, kind) == 0.0
-
-
-def test_radial_map_preserves_product():
-    rng = np.random.default_rng(22)
-    a = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    a[0] = 0.8 + 0.6j
-    rm = radial_map(a, 13)
-    t = radial_to_jet([0.0, 1.0], 13, "plain")
-    assert coeffs_close(jet_mul(rm.x, rm.y), t, 1e-13)
-    assert np.abs(diagonal_series(rm.x, "xi")[:6] - a).max() == 0.0
 
 
 def test_series_mul_matches_polynomial_product():
