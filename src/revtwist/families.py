@@ -77,19 +77,35 @@ class CoefficientFamily:
     def max_degree(self) -> int:
         return max((i + j for i, j in self.entries), default=0)
 
-    def eval(self, xi, eta):
-        """atilde(xi, eta); accepts scalars or numpy arrays."""
+    def _terms(self, xi, eta):
+        """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries."""
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        out = np.zeros(np.broadcast(xi, eta).shape, dtype=complex)
         for (i, j), v in self.entries.items():
-            term = np.full_like(out, v)
+            term = v
             if i:
                 term = term * xi**i
             if j:
                 term = term * eta**j
+            yield i - j, term
+
+    def eval(self, xi, eta):
+        """atilde(xi, eta); accepts scalars or numpy arrays."""
+        out = np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape, dtype=complex)
+        for _, term in self._terms(xi, eta):
             out = out + term
         return out
+
+    def phase_modes(self, xi, eta) -> dict[int, np.ndarray]:
+        """Modes {k: m_k}, m_k = sum over i - j = k of a_{i,j} xi^i eta^j.
+
+        A phase change keeps xi*eta fixed: atilde(u xi, eta/u) is the
+        Laurent sum of m_k u^k, so one set of modes serves every phase.
+        """
+        modes: dict[int, np.ndarray] = {}
+        for k, term in self._terms(xi, eta):
+            modes[k] = modes[k] + term if k in modes else term
+        return modes
 
     def to_jet(self, order: int) -> Jet:
         ent = {k: v for k, v in self.entries.items() if k[0] + k[1] <= order}

@@ -85,14 +85,15 @@ def lambda_from_gamma(gamma: float, max_order: int = 64) -> BishopData:
 
     Solves gamma lam^2 - lam + gamma = 0 for the root with positive
     imaginary part; gamma > 1/2 makes the pair complex conjugate and of
-    modulus exactly one.
+    modulus exactly one.  The root is written 1/(2 gamma) +
+    i sqrt(1 - 1/(4 gamma^2)), which does not overflow for large gamma.
     """
     gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not gamma > 0.5:
         raise ValueError("only hyperbolic tangents (gamma > 1/2) are supported")
-    lam = (1.0 + 1j * math.sqrt(4.0 * gamma * gamma - 1.0)) / (2.0 * gamma)
+    lam = complex(0.5 / gamma, math.sqrt(1.0 - 0.25 / (gamma * gamma)))
     flag, k = is_exceptional(lam, max_order)
     return BishopData(gamma=gamma, lam=lam, exceptional=flag, root_order=k,
                       scan_bound=max_order)

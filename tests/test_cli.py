@@ -95,6 +95,16 @@ class TestExitCodes:
         assert "root_order = 6" in text
         assert "lambda_re = 0.5\n" in text
 
+    def test_bishop_huge_gamma_is_answered(self, tmp_path):
+        # 4 gamma^2 overflows here; lambda is i to double precision.
+        out = tmp_path / "b.txt"
+        assert main(["bishop", "--gamma", "1e200", "--out", str(out)]) == 0
+        vals = dict(line.split(" = ") for line in out.read_text().splitlines()
+                    if not line.startswith("#"))
+        assert float(vals["lambda_im"]) == 1.0
+        assert abs(float(vals["lambda_re"]) * 1e200 - 0.5) < 1e-15
+        assert float(vals["modulus_residual"]) == 0.0
+
     def test_curve_beta_positive_exits_two(self, tmp_path, capsys):
         fam = write(tmp_path / "f.txt", "3 0 0.05 0\n")
         rc = main(["curve", "--alpha", "0.5", "--s", "1", "--n", "4",
@@ -187,7 +197,6 @@ class TestExitCodes:
         (["obstruct", "--alpha", "1.41421356", "--s", "1", "--schedule-count", "3",
           "--n-max", "0", "--family", "FAMILY"], "n_max must"),
         (["normalize", "--map", "INF_MAP", "--order", "6"], "line 1: entry (inf+0j) is not finite"),
-        (["bishop", "--gamma", "1e200"], "unit circle"),
         (["normalize", "--map", "MAP", "--order", "1000000"], "truncation order must be in [1, 64]"),
         (["normalize", "--map", "MAP", "--order", "0"], "truncation order must be in [1, 64]"),
     ])

@@ -518,3 +518,45 @@ def test_full_normalize_operation_counts(monkeypatch):
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
     assert counts == {"jet_mul": 679, "map_compose": 34, "passes": 0, "map_inverse": 1}
+
+
+def test_surface_exponent_solve_operation_counts(monkeypatch):
+    # Machine-independent cost of one small involution-pair curve: each
+    # tau evaluation inverts one phase change by an exponent solve, which
+    # forms the family's phase modes once and takes its first Newton step
+    # in closed form, so it pays one exp per later step (its passes) and
+    # no family evaluation; only the forward phases evaluate the family.
+    # Any change here is a change of algorithm and should be deliberate.
+    from revtwist import families, twist
+    from revtwist.families import CoefficientFamily
+    from revtwist.surface import surface_curves
+
+    counts = {"solves": 0, "eval": 0, "passes": 0}
+    solving = []
+    solve, fam_eval, exp = twist._exponent_fixed_point, families.CoefficientFamily.eval, np.exp
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        solving.append(args)
+        try:
+            return solve(*args)
+        finally:
+            solving.pop()
+
+    def counted_eval(self, xi, eta):
+        counts["eval"] += 1
+        return fam_eval(self, xi, eta)
+
+    def counted_exp(*args, **kwargs):
+        if solving:
+            counts["passes"] += 1
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(twist, "_exponent_fixed_point", counted_solve)
+    monkeypatch.setattr(families.CoefficientFamily, "eval", counted_eval)
+    monkeypatch.setattr(np, "exp", counted_exp)
+    tp = twist.TwistParams(alpha=(4 * math.pi - 2) / 4, s=1)
+    crv = surface_curves(CoefficientFamily({(4, 0): 0.05}, 1), tp, 4, 2,
+                         grid_size=64, intersect=False)
+    assert crv.residual <= 1e-10
+    assert counts == {"solves": 320, "eval": 320, "passes": 960}

@@ -54,6 +54,14 @@ class TestBishop:
             assert abs(abs(lam) - 1.0) < 1e-13
             assert abs((lam + np.conj(lam)) - 1.0 / gamma) < 1e-13
 
+    @pytest.mark.parametrize("gamma", [1e154, 1e200, 1e300])
+    def test_huge_gamma_does_not_overflow(self, gamma):
+        # gamma lambda^2 - lambda + gamma = 0, divided by gamma.
+        lam = lambda_from_gamma(gamma).lam
+        assert abs(abs(lam) - 1.0) < 1e-13
+        assert lam.imag > 0
+        assert abs(lam * lam - lam / gamma + 1.0) < 1e-13
+
     def test_gamma_one_is_exceptional_order_six(self):
         bd = lambda_from_gamma(1.0)
         assert abs(bd.lam - cmath.exp(1j * math.pi / 3)) < 1e-15

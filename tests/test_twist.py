@@ -1,16 +1,20 @@
 """Pointwise twist dynamics: reduction, evaluators, constants, branch solver."""
 
+import cmath
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revtwist.families import CoefficientFamily
 from revtwist.twist import (
     CurveDomain,
     DomainError,
     HypothesisViolation,
+    SolverError,
     TwistParams,
     beta_reduce,
     calibration_family,
@@ -25,7 +29,7 @@ from revtwist.twist import (
     twist_eval,
     varphi_eval,
 )
-from revtwist.twist import _beta_window, _d0, _step_bound
+from revtwist.twist import _beta_window, _d0, _exponent_fixed_point, _step_bound
 
 
 def resonant_alpha(n, g, beta):
@@ -549,3 +553,92 @@ class TestMajorant:
         tp = TwistParams(alpha=0.1, s=1)
         with pytest.raises(ValueError, match="K"):
             majorant_sequence(tp, 10, K=11)
+
+
+def plain_exponent_iteration(fam, xi, eta, sign):
+    """Reference: c <- fam(e^{i sign c} xi, e^{-i sign c} eta) from c = 0,
+    stopped by the solve's own test."""
+    c = np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape, dtype=complex)
+    for _ in range(200):
+        ph = np.exp(1j * sign * c)
+        cn = fam.eval(ph * xi, eta / ph)
+        if np.abs(cn - c).max() <= 4e-16 * (1.0 + np.abs(cn).max()):
+            return cn
+        c = cn
+    raise AssertionError("reference iteration did not converge")
+
+
+def exponent_residual(fam, xi, eta, sign, c):
+    """max |c - fam(e^{i sign c} xi, e^{-i sign c} eta)| over (1 + max|c|)."""
+    ph = np.exp(1j * sign * c)
+    return float(np.abs(c - fam.eval(ph * xi, eta / ph)).max() / (1.0 + np.abs(c).max()))
+
+
+# Modes k = 3, -2 and 0: the (2, 2) entry does not turn with the phase.
+SOLVE_FAMILY = CoefficientFamily({(3, 0): 0.4 + 0.2j, (1, 3): -0.3j, (2, 2): 0.5}, 1)
+SOLVE_POINTS = {
+    "scalar": (0.5 * cmath.exp(0.3j), 0.45 * cmath.exp(-1.1j)),
+    "broadcast": (0.5 * np.exp(2j * np.pi * np.arange(3) / 3)[:, None],
+                  np.array([[0.3, 0.45j, -0.5, 0.2 - 0.3j]])),
+}
+
+
+class TestExponentSolve:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("points", sorted(SOLVE_POINTS))
+    @pytest.mark.parametrize("fam", [
+        SOLVE_FAMILY,
+        CoefficientFamily({(5, 0): 0.6, (3, 3): -0.8, (2, 4): 0.5j}, 2, hermitian=True),
+    ], ids=["s1", "s2-hermitian"])
+    def test_matches_plain_iteration(self, fam, points, sign):
+        xi, eta = SOLVE_POINTS[points]
+        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        ref = plain_exponent_iteration(fam, xi, eta, sign)
+        assert np.shape(c) == np.broadcast(np.asarray(xi), np.asarray(eta)).shape
+        assert np.abs(ref).max() > 1e-3
+        assert np.abs(c - ref).max() <= 1e-15 * (1.0 + np.abs(ref).max())
+        assert exponent_residual(fam, xi, eta, sign, c) <= 1e-15
+
+    def test_empty_family_gives_zeros(self):
+        xi, eta = SOLVE_POINTS["broadcast"]
+        c = _exponent_fixed_point(CoefficientFamily.empty(1), xi, eta, -1, "test")
+        assert c.shape == (3, 4) and not np.any(c)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("entries", [{(3, 0): 1.0}, {(4, 0): 1.0}, {(4, 0): -1.0}])
+    def test_divergent_input_raises(self, entries, sign):
+        # Far outside the solver disk; no numpy warning may escape either
+        # (the suite runs with warnings as errors).
+        fam = CoefficientFamily(entries, 1, _validate=False)
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            _exponent_fixed_point(fam, np.full(4, 0.99), np.full(4, 0.99), sign, "test")
+
+    def test_singular_first_step_raises(self):
+        # 1 - i sign sum k m_k vanishes at c = 0 for the first point, so the
+        # closed-form step is infinite: SolverError, not inf or a warning.
+        fam = CoefficientFamily({(1, 0): 1.0}, 1, _validate=False)
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            _exponent_fixed_point(fam, np.array([-1j, 0.3]), 0.5, 1, "test")
+
+    @settings(derandomize=True, deadline=None)
+    @given(s=st.sampled_from([1, 2]),
+           terms=st.lists(st.tuples(st.integers(1, 6), st.floats(0, 1), st.floats(0, 1),
+                                    st.floats(0, 1)), max_size=5),
+           points=st.lists(st.tuples(*[st.floats(0, 1)] * 4), min_size=1, max_size=4),
+           sign=st.sampled_from([1, -1]))
+    def test_converged_solve_satisfies_identity(self, s, terms, points, sign):
+        # terms: (degree above 2s, share of xi in it, modulus, phase/2pi).
+        ent = {}
+        for extra, share, mod, turn in terms:
+            d = 2 * s + extra
+            i = round(share * d)
+            ent[(i, d - i)] = cmath.rect(mod, 2 * math.pi * turn)
+        fam = CoefficientFamily(ent, s)
+        p = np.array(points)
+        xi = 0.6 * p[:, 0] * np.exp(2j * np.pi * p[:, 1])
+        eta = 0.6 * p[:, 2] * np.exp(2j * np.pi * p[:, 3])
+        try:
+            c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        except SolverError:
+            return
+        assert exponent_residual(fam, xi, eta, sign, c) <= 1e-14
