@@ -197,6 +197,7 @@ class TestExitCodes:
         (["obstruct", "--alpha", "1.41421356", "--s", "1", "--schedule-count", "3",
           "--n-max", "0", "--family", "FAMILY"], "n_max must"),
         (["normalize", "--map", "INF_MAP", "--order", "6"], "line 1: entry (inf+0j) is not finite"),
+        (["normalize", "--map", "OFF_MAP", "--order", "6", "--reality", "surface"], "unit circle"),
         (["normalize", "--map", "MAP", "--order", "1000000"], "truncation order must be in [1, 64]"),
         (["normalize", "--map", "MAP", "--order", "0"], "truncation order must be in [1, 64]"),
     ])
@@ -207,7 +208,8 @@ class TestExitCodes:
                                   "x 1 0 0.6216099682706644 0.7833269096274834\n"
                                   "y 0 1 0.6216099682706644 -0.7833269096274834\n"),
                  "MAP": write(tmp_path / "m.txt", "x 1 0 0.6216099682706644 0.7833269096274834\n"
-                              "y 0 1 0.6216099682706644 -0.7833269096274834\n")}
+                              "y 0 1 0.6216099682706644 -0.7833269096274834\n"),
+                 "OFF_MAP": write(tmp_path / "off.txt", "x 1 0 2 0\ny 0 1 0.5 0\n")}
         rc = main([files.get(a, a) for a in argv])
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
