@@ -9,12 +9,24 @@ the condition making atilde real on the slice eta = conj(xi).
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .series import Jet
+
+
+def _degeneracy_order(s) -> int:
+    """The degeneracy order s as an int: an integer, not a bool, at least 1."""
+    try:
+        k = operator.index(s)
+    except TypeError:
+        k = 0
+    if isinstance(s, bool) or k < 1:
+        raise ValueError(f"s must be a positive integer, got {s!r}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -42,8 +54,7 @@ class CoefficientFamily:
                 elif abs(mirror - np.conj(v)) > 0:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) break Hermitian symmetry")
         if self._validate:
-            if self.s < 1:
-                raise ValueError("s must be a positive integer")
+            object.__setattr__(self, "s", _degeneracy_order(self.s))
             for (i, j), v in ent.items():
                 if i < 0 or j < 0:
                     raise ValueError(f"negative index ({i},{j})")

@@ -18,14 +18,13 @@ from .series import (
     Jet,
     MapJet,
     diagonal_series,
-    jet_exp_i,
-    jet_mul,
     map_compose,
     map_inverse,
     map_residual,
     off_diagonal_residual,
     radial_to_jet,
     reality_defect,
+    series_exp,
     series_log,
     series_mul,
     series_pow,
@@ -33,6 +32,7 @@ from .series import (
 )
 
 INVOLUTION_TOL = 1e-10
+UNIT_CIRCLE_TOL = 1e-10
 CONJUGATION_TOL = 1e-9
 RESONANCE_TOL = 1e-8
 
@@ -48,17 +48,25 @@ class ResonanceError(ValueError):
         super().__init__(f"|lambda^{k} - 1| = {value:.3e} < {RESONANCE_TOL}: (near-)resonance")
 
 
-def check_nonresonant(mu: complex, order: int) -> None:
-    # Degree-N elimination divides by mu^k - 1 with k up to N+1.
-    p = 1.0 + 0.0j
-    for k in range(1, order + 2):
-        p *= mu
-        if abs(p - 1.0) < RESONANCE_TOL:
-            raise ResonanceError(k, abs(p - 1.0))
-
-
 def involution_residual(m: MapJet) -> float:
     return map_residual(map_compose(m, m), MapJet.identity(m.order))
+
+
+def _check_involution(tau: MapJet) -> complex:
+    """Check that tau is an involution with linear part (lambda eta, conj(lambda) xi)
+    and |lambda| = 1; return lambda."""
+    tol = INVOLUTION_TOL * max(1.0, tau.max_abs())
+    res = involution_residual(tau)
+    if res > tol:
+        raise ValueError(f"not an involution through order {tau.order}: residual {res:.3e}")
+    lam = tau.x.coeff(0, 1)
+    if abs(abs(lam) - 1.0) > UNIT_CIRCLE_TOL:
+        raise ValueError(f"|lambda| = {abs(lam)} off the unit circle")
+    lin = tau.linear_part()
+    defect = max(abs(lin[0, 0]), abs(lin[1, 1]), abs(lin[1, 0] - np.conj(lam)))
+    if defect > tol:
+        raise ValueError(f"linear part not of anti-diagonal involution form: {defect:.3e}")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -80,22 +88,7 @@ class InvolutionPair:
             raise ValueError(
                 f"tau1 and tau2 have different truncation orders {tau1.order} and {tau2.order}"
             )
-        lams = []
-        for tau in (tau1, tau2):
-            res = involution_residual(tau)
-            if res > INVOLUTION_TOL * max(1.0, tau.max_abs()):
-                raise ValueError(f"not an involution through order {tau.order}: residual {res:.3e}")
-            lam = tau.x.coeff(0, 1)
-            if abs(abs(lam) - 1.0) > 1e-9:
-                raise ValueError(f"|lambda| = {abs(lam)} off the unit circle")
-            lin = tau.linear_part()
-            defect = max(
-                abs(lin[0, 0]), abs(lin[1, 1]), abs(lin[1, 0] - 1.0 / lam)
-            )
-            if defect > INVOLUTION_TOL * max(1.0, tau.max_abs()):
-                raise ValueError(f"linear part not of anti-diagonal involution form: {defect:.3e}")
-            lams.append(lam)
-        return InvolutionPair(tau1, tau2, lams[0], lams[1])
+        return InvolutionPair(tau1, tau2, _check_involution(tau1), _check_involution(tau2))
 
 
 @dataclass(frozen=True)
@@ -115,7 +108,13 @@ class MWResult:
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """Invariants {lambda, eps, s}, the conjugator Phi, M and Gamma = -i log M."""
+    """Invariants {lambda, eps, s}, the conjugator Phi, M and Gamma = -i log M.
+
+    (eps, s) = (0, S_INFINITY) means Gamma is constant through the
+    truncation order N, not that the map has no twist: a twist of order s
+    shows only from N = 2s + 1 on (the model map with eps = 1, s = 2 at
+    N = 4 gives (0, S_INFINITY)).
+    """
 
     Phi: MapJet
     lam: complex
@@ -140,25 +139,14 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     condition whenever tau satisfies it.
     """
     n = tau.order
-    res = involution_residual(tau)
-    scale = max(1.0, tau.max_abs())
-    if res > INVOLUTION_TOL * scale:
-        raise ValueError(f"tau is not an involution: residual {res:.3e}")
-    lam0 = tau.x.coeff(0, 1)
-    if abs(abs(lam0) - 1.0) > 1e-10:
-        raise ValueError(f"|lambda0| = {abs(lam0)} off the unit circle")
-    lin = tau.linear_part()
-    defect = max(abs(lin[0, 0]), abs(lin[1, 1]), abs(lin[1, 0] - np.conj(lam0)))
-    if defect > 1e-10 * scale:
-        raise ValueError(f"linear part of tau is not (lambda0 eta, conj(lambda0) xi): {defect:.3e}")
-
+    lam0 = _check_involution(tau)
     half = np.exp(0.5j * np.angle(lam0))
     cx = (Jet.coordinate("xi", n) + lam0 * tau.y) * (0.5 / half)
     cy = (Jet.coordinate("eta", n) + np.conj(lam0) * tau.x) * (0.5 * half)
     change = MapJet(cx, cy)
     change_inv = map_inverse(change)
     tau_std = map_compose(map_compose(change, tau), change_inv)
-    if map_residual(tau_std, MapJet.swap(n)) > CONJUGATION_TOL * scale:
+    if map_residual(tau_std, MapJet.swap(n)) > CONJUGATION_TOL * max(1.0, tau.max_abs()):
         raise ValueError("linearization failed to reach the swap involution")
     return change, change_inv, tau_std
 
@@ -175,41 +163,38 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     worst of err after phi's truncation order N and of M M^{-1} - 1.
     """
     n = phi.order
-    check_nonresonant(mu, n)
+    # pows[n + k] = mu^k for k = -N..N+1: the degree-N elimination divides
+    # by mu^k - 1 with k up to N+1, which must stay clear of zero.
+    pows = np.array([mu**k for k in range(-n, n + 2)])
+    for k, gap in enumerate(np.abs(pows[n + 1 :] - 1.0), start=1):
+        if gap < RESONANCE_TOL:
+            raise ResonanceError(k, float(gap))
     lin = phi.linear_part()
     off = max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu))
     if off > 1e-9 * max(1.0, phi.max_abs()):
         raise ValueError("phi does not have the diagonal linear part (mu, 1/mu)")
 
+    # Per component (xi, eta): its resonant entries and the divisors of the
+    # others, with a unit divisor at the resonant entries so nothing divides by zero.
+    i, j = np.indices((n + 1, n + 1))
+    resonant = np.array([i == j + 1, j == i + 1])
+    divisors = np.where(resonant, 1.0, pows[n + i - j] - np.array([mu, 1.0 / mu])[:, None, None])
+
     # Phi0 starts at the identity and F at phi's own diagonal, so err
     # vanishes through degree 1 up to phi's off-diagonal linear entries.
     phi_total = MapJet.identity(n)
     form = MapJet(lin[0, 0] * phi_total.x, lin[1, 1] * phi_total.y)
-    mu_pows = {k: mu**k for k in range(-n - 1, n + 2)}
     err = phi - form
     for d in range(2, n + 1):
-        u1, u2, f1, f2 = np.zeros((4, n + 1, n + 1), dtype=complex)
-        for i in range(d + 1):
-            j = d - i
-            if i == j + 1:
-                f1[i, j] = err.x.coeffs[i, j]
-            else:
-                u1[i, j] = -err.x.coeffs[i, j] / (mu_pows[i - j] - mu)
-            if j == i + 1:
-                f2[i, j] = err.y.coeffs[i, j]
-            else:
-                u2[i, j] = -err.y.coeffs[i, j] / (mu_pows[i - j] - 1.0 / mu)
-        phi_total = MapJet(phi_total.x + Jet(u1, n), phi_total.y + Jet(u2, n))
-        form = MapJet(form.x + Jet(f1, n), form.y + Jet(f2, n))
+        e = np.where(i + j == d, np.array([err.x.coeffs, err.y.coeffs]), 0.0)
+        u = np.where(resonant, 0.0, -e / divisors)
+        f = np.where(resonant, e, 0.0)
+        phi_total = MapJet(phi_total.x + Jet(u[0], n), phi_total.y + Jet(u[1], n))
+        form = MapJet(form.x + Jet(f[0], n), form.y + Jet(f[1], n))
         err = map_compose(phi_total, phi) - map_compose(form, phi_total)
 
-    m_series = diagonal_series(form.x, "xi")
-    m_inv = diagonal_series(form.y, "eta")
-    defect = max(
-        err.max_abs(),
-        float(np.abs(series_mul(m_series, m_inv) - _one_series(len(m_series))).max()),
-    )
-    return phi_total, form, defect
+    m_defect = _unit_defect(diagonal_series(form.x, "xi"), diagonal_series(form.y, "eta"))
+    return phi_total, form, max(err.max_abs(), m_defect)
 
 
 def _check_off_form(residual: float, form: MapJet) -> None:
@@ -232,12 +217,11 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     for tau in (pair.tau1, pair.tau2):
         tt = map_compose(map_compose(phi_total, tau), phi_total_inv)
         lambdas.append(diagonal_series(tt.x, "eta"))
-        lam_inv = diagonal_series(tt.y, "xi")
         residual = max(
             residual,
             off_diagonal_residual(tt.x, "eta"),
             off_diagonal_residual(tt.y, "xi"),
-            float(np.abs(series_mul(lambdas[-1], lam_inv) - _one_series(len(lam_inv))).max()),
+            _unit_defect(lambdas[-1], diagonal_series(tt.y, "xi")),
         )
     # Consistency M = Lambda1 * Lambda2^{-1}.
     recomposed = series_mul(lambdas[0], series_reciprocal(lambdas[1]))
@@ -247,16 +231,17 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     return MWResult(phi_total, m_series, lambdas[0], lambdas[1], mu, residual)
 
 
-def _one_series(length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=complex)
-    out[0] = 1.0
-    return out
+def _unit_defect(a, b) -> float:
+    """Max coefficient modulus of a b - 1 for two radial series."""
+    p = series_mul(a, b)
+    p[0] -= 1.0
+    return float(np.abs(p).max())
 
 
 def gamma_from_M(m_series) -> np.ndarray:
     """Gamma with e^{i Gamma} = M, Gamma(0) the principal argument of M(0)."""
     m = np.asarray(m_series, dtype=complex)
-    if abs(abs(m[0]) - 1.0) > 1e-10:
+    if abs(abs(m[0]) - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"|M(0)| = {abs(m[0])} off the unit circle")
     return -1j * series_log(m)
 
@@ -285,16 +270,13 @@ def phi2_from_Gamma(gamma, eps: int, s: int, order: int) -> MapJet:
 
 def normal_form_map(lam: complex, eps: int, s: int | float, order: int) -> MapJet:
     """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s})."""
-    if eps == 0:
-        return MapJet(
-            lam * Jet.coordinate("xi", order), (1.0 / lam) * Jet.coordinate("eta", order)
-        )
-    t_s = radial_to_jet([0.0] * int(s) + [float(eps)], order, "plain")
-    e_plus = jet_exp_i(t_s)
-    e_minus = jet_exp_i(-1.0 * t_s)
+    # Radial: g = i eps t^s in t = xi eta, zero for eps = 0 or s beyond order.
+    g = np.zeros(order // 2 + 1, dtype=complex)
+    if eps and s < len(g):
+        g[int(s)] = 1j * eps
     return MapJet(
-        lam * jet_mul(Jet.coordinate("xi", order), e_plus),
-        (1.0 / lam) * jet_mul(Jet.coordinate("eta", order), e_minus),
+        radial_to_jet(lam * series_exp(g), order, "xi"),
+        radial_to_jet((1.0 / lam) * series_exp(-g), order, "eta"),
     )
 
 
@@ -330,17 +312,14 @@ def full_normalize(
     result is accepted only if conjugator . phi = target . conjugator and
     conjugator . tau = swap . conjugator hold through degree N (and, in
     "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
-    ``residual`` is the worst of these defects.
+    ``residual`` is the worst of these defects.  (eps, s) = (0, S_INFINITY)
+    means Gamma is constant through order N (see ``NormalFormResult``).
     """
     n = phi.order if order is None else int(order)
     if n > phi.order or (tau is not None and n > tau.order):
         raise ValueError(f"order {n} exceeds the truncation order of phi or tau")
-    if n != phi.order:
-        phi = MapJet(phi.x.truncate(n), phi.y.truncate(n))
-    if tau is None:
-        tau = MapJet.swap(n)
-    elif tau.order != n:
-        tau = MapJet(tau.x.truncate(n), tau.y.truncate(n))
+    phi = phi.truncate(n)
+    tau = MapJet.swap(n) if tau is None else tau.truncate(n)
     scale = max(1.0, phi.max_abs(), tau.max_abs())
 
     change, change_inv, _ = linearize_involution(tau)
@@ -356,7 +335,7 @@ def full_normalize(
         raise ValueError(f"unknown reality mode {reality!r}")
 
     lam_phi = phi.x.coeff(1, 0)
-    if abs(abs(lam_phi) - 1.0) > 1e-9:
+    if abs(abs(lam_phi) - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"|lambda| = {abs(lam_phi)} off the unit circle")
     if lam_phi.imag <= 0:
         raise ValueError("normalization requires Im lambda > 0")
@@ -377,10 +356,7 @@ def full_normalize(
         gamma_imag = float(np.abs(head.imag).max())
         if gamma_imag > 1e-8 * max(1.0, float(np.abs(gamma).max())):
             raise ValueError(f"Gamma head is not real (defect {gamma_imag:.3e}); pair lacks the rho-symmetry")
-    if eps == 0:
-        phi2 = MapJet.identity(n)
-    else:
-        phi2 = phi2_from_Gamma(gamma, eps, s, n)
+    phi2 = phi2_from_Gamma(gamma, eps, s, n) if eps else MapJet.identity(n)
 
     conjugator = map_compose(phi2, map_compose(phi0, change))
     lam = m_series[0]

@@ -228,6 +228,9 @@ class MapJet:
     def max_abs(self) -> float:
         return max(self.x.max_abs(), self.y.max_abs())
 
+    def truncate(self, order: int) -> "MapJet":
+        return MapJet(self.x.truncate(order), self.y.truncate(order))
+
     def __sub__(self, other: "MapJet") -> "MapJet":
         return MapJet(self.x - other.x, self.y - other.y)
 

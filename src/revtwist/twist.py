@@ -19,7 +19,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .families import CoefficientFamily
+from .families import CoefficientFamily, _degeneracy_order
 
 
 class DomainError(ValueError):
@@ -48,8 +48,7 @@ class TwistParams:
     R: float = 0.5
 
     def __post_init__(self):
-        if not (isinstance(self.s, int) and self.s >= 1):
-            raise ValueError("s must be a positive integer")
+        object.__setattr__(self, "s", _degeneracy_order(self.s))
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 < self.R < 1.0:

@@ -200,6 +200,10 @@ class TestExitCodes:
         (["normalize", "--map", "OFF_MAP", "--order", "6", "--reality", "surface"], "unit circle"),
         (["normalize", "--map", "MAP", "--order", "1000000"], "truncation order must be in [1, 64]"),
         (["normalize", "--map", "MAP", "--order", "0"], "truncation order must be in [1, 64]"),
+        # requests far beyond any address space fail at once, whatever the overcommit
+        (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
+          "--family", "FAMILY", "--grid", "100000000000000000"], "out of memory"),
+        (["majorant", "--alpha", "1", "--s", "1", "--n", "100000000000000000"], "out of memory"),
     ])
     def test_bad_input_fails_at_boundary(self, argv, cause, tmp_path, capsys):
         files = {"NAN_FAMILY": write(tmp_path / "nan.txt", "4 0 nan 0\n"),

@@ -11,8 +11,10 @@ def test_validation_rules():
         CoefficientFamily({(1, 1): 0.5}, s=1)
     with pytest.raises(ValueError, match="modulus"):
         CoefficientFamily({(3, 0): 1.5}, s=1)
-    with pytest.raises(ValueError, match="positive"):
-        CoefficientFamily({(3, 0): 0.5}, s=0)
+    for bad_s in (0, 1.5, True, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            CoefficientFamily({(3, 0): 0.5}, s=bad_s)
+    assert CoefficientFamily({(3, 0): 0.5}, s=np.int64(1)).s == 1
     with pytest.raises(ValueError, match="negative"):
         CoefficientFamily({(-1, 4): 0.5}, s=1)
     with pytest.raises(ValueError, match="finite"):

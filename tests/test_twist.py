@@ -117,8 +117,11 @@ class TestBetaReduce:
 
 class TestTwistParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TwistParams(alpha=0.1, s=0)
+        for bad_s in (0, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="positive integer"):
+                TwistParams(alpha=0.1, s=bad_s)
+        tp = TwistParams(alpha=0.1, s=np.int64(2))
+        assert tp.s == 2 and type(tp.s) is int
         with pytest.raises(ValueError):
             TwistParams(alpha=0.1, s=1, R=1.0)
         with pytest.raises(ValueError):
