@@ -29,6 +29,24 @@ def _degeneracy_order(s) -> int:
     return k
 
 
+def _power(table: dict, k: int):
+    """x^k from a table holding at least x^1 (and x^-1 for k < 0), by
+    squaring; the powers it forms are added to the table."""
+    if k not in table:
+        half = _power(table, int(k / 2))
+        table[k] = half * half * table[1 if k > 0 else -1] if k % 2 else half * half
+    return table[k]
+
+
+def _power_table(x, ks) -> dict:
+    """{k: x^k} for the integers ks, by squaring from x and 1/x (for most
+    k, x**k leaves numpy's fast paths and costs several products)."""
+    table = {0: 1.0, 1: x}
+    if min(ks, default=0) < 0:
+        table[-1] = 1.0 / x
+    return {k: _power(table, k) for k in ks}
+
+
 @dataclass(frozen=True)
 class CoefficientFamily:
     """Sparse map (i,j) -> a_{i,j} with i+j > 2s and |a_{i,j}| <= 1."""
@@ -89,15 +107,16 @@ class CoefficientFamily:
         return max((i + j for i, j in self.entries), default=0)
 
     def _terms(self, xi, eta):
-        """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries."""
-        xi = np.asarray(xi, dtype=complex)
-        eta = np.asarray(eta, dtype=complex)
+        """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries, from one table
+        of the powers of xi and of eta that the entries use."""
+        xp = _power_table(np.asarray(xi, dtype=complex), {i for i, _ in self.entries})
+        ep = _power_table(np.asarray(eta, dtype=complex), {j for _, j in self.entries})
         for (i, j), v in self.entries.items():
             term = v
             if i:
-                term = term * xi**i
+                term = term * xp[i]
             if j:
-                term = term * eta**j
+                term = term * ep[j]
             yield i - j, term
 
     def eval(self, xi, eta):

@@ -235,22 +235,25 @@ def real_intersection(curve: PeriodicCurve, samples: int = 512):
     segments of the annulus: the defect is Im(zeta) over real w and
     Re(zeta) over imaginary w.  Sign changes are refined by bisection; a
     segment whose defect stays below 1e-9 everywhere is a continuum of
-    real points and is reported as the string "continuum".
+    real points and is reported as the string "continuum".  Each segment
+    is sampled at ``samples`` points (at least 2) by one Laurent evaluation.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples}")
     at = _laurent_eval(curve)
     vs = np.linspace(0.55, 1.8, samples)
     hits = []
     for axis in (1.0, -1.0, 1j, -1j):
         def defect(v, axis=axis):
-            z = at(np.atleast_1d(axis * v))[0]
+            z = at(axis * np.atleast_1d(v))
             return z.imag if axis.imag == 0 else z.real
 
-        g = np.array([defect(v) for v in vs])
+        g = defect(vs)
         if np.abs(g).max() < 1e-9:
             return "continuum"
         sign = np.sign(g)
         for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            v = _bisect_zero(defect, vs[k], vs[k + 1])
+            v = _bisect_zero(lambda x: defect(x)[0], vs[k], vs[k + 1])
             hits.append(complex(axis * v))
     return tuple(hits)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .families import CoefficientFamily, _degeneracy_order
+from .families import CoefficientFamily, _degeneracy_order, _power_table
 
 
 class DomainError(ValueError):
@@ -141,33 +141,17 @@ def beta_reduce(n: int, alpha: float) -> ResonanceData:
 
 
 def _guard_inside(xi, eta, what: str):
-    m = max(float(np.abs(xi).max()), float(np.abs(eta).max()))
-    if not m < 1.0:
-        raise DomainError(f"{what}: point modulus {m} escaped the unit polydisk")
+    # Each modulus is tested on its own: a nan fails its test, where
+    # max(m_xi, nan) would let it pass.
+    for m in (float(np.abs(xi).max()), float(np.abs(eta).max())):
+        if not m < 1.0:
+            raise DomainError(f"{what}: point modulus {m} escaped the unit polydisk")
 
 
 def twist_eval(tp: TwistParams, xi, eta):
     """The unperturbed twist: multiply by e^{+-i omega(xi eta)}."""
     ph = np.exp(1j * tp.omega(np.asarray(xi, dtype=complex) * eta))
     return ph * xi, eta / ph
-
-
-def _unit_power(table: dict, k: int):
-    """u^k from a table holding at least u^1 (and u^-1 for k < 0), by
-    squaring; the powers it forms are added to the table."""
-    if k not in table:
-        half = _unit_power(table, int(k / 2))
-        table[k] = half * half * table[1 if k > 0 else -1] if k % 2 else half * half
-    return table[k]
-
-
-def _unit_powers(u, ks) -> dict:
-    """{k: u^k} for the integers ks, by squaring from u and 1/u (for most
-    k, u**k leaves numpy's fast paths and costs several products)."""
-    table = {0: 1.0, 1: u}
-    if min(ks, default=0) < 0:
-        table[-1] = 1.0 / u
-    return {k: _unit_power(table, k) for k in ks}
 
 
 def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
@@ -199,7 +183,7 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
         for n in range(80):
-            g, dg = sums(_unit_powers(np.exp(isign * c), modes) if n else None)
+            g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
             step = (c - g) / (1.0 - isign * dg)
             c = c - step
             cmax = np.abs(c).max()
@@ -275,21 +259,27 @@ def _p_n(map_eval, tp: TwistParams, n: int, xi, eta):
     return xin / (np.asarray(xi, dtype=complex) * model) - 1.0, (xin, etan)
 
 
-def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None):
-    """h(zeta, w) = log(1 + p_n(zeta w, zeta/w)) / (i n zeta^{2s})."""
-    if map_eval is None:
-        map_eval = make_varphi(a, tp)
+def _h_orbit(zeta, w, tp: TwistParams, n: int, map_eval):
+    """h at (zeta, w) with the start points (xi, eta) = (zeta w, zeta/w) and
+    their n-th iterates: (h, (xi, eta), (xi_n, eta_n))."""
     zeta = np.asarray(zeta, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if np.any(zeta == 0):
         raise DomainError("h is undefined at zeta = 0")
     xi, eta = zeta * w, zeta / w
     _guard_inside(xi, eta, "h_eval")
-    p, _ = _p_n(map_eval, tp, n, xi, eta)
+    p, orbit = _p_n(map_eval, tp, n, xi, eta)
     pmax = float(np.abs(p).max())
     if pmax > 0.5:
         raise DomainError(f"|p_n| = {pmax:.3f} > 1/2: outside the validated region")
-    return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s))
+    return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s)), (xi, eta), orbit
+
+
+def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None):
+    """h(zeta, w) = log(1 + p_n(zeta w, zeta/w)) / (i n zeta^{2s})."""
+    if map_eval is None:
+        map_eval = make_varphi(a, tp)
+    return _h_orbit(zeta, w, tp, n, map_eval)[0]
 
 
 def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
@@ -342,13 +332,12 @@ def _solve_branch(a, tp, n, j, w, map_eval):
     else:
         raise SolverError(f"no convergence in 50 iterations; last step {step:.3e}")
 
-    h = h_eval(zeta, w, a, tp, n, map_eval)
+    # The return test reads the orbit of this last h evaluation.
+    h, (xi, eta), (xin, etan) = _h_orbit(zeta, w, tp, n, map_eval)
     eq_res = float(np.abs(zeta * np.exp(-inv_root * np.log(1.0 + h)) - target).max())
     if eq_res > EQ_RESIDUAL_BOUND:
         raise SolverError(f"equation residual {eq_res:.3e} exceeds {EQ_RESIDUAL_BOUND}")
 
-    xi, eta = zeta * w, zeta / w
-    xin, etan = iterate(map_eval, n, (xi, eta))
     ret = max(float(np.abs(xin - xi).max()), float(np.abs(etan - eta).max()))
     if ret > 1e-10:
         raise SolverError(f"n-step return residual {ret:.3e} exceeds 1e-10")
@@ -362,7 +351,8 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     The fixed-point iteration stops once a step is at most four times its
     rounding floor zeta0 eps_mach / (2s zeta0^{2s}), or 1e-13 if larger (50
     steps at most); zeta is verified both against the equation (absolute
-    residual below 1e-12) and by the n-step return test.  Raises
+    residual below 1e-12) and by the n-step return test, which reads the
+    orbit of the final h evaluation instead of iterating again.  Raises
     HypothesisViolation when beta is not in (-pi, 0), DomainError when the
     orbit leaves the validated region, SolverError on convergence failure.
     """
@@ -381,9 +371,10 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     grid must satisfy grid_size >= 2K+1.
 
     The curve is validated numerically by the gates of ``solve_branch``
-    (|h| <= 1/2, equation residual 1e-12, n-step return 1e-10).  The guard
-    alone keeps |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted
-    and ignored; the paper's constants come from ``compute_constants``.
+    (|h| <= 1/2, equation residual 1e-12, n-step return 1e-10, the last on
+    the orbit of the final h evaluation).  The guard alone keeps
+    |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
+    ignored; the paper's constants come from ``compute_constants``.
     """
     if grid_size < 1:
         raise ValueError(f"grid_size must be at least 1, got {grid_size}")

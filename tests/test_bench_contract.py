@@ -4,6 +4,7 @@ tests read bench/ and change nothing there."""
 
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -36,3 +37,52 @@ def test_curve_keeps_the_keyword_the_workloads_pass():
     from revtwist.twist import periodic_curve
 
     assert "check_domain" in inspect.signature(periodic_curve).parameters
+
+
+def traced_counts(run):
+    """Span calls and summed points of `run()` under the benchmark tracer."""
+    tracer = load_bench_module("tracer").Tracer()
+    tracer.install()
+    try:
+        run()
+    finally:
+        tracer.uninstall()
+    return {name: (v["calls"], v["extra"]) for name, v in tracer.summary().items()}
+
+
+def test_tracer_counts_curve_layers():
+    # One period-7 curve on 32 points takes three Picard steps, each one
+    # h_eval; the final h evaluation, whose orbit the return test reads,
+    # runs its own iterate.  Every h evaluation is one iterate of n map
+    # steps, so a refactor that hides a layer from its counter shows here.
+    from revtwist.families import CoefficientFamily
+    from revtwist.twist import TwistParams, periodic_curve
+
+    n = 7
+    tp = TwistParams(alpha=(2 * math.pi - 0.08) / n, s=1)
+    fam = CoefficientFamily({(7, 0): 0.05, (3, 0): 0.02 + 0.01j, (1, 3): -0.03j}, 1)
+    counts = traced_counts(lambda: periodic_curve(fam, tp, n, 2, grid_size=32, K=8))
+    assert counts["twist.h_eval"] == (3, 0)
+    assert counts["twist.iterate"] == (4, 0)
+    assert counts["twist.map_eval"] == (4 * n, 4 * n * 32)
+    assert counts["twist._exponent_fixed_point"] == (4 * n, 0)
+    assert counts["families.eval"] == (4 * n, 4 * n * 32)
+
+
+def test_tracer_counts_surface_layers():
+    # The involution product is injected as the map, so its steps count as
+    # tau evaluations (each phi call once), not as twist.map_eval.
+    from revtwist.families import CoefficientFamily
+    from revtwist.surface import surface_curves
+    from revtwist.twist import TwistParams
+
+    n = 4
+    tp = TwistParams(alpha=(4 * math.pi - 2.0) / n, s=1)
+    a = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
+    abar = CoefficientFamily({(4, 0): -0.06 + 0.01j}, 1)
+    counts = traced_counts(lambda: surface_curves(a, tp, n, 2, grid_size=64, abar=abar))
+    assert counts["twist.h_eval"] == (15, 0)
+    assert counts["twist.iterate"] == (16, 0)
+    assert counts["surface.tau_eval"] == (16 * n, 16 * n * 64)
+    assert "twist.map_eval" not in counts
+    assert counts["surface.real_intersection"] == (1, 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from revtwist.families import CoefficientFamily, load_family, save_family
+from revtwist.families import CoefficientFamily, _power_table, load_family, save_family
 
 
 def test_validation_rules():
@@ -52,6 +52,57 @@ def test_eval_matches_naive_sum():
     naive = sum(v * xi**i * eta**j for (i, j), v in fam.entries.items())
     assert np.abs(fam.eval(xi, eta) - naive).max() < 1e-13
     assert fam.eval(0.0, 0.0) == 0.0
+
+
+def _direct_terms(fam, xi, eta):
+    """(i - j, a_{i,j} xi**i eta**j) with numpy's power, entry by entry."""
+    return [(i - j, v * xi**i * eta**j) for (i, j), v in fam.entries.items()]
+
+
+@pytest.mark.parametrize("shape", [(), (7,), "broadcast"])
+@pytest.mark.parametrize("empty", [False, True])
+def test_shared_power_table_matches_direct_powers(shape, empty):
+    # eval and phase_modes raise xi and eta to every power the entries use
+    # from one table built by squaring; each power may differ from numpy's
+    # x**k by rounding only, so both agree with the direct sum within a few
+    # ulp of sum |terms|.
+    rng = np.random.default_rng(40)
+    keys = {(int(i), int(d - i)) for d in rng.integers(3, 41, 60)
+            for i in [rng.integers(0, d + 1)]}
+    fam = CoefficientFamily({k: complex(*rng.uniform(-1, 1, 2)) * 0.7 for k in keys}, 1)
+    assert fam.max_degree() <= 40 and len(fam.entries) > 40
+    if empty:
+        fam = CoefficientFamily.empty(1)
+
+    def point(size):
+        return rng.uniform(0.2, 0.95, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+
+    if shape == "broadcast":
+        xi, eta = point((5, 1)), point((1, 4))
+    else:
+        xi, eta = point(shape), point(shape)
+    terms = _direct_terms(fam, xi, eta)
+    scale = sum(np.abs(t) for _, t in terms)
+    tol = 8 * np.finfo(float).eps * scale
+    got = fam.eval(xi, eta)
+    assert got.shape == np.broadcast(xi, eta).shape
+    assert np.all(np.abs(got - sum(t for _, t in terms)) <= tol)
+    modes = fam.phase_modes(xi, eta)
+    assert set(modes) == {k for k, _ in terms}
+    for k, mk in modes.items():
+        assert np.all(np.abs(mk - sum(t for q, t in terms if q == k)) <= tol)
+
+
+def test_power_table_squares():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    table = _power_table(x, {-5, -2, 0, 1, 2, 3, 17})
+    assert table[2].tobytes() == (x * x).tobytes()
+    assert table[1] is x and table[0] == 1.0
+    assert table[-2].tobytes() == ((1.0 / x) * (1.0 / x)).tobytes()
+    for k in (-5, 3, 17):
+        assert np.all(np.abs(table[k] - x**k) <= 16 * np.finfo(float).eps * np.abs(x) ** k)
+    assert _power_table(x, set()) == {}
 
 
 def test_scaled_and_conjugated():

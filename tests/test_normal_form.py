@@ -528,6 +528,8 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
     # forms the family's phase modes once and takes its first Newton step
     # in closed form, so it pays one exp per later step (its passes) and
     # no family evaluation; only the forward phases evaluate the family.
+    # The return test reads the orbit of the last h evaluation, so every
+    # n = 4 orbit here (two tau steps per map step) serves an h evaluation.
     # Any change here is a change of algorithm and should be deliberate.
     from revtwist import families, twist
     from revtwist.families import CoefficientFamily
@@ -561,4 +563,4 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
     crv = surface_curves(CoefficientFamily({(4, 0): 0.05}, 1), tp, 4, 2,
                          grid_size=64, intersect=False)
     assert crv.residual <= 1e-10
-    assert counts == {"solves": 320, "eval": 320, "passes": 960}
+    assert counts == {"solves": 312, "eval": 312, "passes": 936}

@@ -284,6 +284,14 @@ class TestRealIntersection:
         again = real_intersection(crv)
         assert again == crv.real_intersections
 
+    def test_sample_count_bounds(self):
+        crv = surface_curves(WITNESS_A, TP, N1, 2, abar=WITNESS_ABAR, intersect=False)
+        for samples in (0, 1):
+            with pytest.raises(ValueError, match="samples must be at least 2"):
+                real_intersection(crv, samples=samples)
+        # two samples per segment: the ends, whose defects share a sign here
+        assert real_intersection(crv, samples=2) == ()
+
 
 class TestQZetaCheck:
     def test_probe_matches_leading_coefficient(self):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -163,6 +164,15 @@ class TestVarphi:
         fam = CoefficientFamily({}, 1)
         with pytest.raises(DomainError, match="unit polydisk"):
             varphi_eval(fam, tp, (1.5, 0.1))
+
+    def test_nan_input_fails_the_guard(self):
+        fam = CoefficientFamily({(3, 0): 0.1}, 1)
+        tp = TwistParams(1.0, 1)
+        for point in ((0.5, math.nan), (math.nan, 0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="varphi input"):
+                    varphi_eval(fam, tp, point)
 
     def test_one_step_linearization(self):
         # first order in the family: p = i a(xi e^{iw}, eta e^{-iw}) + i a_conj(xi, eta)
@@ -423,6 +433,37 @@ class TestSolveBranch:
 
 
 class TestPeriodicCurve:
+    def test_return_test_reads_the_last_orbit(self, monkeypatch):
+        # Every map step belongs to the orbit of one h evaluation: the n-step
+        # return test reuses the orbit of the final one.
+        from revtwist import twist
+
+        n = 7
+        tp = TwistParams(alpha=resonant_alpha(n, 1, -0.08), s=1)
+        fam = CoefficientFamily({(7, 0): 0.05, (3, 0): 0.02 + 0.01j, (1, 3): -0.03j}, 1)
+        counts = {"steps": 0, "h": 0, "iterate": 0}
+        step, h_orbit, iterate_ = make_varphi(fam, tp), twist._h_orbit, twist.iterate
+
+        def counted_step(xi, eta):
+            counts["steps"] += 1
+            return step(xi, eta)
+
+        def counted_h(*args):
+            counts["h"] += 1
+            return h_orbit(*args)
+
+        def counted_iterate(*args):
+            counts["iterate"] += 1
+            return iterate_(*args)
+
+        monkeypatch.setattr(twist, "_h_orbit", counted_h)
+        monkeypatch.setattr(twist, "iterate", counted_iterate)
+        crv = periodic_curve(fam, tp, n, 2, grid_size=32, K=8, map_eval=counted_step)
+        assert crv.residual <= 1e-10
+        assert counts["h"] == 4  # three Picard steps and the final evaluation
+        assert counts["iterate"] == counts["h"]
+        assert counts["steps"] == n * counts["h"]
+
     def test_a_zero_circle(self):
         n = 100
         tp = TwistParams(alpha=resonant_alpha(n, 7, -1e-4), s=1)
