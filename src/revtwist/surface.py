@@ -40,6 +40,7 @@ from .twist import (
     TwistParams,
     _beta_window,
     _phase_conjugate,
+    _solve_branch,
     curve_band,
     periodic_curve,
 )
@@ -183,6 +184,10 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 # Periodic curves of phi = tau1 tau2
 
 
+def _default_grid(n: int) -> int:
+    return max(8 * n, 64)
+
+
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
                    grid_size: int | None = None, intersect: bool = True,
                    abar: CoefficientFamily | None = None) -> PeriodicCurve:
@@ -195,11 +200,24 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
     probes.  intersect=True fills in `real_intersections`.
     """
     _, _, phi = build_involution_maps(a, tp, abar=abar)
-    G = max(8 * n, 64) if grid_size is None else grid_size
+    G = _default_grid(n) if grid_size is None else grid_size
     crv = periodic_curve(a, tp, n, j, grid_size=G, K=curve_band(n, G), map_eval=phi)
     if intersect:
         crv = replace(crv, real_intersections=real_intersection(crv))
     return crv
+
+
+def _w2n_coeffs(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
+                abar: CoefficientFamily | None = None) -> list[complex]:
+    """The w^{2n} Laurent coefficient of each branch curve in js, as
+    `surface_curves` reads it at its default grid: the branches are solved
+    together by one `_solve_branch` and transformed by one FFT along the
+    grid axis."""
+    _, _, phi = build_involution_maps(a, tp, abar=abar)
+    G = _default_grid(n)
+    w = np.exp(2j * np.pi * np.arange(G) / G)
+    zeta, _, _ = _solve_branch(a, tp, n, js, w, phi)
+    return (np.fft.fft(zeta) / G)[:, 2 * n].tolist()
 
 
 def _laurent_eval(curve: PeriodicCurve):
@@ -289,14 +307,12 @@ def _require_even_resonance(tp: TwistParams, n: int) -> float:
     return zeta0
 
 
-def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
-                t: float) -> complex:
-    """Richardson-extrapolated w^{2n} coefficient of zeta(t a) / t^2."""
-    vals = []
-    for tt in (t, 0.5 * t):
-        crv = surface_curves(a.scaled(tt), tp, n, j, intersect=False)
-        vals.append(crv.laurent[2 * n] / tt**2)
-    return 2.0 * vals[1] - vals[0]
+def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
+                t: float) -> list[complex]:
+    """Richardson-extrapolated w^{2n} coefficient of zeta(t a) / t^2 on
+    each branch in js."""
+    vals = [[c / tt**2 for c in _w2n_coeffs(a.scaled(tt), tp, n, js)] for tt in (t, 0.5 * t)]
+    return [2.0 * v1 - v0 for v0, v1 in zip(*vals)]
 
 
 def _branch_scale(tp: TwistParams, zeta0: float, n: int, j: int) -> complex:
@@ -306,9 +322,10 @@ def _branch_scale(tp: TwistParams, zeta0: float, n: int, j: int) -> complex:
     return 1j * n * zj ** (2 * n - 2 * s + 1) / s
 
 
-def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, j: int,
-                  t: float) -> tuple[complex, complex]:
-    """Separate the a^2 part of the w^{2n} response from the symmetric rest.
+def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, js: tuple,
+                  t: float) -> tuple[list[complex], list[complex]]:
+    """Separate the a^2 part of the w^{2n} response from the symmetric rest,
+    on each branch in js.
 
     Probes the single-mode family at phases e^{+i pi/4} and e^{-i pi/4} of
     equal modulus x: the a^2 part flips sign between the probes while the
@@ -316,10 +333,10 @@ def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, j: int,
     difference isolates the a^2 coefficient exactly through second order.
     Raises SolverError before probing when the expected w^{2n} signal of
     the smaller probe, |reference| x^2 (t/2)^2, is within three decades of
-    the rounding floor eps zeta0 of the sampled curve: the result would be
-    noise.
+    the rounding floor eps zeta0 of the sampled curve on any branch: the
+    result would be noise.
     """
-    signal = abs(_branch_scale(tp, zeta0, n, j)) * x * x * (0.5 * t) ** 2
+    signal = min(abs(_branch_scale(tp, zeta0, n, j)) for j in js) * x * x * (0.5 * t) ** 2
     floor = 1e3 * np.finfo(float).eps * zeta0
     if signal < floor:
         raise SolverError(
@@ -329,10 +346,17 @@ def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, j: int,
     for sgn in (1.0, -1.0):
         fam = CoefficientFamily({(n, 0): x * cmath.exp(sgn * 0.25j * math.pi)},
                                 tp.s, False, _validate=False)
-        probes[sgn] = _quad_coeff(fam, tp, n, j, t)
-    a2 = (probes[1.0] - probes[-1.0]) / (2j * x * x)
-    sym = (probes[1.0] + probes[-1.0]) / (2.0 * x * x)
-    return a2, sym
+        probes[sgn] = _quad_coeff(fam, tp, n, js, t)
+    pairs = list(zip(probes[1.0], probes[-1.0]))
+    return ([(p - m) / (2j * x * x) for p, m in pairs],
+            [(p + m) / (2.0 * x * x) for p, m in pairs])
+
+
+def _check_probe(t: float, amplitude: complex) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"probe size t must be positive and finite, got {t!r}")
+    if not cmath.isfinite(amplitude):
+        raise ValueError(f"amplitude a_n0 must be finite, got {amplitude!r}")
 
 
 def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
@@ -341,10 +365,13 @@ def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
 
     The measurement is taken on the branch j = 2s with probe size t.  The
     reference value is i n zeta_j(0)^{2n-2s+1} / s; rel_error is the
-    relative gap between the two-phase measurement and that value.  Raises
+    relative gap between the two-phase measurement and that value.  Each
+    probe curve is a `_solve_branch` of the one branch (2s,).  Raises
+    ValueError unless t is positive and finite and a_n0 finite, and
     SolverError when t |a_n0| is too small for the probe to rise above
     rounding.
     """
+    _check_probe(t, a_n0)
     zeta0 = _require_even_resonance(tp, n)
     j = 2 * tp.s
     predicted = _branch_scale(tp, zeta0, n, j)
@@ -352,7 +379,8 @@ def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
     if x == 0.0:
         return QZetaReport(n=n, j=j, t=t, a2_coeff=0.0, predicted=predicted,
                            rel_error=1.0, symmetric_coeff=0.0)
-    a2, sym = _two_phase_a2(x, tp, zeta0, n, j, t)
+    a2, sym = _two_phase_a2(x, tp, zeta0, n, (j,), t)
+    a2, sym = a2[0], sym[0]
     rel = abs(a2 - predicted) / abs(predicted)
     return QZetaReport(n=n, j=j, t=t, a2_coeff=a2, predicted=predicted,
                        rel_error=rel, symmetric_coeff=sym)
@@ -381,20 +409,22 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     intersections exist.  The probe size t applies to the default
     estimator only, which raises SolverError when t |a_{n,0}| is too small
     for the probe to rise above rounding.
+
+    The 2s branches of each curve are solved together by `_solve_branch`:
+    they stop at the slowest branch, every gate applies to every branch,
+    and the error raised is the first gate that any branch reaches.
+    Raises ValueError unless t is positive and finite and a_{n,0} finite.
     """
-    s = tp.s
-    zeta0 = _require_even_resonance(tp, n)
     an0 = a.entries.get((n, 0), 0.0 + 0.0j)
+    _check_probe(t, an0)
+    zeta0 = _require_even_resonance(tp, n)
     if an0 == 0 and not include_remainder:
         return 0.0
-    prod = 1.0
-    for j in range(1, 2 * s + 1):
-        scale = _branch_scale(tp, zeta0, n, j)
-        if include_remainder:
-            crv = surface_curves(a, tp, n, j, intersect=False, abar=abar)
-            factor = 2.0 * (crv.laurent[2 * n] / scale).real
-        else:
-            a2, _ = _two_phase_a2(abs(an0), tp, zeta0, n, j, t)
-            factor = 2.0 * (an0 * an0 * a2 / scale).real
-        prod *= factor
-    return prod
+    js = tuple(range(1, 2 * tp.s + 1))
+    scales = [_branch_scale(tp, zeta0, n, j) for j in js]
+    if include_remainder:
+        factors = [2.0 * (c / sc).real for c, sc in zip(_w2n_coeffs(a, tp, n, js, abar), scales)]
+    else:
+        a2, _ = _two_phase_a2(abs(an0), tp, zeta0, n, js, t)
+        factors = [2.0 * (an0 * an0 * a2j / sc).real for a2j, sc in zip(a2, scales)]
+    return math.prod(factors)

@@ -303,22 +303,36 @@ def _step_bound(zeta0: float, s: int) -> float:
     return max(1e-13, 4 * zeta0 * float(np.finfo(float).eps) / (2 * s * zeta0 ** (2 * s)))
 
 
-def _solve_branch(a, tp, n, j, w, map_eval):
+def _solve_branch(a, tp, n, js, w, map_eval):
+    """Solve the branches js at w together: zeta of shape (len(js),) + w.shape,
+    zeta0 and the largest n-step return residual.
+
+    One Picard loop (one h evaluation and n-step orbit per step) runs until
+    the largest step of any branch is within `_step_bound`, so every branch
+    takes the steps of the slowest.  Each gate of `solve_branch` is taken
+    over all branches: the input passes only if every branch passes, and
+    the error raised is the first gate that any branch reaches.
+    """
     if map_eval is None:
         map_eval = make_varphi(a, tp)
     _, zeta0 = _beta_window(tp, n)
-    j = operator.index(j)
-    if not 1 <= j <= 2 * tp.s:
-        raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
-    target = complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
+    for j in js:
+        if isinstance(j, bool) or not 1 <= operator.index(j) <= 2 * tp.s:
+            raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
     w = np.asarray(w, dtype=complex)
     wmod = np.abs(w)
     if not (np.all(wmod > 0.5) and np.all(wmod < 2.0)):
         raise ValueError("w outside the annulus 1/2 < |w| < 2")
+    # The branches run as one flat array of points: a single branch runs on
+    # the 1-d arrays of its own grid, and no ufunc pays for a second axis.
+    shape = (len(js),) + w.shape
+    target = np.repeat(np.array([complex(np.exp(1j * operator.index(j) * math.pi / tp.s))
+                                 * zeta0 for j in js]), w.size)
+    w = np.concatenate([w.ravel()] * len(js))
 
     inv_root = -1.0 / (2 * tp.s)
     bound = _step_bound(zeta0, tp.s)
-    zeta = np.full(w.shape, target, dtype=complex)
+    zeta = target
     step = math.inf
     for _ in range(50):
         h = h_eval(zeta, w, a, tp, n, map_eval)
@@ -341,7 +355,7 @@ def _solve_branch(a, tp, n, j, w, map_eval):
     ret = max(float(np.abs(xin - xi).max()), float(np.abs(etan - eta).max()))
     if ret > 1e-10:
         raise SolverError(f"n-step return residual {ret:.3e} exceeds 1e-10")
-    return zeta, zeta0, ret
+    return zeta.reshape(shape), zeta0, ret
 
 
 def solve_branch(a, tp: TwistParams, n: int, j: int, w):
@@ -357,7 +371,7 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     orbit leaves the validated region, SolverError on convergence failure.
     """
     scalar = np.isscalar(w) or np.asarray(w).ndim == 0
-    zeta, _, _ = _solve_branch(a, tp, n, j, w, None)
+    zeta = _solve_branch(a, tp, n, (j,), w, None)[0][0]
     return complex(zeta) if scalar else zeta
 
 
@@ -384,7 +398,8 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
-    zeta, zeta0, ret = _solve_branch(a, tp, n, j, w, map_eval)
+    zeta, zeta0, ret = _solve_branch(a, tp, n, (j,), w, map_eval)
+    zeta = zeta[0]
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
     reality = None

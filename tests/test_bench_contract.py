@@ -7,6 +7,8 @@ import inspect
 import math
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -86,3 +88,41 @@ def test_tracer_counts_surface_layers():
     assert counts["surface.tau_eval"] == (16 * n, 16 * n * 64)
     assert "twist.map_eval" not in counts
     assert counts["surface.real_intersection"] == (1, 0)
+
+
+# (s, n, alpha, Picard steps of each branch alone, iterate calls of the
+# default estimator at t = 1e-2)
+OBSTRUCTION_INPUTS = [
+    (1, 4, (4 * math.pi - 2.0) / 4, 38, 24),
+    (2, 8, (4 * math.pi - 1.25) / 8, 14, 20),
+]
+
+
+@pytest.mark.parametrize("s, n, alpha, steps, default_iterates", OBSTRUCTION_INPUTS)
+def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_iterates):
+    # The 2s branch curves of Hn_obstruction are solved as one batch: one
+    # Picard loop whose every step is one h evaluation and one n-step orbit
+    # over all branches, plus the final evaluation the return test reads.
+    # Each branch takes the steps it takes alone, so the tau points equal
+    # those of 2s single-branch curves while the calls fall 2s-fold.
+    from revtwist.families import CoefficientFamily
+    from revtwist.surface import Hn_obstruction, surface_curves
+    from revtwist.twist import TwistParams
+
+    tp = TwistParams(alpha=alpha, s=s)
+    a = CoefficientFamily({(n, 0): 0.05}, s)
+    grid = max(8 * n, 64)
+    for j in range(1, 2 * s + 1):
+        alone = traced_counts(lambda: surface_curves(a, tp, n, j, intersect=False))
+        assert alone["twist.h_eval"] == (steps, 0)
+    counts = traced_counts(lambda: Hn_obstruction(a, tp, n, include_remainder=True))
+    assert counts["twist.h_eval"] == (steps, 0)
+    assert counts["twist.iterate"] == (steps + 1, 0)
+    assert counts["surface.tau_eval"] == ((steps + 1) * n, (steps + 1) * n * 2 * s * grid)
+    assert "surface.surface_curves" not in counts
+    # The default estimator makes four batched solves (two probe phases,
+    # two probe sizes), not four per branch.
+    counts = traced_counts(lambda: Hn_obstruction(a, tp, n, t=1e-2))
+    assert counts["twist.iterate"] == (default_iterates, 0)
+    assert counts["surface.tau_eval"] == (default_iterates * n,
+                                          default_iterates * n * 2 * s * grid)

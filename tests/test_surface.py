@@ -18,7 +18,8 @@ from revtwist.surface import (
     real_intersection,
     surface_curves,
 )
-from revtwist.twist import HypothesisViolation, SolverError, TwistParams
+from revtwist.surface import _branch_scale, _require_even_resonance, _two_phase_a2, _w2n_coeffs
+from revtwist.twist import HypothesisViolation, SolverError, TwistParams, _step_bound
 
 # One resonance configuration shared by the curve-level tests: n = 4 with
 # winding g = 2 keeps both 4s | n and the even-winding requirement satisfied
@@ -30,6 +31,18 @@ ZETA0 = (-B1 / N1) ** 0.5
 
 WITNESS_A = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
 WITNESS_ABAR = CoefficientFamily({(4, 0): -0.06 + 0.01j}, 1)
+
+# The same pairs at s = 2: n = 8 with winding 2 and beta = -1.25.
+TP_S2 = TwistParams(alpha=(4 * math.pi - 1.25) / 8, s=2)
+WITNESS_A2 = CoefficientFamily({(8, 0): 0.05 + 0.02j}, 2)
+WITNESS_ABAR2 = CoefficientFamily({(8, 0): -0.06 + 0.01j}, 2)
+# (tp, n, a, abar): the self-conjugate pair and the witness pair at s = 1, 2
+BRANCH_PAIRS = {
+    "s1-self": (TP, N1, WITNESS_A, None),
+    "s1-witness": (TP, N1, WITNESS_A, WITNESS_ABAR),
+    "s2-self": (TP_S2, 8, WITNESS_A2, None),
+    "s2-witness": (TP_S2, 8, WITNESS_A2, WITNESS_ABAR2),
+}
 
 
 def rho(xi, eta):
@@ -337,6 +350,43 @@ class TestQZetaCheck:
             Hn_obstruction(CoefficientFamily({(16, 0): 0.05}, s), tp, 16)
 
 
+class TestBatchedBranches:
+    """Hn_obstruction solves its 2s branches together; each factor must be
+    the one the single-branch curve gives."""
+
+    @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
+    def test_remainder_is_the_product_over_branch_curves(self, tp, n, a, abar):
+        zeta0 = _require_even_resonance(tp, n)
+        factors = [2.0 * (surface_curves(a, tp, n, j, intersect=False, abar=abar).laurent[2 * n]
+                          / _branch_scale(tp, zeta0, n, j)).real
+                   for j in range(1, 2 * tp.s + 1)]
+        assert Hn_obstruction(a, tp, n, include_remainder=True, abar=abar) == math.prod(factors)
+
+    @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
+    def test_default_estimator_is_the_product_over_branch_probes(self, tp, n, a, abar):
+        zeta0 = _require_even_resonance(tp, n)
+        an0 = a.entries[(n, 0)]
+        js = tuple(range(1, 2 * tp.s + 1))
+        alone = [_two_phase_a2(abs(an0), tp, zeta0, n, (j,), 1e-3)[0][0] for j in js]
+        assert _two_phase_a2(abs(an0), tp, zeta0, n, js, 1e-3)[0] == alone
+        factors = [2.0 * (an0 * an0 * a2 / _branch_scale(tp, zeta0, n, j)).real
+                   for j, a2 in zip(js, alone)]
+        assert Hn_obstruction(a, tp, n, abar=abar) == math.prod(factors)
+
+    def test_branches_that_stop_at_different_steps(self):
+        # Alone, branches 1 and 3 stop after 9 Picard steps and 2 and 4
+        # after 10; together all four take 10.  The extra step moves a
+        # coefficient by rounding only, within 4 stopping bounds.
+        a = CoefficientFamily({(8, 0): 0.05 + 0.02j, (5, 0): 0.03 - 0.01j}, 2)
+        batch = _w2n_coeffs(a, TP_S2, 8, (1, 2, 3, 4), WITNESS_ABAR2)
+        bound = 4 * _step_bound(_require_even_resonance(TP_S2, 8), 2)
+        for j, c in enumerate(batch, start=1):
+            alone = surface_curves(a, TP_S2, 8, j, intersect=False, abar=WITNESS_ABAR2)
+            assert abs(c - alone.laurent[16]) <= bound
+            if j % 2 == 0:
+                assert c == alone.laurent[16]
+
+
 class TestHnObstruction:
     def test_real_amplitude_quartic_law(self):
         # Planted a_{n,0} = t real: the estimate is (2 t^2)^{2s} to rel O(t).
@@ -368,3 +418,20 @@ class TestHnObstruction:
         h = Hn_obstruction(WITNESS_A, TP, N1, include_remainder=True,
                            abar=WITNESS_ABAR)
         assert abs(h) > 1e-7
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_probe_size_must_be_positive_and_finite(self, t):
+        with pytest.raises(ValueError, match="^probe size t must be positive and finite"):
+            q_zeta_check(0.05, TP, N1, t=t)
+        for remainder in (False, True):
+            with pytest.raises(ValueError, match="^probe size t must be positive and finite"):
+                Hn_obstruction(WITNESS_A, TP, N1, t=t, include_remainder=remainder)
+
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, complex(0.05, math.nan)])
+    def test_amplitude_must_be_finite(self, amp):
+        with pytest.raises(ValueError, match="^amplitude a_n0 must be finite"):
+            q_zeta_check(amp, TP, N1)
+        # only an unvalidated family can carry a non-finite entry
+        a = CoefficientFamily({(4, 0): amp}, 1, _validate=False)
+        with pytest.raises(ValueError, match="^amplitude a_n0 must be finite"):
+            Hn_obstruction(a, TP, N1)

@@ -30,7 +30,7 @@ from revtwist.twist import (
     twist_eval,
     varphi_eval,
 )
-from revtwist.twist import _beta_window, _d0, _exponent_fixed_point, _step_bound
+from revtwist.twist import _beta_window, _d0, _exponent_fixed_point, _solve_branch, _step_bound
 
 
 def resonant_alpha(n, g, beta):
@@ -430,6 +430,34 @@ class TestSolveBranch:
             solve_branch(fam, tp_neg, n, 3, 1.0 + 0.0j)
         with pytest.raises(ValueError, match="annulus"):
             solve_branch(fam, tp_neg, n, 2, 2.5 + 0.0j)
+
+    def test_bool_branch_index_is_refused(self):
+        # operator.index(True) == 1, so a bool would pass as branch 1.
+        n = 7
+        tp = TwistParams(alpha=resonant_alpha(n, 1, -0.08), s=1)
+        fam = CoefficientFamily({(3, 0): 0.02}, 1)
+        for j in (True, False):
+            with pytest.raises(ValueError, match=r"^branch index must be an integer in 1\.\.2$"):
+                solve_branch(fam, tp, n, j, 1.0)
+            with pytest.raises(ValueError, match="branch index"):
+                periodic_curve(fam, tp, n, j, grid_size=16, K=4)
+        # one bad index refuses the whole batch
+        with pytest.raises(ValueError, match="branch index"):
+            _solve_branch(fam, tp, n, (1, 2, 3), np.ones(4), None)
+
+    def test_batched_rows_match_single_branch_solves(self):
+        # Every branch and point of this input takes the same Picard steps,
+        # so each row is its single-branch solve bitwise, and a scalar w,
+        # solved as a one-point array, gives that point of the row.
+        n = 9
+        tp = TwistParams(alpha=resonant_alpha(n, 1, -0.02), s=2)
+        fam = CoefficientFamily({(5, 0): 0.02, (0, 5): 0.02}, 2, hermitian=True)
+        w = 0.9 * np.exp(2j * np.pi * np.arange(5) / 5)
+        zeta, _, ret = _solve_branch(fam, tp, n, (4, 1, 2), w, None)
+        assert zeta.shape == (3, 5) and ret < 1e-10
+        for row, j in zip(zeta, (4, 1, 2)):
+            assert row.tobytes() == solve_branch(fam, tp, n, j, w).tobytes()
+            assert solve_branch(fam, tp, n, j, w[2]) == row[2]
 
 
 class TestPeriodicCurve:
