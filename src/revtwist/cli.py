@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .families import load_family
+from .families import _read_entries, load_family
 from .normal_form import full_normalize
 from .obstruction import divergence_witness, select_resonant_n
 from .series import DEFAULT_ORDER, Jet, MapJet, _check_order
@@ -57,29 +57,14 @@ def _emit(path: str | None, lines: list[str]) -> None:
 def load_map(path: str | Path, order: int) -> MapJet:
     """Read a map jet from the text format: one 'x|y i j re im' line per entry."""
     order = _check_order(order)
-    entries = {"x": {}, "y": {}}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 5 or parts[0] not in ("x", "y"):
-            raise ValueError(f"line {lineno}: expected 'x|y i j re im', got {line!r}")
-        try:
-            i, j = int(parts[1]), int(parts[2])
-            v = complex(float(parts[3]), float(parts[4]))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        if not cmath.isfinite(v):
-            raise ValueError(f"line {lineno}: entry {v} is not finite")
-        if not 0 <= i <= order or not 0 <= j <= order or i + j > order:
-            raise ValueError(f"line {lineno}: degree ({i},{j}) outside order {order}")
-        component = entries[parts[0]]
-        if (i, j) in component:
-            raise ValueError(f"line {lineno}: duplicate entry for {parts[0]} ({i},{j})")
-        component[i, j] = v
-    return MapJet(Jet.from_entries(entries["x"], order), Jet.from_entries(entries["y"], order))
+
+    def inside(_tag, i, j):
+        if i < 0 or j < 0 or i + j > order:
+            raise ValueError(f"degree ({i},{j}) outside order {order}")
+
+    entries = _read_entries(path, ("x", "y"), inside)
+    x, y = ({(i, j): v for (t, i, j), v in entries.items() if t == c} for c in "xy")
+    return MapJet(Jet.from_entries(x, order), Jet.from_entries(y, order))
 
 
 def _twist_from_args(args: argparse.Namespace) -> TwistParams:

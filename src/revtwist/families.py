@@ -9,24 +9,12 @@ the condition making atilde real on the slice eta = conj(xi).
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .series import Jet
-
-
-def _degeneracy_order(s) -> int:
-    """The degeneracy order s as an int: an integer, not a bool, at least 1."""
-    try:
-        k = operator.index(s)
-    except TypeError:
-        k = 0
-    if isinstance(s, bool) or k < 1:
-        raise ValueError(f"s must be a positive integer, got {s!r}")
-    return k
+from .series import Jet, _check_int
 
 
 def _power(table: dict, k: int):
@@ -59,11 +47,11 @@ class CoefficientFamily:
     def __post_init__(self):
         ent = {}
         for (i, j), v in self.entries.items():
-            i, j = int(i), int(j)
+            name = f"index of entry {(i, j)}"
+            key = (_check_int(i, name, 0), _check_int(j, name, 0))
             v = complex(v)
-            if v == 0:
-                continue
-            ent[(i, j)] = v
+            if v != 0:
+                ent[key] = v
         if self.hermitian:
             for (i, j), v in list(ent.items()):
                 mirror = ent.get((j, i))
@@ -72,10 +60,8 @@ class CoefficientFamily:
                 elif abs(mirror - np.conj(v)) > 0:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) break Hermitian symmetry")
         if self._validate:
-            object.__setattr__(self, "s", _degeneracy_order(self.s))
+            object.__setattr__(self, "s", _check_int(self.s, "s"))
             for (i, j), v in ent.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative index ({i},{j})")
                 if i + j <= 2 * self.s:
                     raise ValueError(f"entry ({i},{j}) has total degree <= 2s = {2 * self.s}")
                 if not cmath.isfinite(v):
@@ -142,34 +128,44 @@ class CoefficientFamily:
         return Jet.from_entries(ent, order)
 
 
-def _parse_line(line: str, lineno: int) -> tuple[tuple[int, int], complex] | None:
-    body = line.split("#", 1)[0].strip()
-    if not body:
-        return None
-    parts = body.split()
-    if len(parts) != 4:
-        raise ValueError(f"line {lineno}: expected 'i j re im', got {line.rstrip()!r}")
-    try:
-        i, j = int(parts[0]), int(parts[1])
-        re, im = float(parts[2]), float(parts[3])
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
-    return (i, j), complex(re, im)
+def _read_entries(path: str | Path, tags: tuple = (), check=None) -> dict:
+    """Entries of a text coefficient file, one 'i j re im' line each, or
+    'tag i j re im' with a tag from `tags` (("x", "y") for map jets).
+
+    Blank lines and '#' comments are skipped.  Keys are (i, j), or
+    (tag, i, j) when tags are given; `check(*key)` may refuse an entry
+    by raising ValueError.  A line with the wrong fields, a number that
+    does not parse, a non-finite value, a repeated key or a refused entry
+    raises ValueError that starts with its line number.
+    """
+    layout = ("|".join(tags) + " " if tags else "") + "i j re im"
+    fields = len(layout.split())
+    entries = {}
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        try:
+            if len(parts) != fields or (tags and parts[0] not in tags):
+                raise ValueError(f"expected '{layout}', got {line.rstrip()!r}")
+            *tag, i, j, re, im = parts
+            key = (*tag, int(i), int(j))
+            value = complex(float(re), float(im))
+            if not cmath.isfinite(value):
+                raise ValueError(f"entry {value} is not finite")
+            if key in entries:
+                raise ValueError(f"duplicate entry for {key}")
+            if check is not None:
+                check(*key)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        entries[key] = value
+    return entries
 
 
 def load_family(path: str | Path, s: int, hermitian: bool = False) -> CoefficientFamily:
     """Read a family from the text format: one 'i j re im' entry per line."""
-    entries: dict[tuple[int, int], complex] = {}
-    text = Path(path).read_text()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parsed = _parse_line(line, lineno)
-        if parsed is None:
-            continue
-        key, value = parsed
-        if key in entries:
-            raise ValueError(f"line {lineno}: duplicate entry for {key}")
-        entries[key] = value
-    return CoefficientFamily(entries, s, hermitian)
+    return CoefficientFamily(_read_entries(path), s, hermitian)
 
 
 def save_family(path: str | Path, family: CoefficientFamily) -> None:

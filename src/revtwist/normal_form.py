@@ -17,6 +17,7 @@ import numpy as np
 from .series import (
     Jet,
     MapJet,
+    _check_order,
     diagonal_series,
     map_compose,
     map_inverse,
@@ -271,6 +272,7 @@ def phi2_from_Gamma(gamma, eps: int, s: int, order: int) -> MapJet:
 def normal_form_map(lam: complex, eps: int, s: int | float, order: int) -> MapJet:
     """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s})."""
     # Radial: g = i eps t^s in t = xi eta, zero for eps = 0 or s beyond order.
+    order = _check_order(order)
     g = np.zeros(order // 2 + 1, dtype=complex)
     if eps and s < len(g):
         g[int(s)] = 1j * eps
@@ -315,7 +317,7 @@ def full_normalize(
     ``residual`` is the worst of these defects.  (eps, s) = (0, S_INFINITY)
     means Gamma is constant through order N (see ``NormalFormResult``).
     """
-    n = phi.order if order is None else int(order)
+    n = phi.order if order is None else _check_order(order)
     if n > phi.order or (tau is not None and n > tau.order):
         raise ValueError(f"order {n} exceeds the truncation order of phi or tau")
     phi = phi.truncate(n)

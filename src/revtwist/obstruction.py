@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import CoefficientFamily
+from .series import _check_int
 from .twist import (
     HypothesisViolation,
     TwistParams,
@@ -85,10 +86,8 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not 0.0 < delta < math.pi:
         raise ValueError("delta must lie in (0, pi)")
-    if count < 1:
-        raise ValueError("count must be positive")
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    count = _check_int(count, "count")
+    n_max = _check_int(n_max, "n_max")
     margin = 1e-8 + abs(alpha) * n_max * 1e-15
     out = []
     chunk = 1 << 20
@@ -145,7 +144,7 @@ def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int):
     The grid holds 4n points so the target coefficient is read alias-free;
     Laurent data is retained through |k| <= K = 2n-1.
     """
-    K = 2 * n - 1
+    K = 2 * _check_int(n, "n") - 1
     return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * n, K=K), K
 
 

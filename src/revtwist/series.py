@@ -11,6 +11,7 @@ order up to floating-point rounding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,11 +27,28 @@ def _triangle_mask(order: int) -> np.ndarray:
     return (i[:, None] + i[None, :]) <= order
 
 
-def _check_order(order: int) -> int:
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"truncation order must be in [1, {MAX_ORDER}], got {order}")
-    return order
+def _check_int(value, name: str, lo: int = 1, hi: int | None = None) -> int:
+    """The package's one rule for a count, order, period, index or size:
+    `value` as an int in [lo, hi] (hi None: no upper end).
+
+    operator.index admits Python and numpy integers alone, so a float or a
+    string is refused rather than rounded; a bool is refused too.  Either
+    failure raises one ValueError that names the argument.
+    """
+    try:
+        k = operator.index(value)
+    except TypeError:
+        k = None
+    if k is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if k < lo or (hi is not None and k > hi):
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return k
+
+
+def _check_order(order) -> int:
+    return _check_int(order, "truncation order", 1, MAX_ORDER)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .series import (
     DEFAULT_ORDER,
     Jet,
     MapJet,
+    _check_int,
     jet_exp_i,
     jet_mul,
     map_compose,
@@ -69,8 +70,7 @@ class BishopData:
 
 def is_exceptional(lam: complex, max_order: int = 64) -> tuple[bool, int | None]:
     """First k <= max_order with lam^k = 1, if any."""
-    if max_order < 1:
-        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    max_order = _check_int(max_order, "max_order")
     if not abs(abs(lam) - 1.0) <= 1e-8:
         raise ValueError(f"|lambda| = {abs(lam)} is off the unit circle")
     power = 1.0 + 0.0j
@@ -185,7 +185,7 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 
 
 def _default_grid(n: int) -> int:
-    return max(8 * n, 64)
+    return max(8 * _check_int(n, "n"), 64)
 
 
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
@@ -256,8 +256,7 @@ def real_intersection(curve: PeriodicCurve, samples: int = 512):
     real points and is reported as the string "continuum".  Each segment
     is sampled at ``samples`` points (at least 2) by one Laurent evaluation.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be at least 2, got {samples}")
+    samples = _check_int(samples, "samples", 2)
     at = _laurent_eval(curve)
     vs = np.linspace(0.55, 1.8, samples)
     hits = []
@@ -295,7 +294,7 @@ class QZetaReport:
 
 def _require_even_resonance(tp: TwistParams, n: int) -> float:
     """Check 4s | n, beta in (-pi, 0) and an even winding; return zeta0."""
-    if n % (4 * tp.s):
+    if _check_int(n, "n") % (4 * tp.s):
         raise HypothesisViolation("the second-order display needs 4s | n")
     rd, zeta0 = _beta_window(tp, n)
     # The half-angle phase over one period is g*pi; the w^{2n} display

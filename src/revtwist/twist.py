@@ -12,14 +12,14 @@ the periodic-point equation zeta (1+h)^{1/(2s)} = e^{i j pi/s} (-beta/n)^{1/(2s)
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from .families import CoefficientFamily, _degeneracy_order, _power_table
+from .families import CoefficientFamily, _power_table
+from .series import _check_int
 
 
 class DomainError(ValueError):
@@ -48,7 +48,7 @@ class TwistParams:
     R: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "s", _degeneracy_order(self.s))
+        object.__setattr__(self, "s", _check_int(self.s, "s"))
         if not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 < self.R < 1.0:
@@ -114,7 +114,10 @@ class MajorantReport:
     satisfied: bool
 
 
-@lru_cache(maxsize=None)
+# The caches of beta_reduce and compute_constants are typed: True and 5.0
+# hash like 1 and 5, and an untyped cache would hand them the entry of the
+# integer without checking them.
+@lru_cache(maxsize=None, typed=True)
 def beta_reduce(n: int, alpha: float) -> ResonanceData:
     """Write n*alpha = 2 g pi + beta with beta in (-pi, pi).
 
@@ -122,9 +125,7 @@ def beta_reduce(n: int, alpha: float) -> ResonanceData:
     accuracy even when n*alpha is large.  A beta within 1e-14 of +-pi is
     ambiguous (the sign of the residual window is undecidable) and rejected.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _check_int(n, "n")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     digits = 30 + max(0, int(math.log10(max(abs(alpha), 1.0) * n + 1.0)))
@@ -238,41 +239,34 @@ def varphi_eval(a: CoefficientFamily, tp: TwistParams, point):
 
 def iterate(map_eval, n: int, point):
     """n-fold composition of a pointwise map."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
     xi, eta = point
-    for _ in range(n):
+    for _ in range(_check_int(n, "n")):
         xi, eta = map_eval(xi, eta)
     return xi, eta
 
 
-def _p_n(map_eval, tp: TwistParams, n: int, xi, eta):
-    """Relative deviation of the n-th iterate from the model rotation.
-
-    p_n = xi_n e^{-i n omega(t)} / xi - 1, with the large multiple n*alpha
-    reduced through beta_reduce so no precision is lost to phase wrapping.
-    """
-    rd = beta_reduce(n, tp.alpha)
-    t = np.asarray(xi, dtype=complex) * eta
-    xin, etan = iterate(map_eval, n, (xi, eta))
-    model = np.exp(1j * (rd.beta + n * t**tp.s))
-    return xin / (np.asarray(xi, dtype=complex) * model) - 1.0, (xin, etan)
-
-
 def _h_orbit(zeta, w, tp: TwistParams, n: int, map_eval):
     """h at (zeta, w) with the start points (xi, eta) = (zeta w, zeta/w) and
-    their n-th iterates: (h, (xi, eta), (xi_n, eta_n))."""
+    their n-th iterates: (h, (xi, eta), (xi_n, eta_n)).
+
+    h = log(1 + p_n) / (i n zeta^{2s}), where p_n = xi_n e^{-i n omega(t)} / xi - 1
+    (t = xi eta) is the relative deviation of the n-th iterate from the
+    model rotation; the large multiple n*alpha is reduced through
+    beta_reduce so no precision is lost to phase wrapping.
+    """
     zeta = np.asarray(zeta, dtype=complex)
     w = np.asarray(w, dtype=complex)
     if np.any(zeta == 0):
         raise DomainError("h is undefined at zeta = 0")
     xi, eta = zeta * w, zeta / w
     _guard_inside(xi, eta, "h_eval")
-    p, orbit = _p_n(map_eval, tp, n, xi, eta)
+    rd = beta_reduce(n, tp.alpha)
+    xin, etan = iterate(map_eval, n, (xi, eta))
+    p = xin / (xi * np.exp(1j * (rd.beta + n * (xi * eta) ** tp.s))) - 1.0
     pmax = float(np.abs(p).max())
     if pmax > 0.5:
         raise DomainError(f"|p_n| = {pmax:.3f} > 1/2: outside the validated region")
-    return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s)), (xi, eta), orbit
+    return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s)), (xi, eta), (xin, etan)
 
 
 def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None):
@@ -316,9 +310,7 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     if map_eval is None:
         map_eval = make_varphi(a, tp)
     _, zeta0 = _beta_window(tp, n)
-    for j in js:
-        if isinstance(j, bool) or not 1 <= operator.index(j) <= 2 * tp.s:
-            raise ValueError(f"branch index must be an integer in 1..{2 * tp.s}")
+    js = [_check_int(j, "branch index", 1, 2 * tp.s) for j in js]
     w = np.asarray(w, dtype=complex)
     wmod = np.abs(w)
     if not (np.all(wmod > 0.5) and np.all(wmod < 2.0)):
@@ -326,8 +318,8 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     # The branches run as one flat array of points: a single branch runs on
     # the 1-d arrays of its own grid, and no ufunc pays for a second axis.
     shape = (len(js),) + w.shape
-    target = np.repeat(np.array([complex(np.exp(1j * operator.index(j) * math.pi / tp.s))
-                                 * zeta0 for j in js]), w.size)
+    target = np.repeat(np.array([complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
+                                 for j in js]), w.size)
     w = np.concatenate([w.ravel()] * len(js))
 
     inv_root = -1.0 / (2 * tp.s)
@@ -390,10 +382,8 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
     ignored; the paper's constants come from ``compute_constants``.
     """
-    if grid_size < 1:
-        raise ValueError(f"grid_size must be at least 1, got {grid_size}")
-    if K < 0:
-        raise ValueError(f"K must be non-negative, got {K}")
+    grid_size = _check_int(grid_size, "grid_size")
+    K = _check_int(K, "K", 0)
     if grid_size < 2 * K + 1:
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
@@ -466,12 +456,11 @@ def _calibrate_c2(tp: TwistParams, n: int, c1: float) -> float:
     raise SolverError("c2 calibration failed: |h| > 1/4 persists down to c1/2^12")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def compute_constants(tp: TwistParams, n: int) -> CurveDomain:
     """Explicit constants for period n: d0, the bracket constant c1, the
     calibrated c2, and the derived (epsilon0, delta, r0)."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _check_int(n, "n")
     s = tp.s
     d0 = _d0(tp, n)
     c1 = 0.5 * n * d0 ** (2 * s)
@@ -491,13 +480,8 @@ def majorant_sequence(tp: TwistParams, n: int, K: int | None = None) -> Majorant
               (1-f_k)^{-2s-2} / (1 - (2 d0/R) e^{k d0^{2s}} (1-f_k)^{-1}).
     The bound is proven, so ``satisfied`` False flags a constants-pipeline bug.
     """
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if K is None:
-        K = n
-    if not 0 <= K <= n:
-        raise ValueError(f"K must lie in 0..n = {n}, got {K}")
+    n = _check_int(n, "n")
+    K = n if K is None else _check_int(K, "K", 0, n)
     s, m0, R = tp.s, tp.m0, tp.R
     d0 = _d0(tp, n)
     t0 = d0 ** (2 * s)

@@ -2,6 +2,7 @@
 that deletes or renames one of those names would break it silently.  These
 tests read bench/ and change nothing there."""
 
+import ast
 import importlib.util
 import inspect
 import math
@@ -35,10 +36,46 @@ def test_tracer_wraps_existing_names_and_uninstalls():
         assert getattr(owner, attr) is original, f"{attr} is still wrapped"
 
 
-def test_curve_keeps_the_keyword_the_workloads_pass():
-    from revtwist.twist import periodic_curve
+def bench_calls():
+    """(where, name, positional count, keywords) of every program call in
+    the workloads and the warm-up, made as rt.f(...) or call(rt.f, ...)."""
+    for module in ("workloads", "warmup"):
+        for node in ast.walk(ast.parse((BENCH / f"{module}.py").read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if isinstance(func, ast.Name) and func.id == "call" and args:
+                func, args = args[0], args[1:]
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id == "rt"):
+                assert not any(isinstance(a, ast.Starred) for a in args)
+                yield (f"{module}.py:{node.lineno}", func.attr, len(args),
+                       [k.arg for k in node.keywords])
 
-    assert "check_domain" in inspect.signature(periodic_curve).parameters
+
+def test_curve_keeps_the_keyword_the_workloads_pass():
+    # Every call still binds to the signature it reaches, so no keyword or
+    # positional slot the benchmark passes has gone.
+    import revtwist
+
+    passed = set()
+    for where, name, nargs, keywords in bench_calls():
+        signature = inspect.signature(getattr(revtwist, name))
+        try:
+            signature.bind(*range(nargs), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"{where}: {name}{signature} no longer binds: {exc}")
+        passed.update(keywords)
+    assert passed >= {"check_domain", "grid_size", "K", "order", "reality", "tau", "abar",
+                      "intersect", "include_remainder", "t", "samples"}
+
+
+def test_runner_clears_the_caches_it_names():
+    # bench/run.py clears both caches before every operation.
+    from revtwist import twist
+
+    for cached in (twist.beta_reduce, twist.compute_constants):
+        cached.cache_clear()
 
 
 def traced_counts(run):

@@ -9,7 +9,7 @@ from revtwist.cli import load_map, main
 from revtwist.families import CoefficientFamily, load_family, save_family
 from revtwist.series import DEFAULT_ORDER
 from revtwist.surface import involution_jets
-from revtwist.twist import TwistParams
+from revtwist.twist import TwistParams, compute_constants
 
 ALPHA_RES = (4 * math.pi - 2.0) / 4  # n = 4 resonance with beta = -2, g = 2
 
@@ -170,6 +170,26 @@ class TestExitCodes:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 65
         assert float(rows[1].split(",")[-1]) < 1e-10
+
+    def test_constants_report(self, tmp_path):
+        # Each run recomputes: the cache would make a rerun identical trivially.
+        out = tmp_path / "k.txt"
+        outs = []
+        for _ in range(2):
+            compute_constants.cache_clear()
+            assert main(["constants", "--alpha", "1", "--s", "1", "--n", "10",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        rows = [ln.split(" = ") for ln in outs[0].decode().splitlines()
+                if not ln.startswith("#")]
+        compute_constants.cache_clear()
+        dom = compute_constants(TwistParams(alpha=1.0, s=1), 10)
+        names = ["n", "d0", "c1", "c2", "epsilon0", "delta", "r0"]
+        assert [key for key, _ in rows] == names
+        assert rows[0][1] == "10"
+        for key, value in rows[1:]:
+            assert float(value) == getattr(dom, key)
 
     @pytest.mark.parametrize("s,n,cause", [("3", "10", "underflows"), ("4", "1", "calibration")])
     def test_constants_failure_is_one_line(self, s, n, cause, capsys):

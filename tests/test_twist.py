@@ -119,7 +119,7 @@ class TestBetaReduce:
 class TestTwistParams:
     def test_validation(self):
         for bad_s in (0, 1.5, True, "2"):
-            with pytest.raises(ValueError, match="positive integer"):
+            with pytest.raises(ValueError, match=r"^s must be (an integer|at least 1), got "):
                 TwistParams(alpha=0.1, s=bad_s)
         tp = TwistParams(alpha=0.1, s=np.int64(2))
         assert tp.s == 2 and type(tp.s) is int
@@ -437,7 +437,7 @@ class TestSolveBranch:
         tp = TwistParams(alpha=resonant_alpha(n, 1, -0.08), s=1)
         fam = CoefficientFamily({(3, 0): 0.02}, 1)
         for j in (True, False):
-            with pytest.raises(ValueError, match=r"^branch index must be an integer in 1\.\.2$"):
+            with pytest.raises(ValueError, match=rf"^branch index must be an integer, got {j!r}$"):
                 solve_branch(fam, tp, n, j, 1.0)
             with pytest.raises(ValueError, match="branch index"):
                 periodic_curve(fam, tp, n, j, grid_size=16, K=4)
@@ -458,6 +458,63 @@ class TestSolveBranch:
         for row, j in zip(zeta, (4, 1, 2)):
             assert row.tobytes() == solve_branch(fam, tp, n, j, w).tobytes()
             assert solve_branch(fam, tp, n, j, w[2]) == row[2]
+
+
+GATE_N = 5
+GATE_TP = TwistParams(alpha=resonant_alpha(GATE_N, 1, -0.1), s=1)
+GATE_R2 = _beta_window(GATE_TP, GATE_N)[1] ** 2  # zeta0^2
+
+
+def twist_with_h(H, eta_turn=0.0):
+    """The twist of GATE_TP turned by a further t H(t) per step (t = xi eta),
+    with eta turned by eta_turn more.  t is kept, so the n-step
+    deviation of xi is e^{i n t H(t)} and the solver sees h = H(zeta^2)
+    (s = 1); h reads xi alone, so eta_turn only spoils the n-step return."""
+
+    def step(xi, eta):
+        t = xi * eta
+        ph = np.exp(1j * (GATE_TP.omega(t) + t * H(t)))
+        return ph * xi, eta / ph * np.exp(1j * eta_turn)
+
+    return step
+
+
+class TestCurveGates:
+    """One injected map per gate of the curve solver, each reaching it first."""
+
+    def solve(self, map_eval):
+        return periodic_curve(CoefficientFamily({}, 1), GATE_TP, GATE_N, 2,
+                              grid_size=8, K=2, map_eval=map_eval)
+
+    def test_h_above_one_half(self):
+        # |p_n| = 0.06 stays inside the validated region, but h = 0.6
+        with pytest.raises(DomainError, match=r"^\|h\| > 1/2: contraction hypothesis lost$"):
+            self.solve(twist_with_h(lambda t: 0.6 + 0 * t))
+
+    def test_no_convergence_in_50_steps(self):
+        # zeta -> zeta0 (|zeta/zeta0|^2 + 0.1)^{-1/2} has slope about -0.9 at
+        # its fixed point, so 50 Picard steps leave a step near 5e-5
+        with pytest.raises(SolverError, match=r"^no convergence in 50 iterations; last step "):
+            self.solve(twist_with_h(lambda t: 0.1 + (t / GATE_R2 - 1)))
+
+    def test_equation_residual(self):
+        # h = 4e-13 at the start radius makes a first step below the 1e-13
+        # stopping bound, but just inside it h jumps to 1e-3: the last h
+        # evaluation, at the accepted zeta, misses the equation by ~7e-5
+        def H(t):
+            return np.where(np.abs(t) >= GATE_R2 * (1 - 1e-13), 4e-13, 1e-3)
+
+        with pytest.raises(SolverError, match=r"^equation residual .* exceeds 1e-12$"):
+            self.solve(twist_with_h(H))
+
+    def test_n_step_return(self):
+        # the unperturbed curve solves its equation, but eta drifts 1e-6 per step
+        with pytest.raises(SolverError, match=r"^n-step return residual .* exceeds 1e-10$"):
+            self.solve(twist_with_h(lambda t: 0 * t, eta_turn=1e-6))
+
+    def test_the_unturned_map_passes_every_gate(self):
+        crv = self.solve(twist_with_h(lambda t: 0 * t))
+        assert crv.residual < 1e-10
 
 
 class TestPeriodicCurve:
