@@ -118,6 +118,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     crv = periodic_curve(fam, tp, args.n, args.j, grid_size=args.grid, K=K)
     lines = _meta(args, effective_K=K)
     lines.append(f"# zeta0 = {_g17(crv.zeta0)}")
+    lines.append(f"# diag.branch_steps = {crv.steps}")
     if crv.reality_defect is not None:
         lines.append(f"# reality_defect = {_g17(crv.reality_defect)}")
     lines += _curve_rows(crv)

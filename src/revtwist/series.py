@@ -90,6 +90,12 @@ class Jet:
         raise ValueError(f"unknown coordinate {which!r}")
 
     def __post_init__(self):
+        # Every jet operation builds a jet, so a plain in-range int skips
+        # the rule's call; anything else (a float, a bool, a numpy
+        # integer) goes through it.
+        order = self.order
+        if type(order) is not int or not 1 <= order <= MAX_ORDER:
+            object.__setattr__(self, "order", _check_order(order))
         c = np.asarray(self.coeffs, dtype=complex)
         object.__setattr__(self, "coeffs", c)
         if c.shape != (self.order + 1, self.order + 1):

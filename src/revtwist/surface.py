@@ -216,7 +216,7 @@ def _w2n_coeffs(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
     _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = _default_grid(n)
     w = np.exp(2j * np.pi * np.arange(G) / G)
-    zeta, _, _ = _solve_branch(a, tp, n, js, w, phi)
+    zeta = _solve_branch(a, tp, n, js, w, phi)[0]
     return (np.fft.fft(zeta) / G)[:, 2 * n].tolist()
 
 

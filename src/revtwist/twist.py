@@ -92,6 +92,8 @@ class CurveDomain:
 class PeriodicCurve:
     """Period-n branch curve sampled over the unit w-circle.
 
+    ``steps`` is the number of h evaluations the solver's iteration made
+    (the final evaluation, which the gates read, not counted).
     ``real_intersections`` is filled in by ``surface_curves`` only.
     """
 
@@ -102,6 +104,7 @@ class PeriodicCurve:
     n: int
     grid_size: int
     zeta0: float
+    steps: int
     reality_defect: float | None = None
     real_intersections: tuple | str | None = None
 
@@ -297,15 +300,31 @@ def _step_bound(zeta0: float, s: int) -> float:
     return max(1e-13, 4 * zeta0 * float(np.finfo(float).eps) / (2 * s * zeta0 ** (2 * s)))
 
 
+def _secant_update(zeta, r, zeta_prev, r_prev):
+    """One secant step on R(zeta) = T(zeta) - zeta from the last two iterates;
+    the Picard step zeta + r wherever R repeats (r == r_prev) or the quotient
+    is not finite, without a numpy warning."""
+    with np.errstate(all="ignore"):
+        secant = zeta - r * (zeta - zeta_prev) / (r - r_prev)
+    return np.where(np.isfinite(secant), secant, zeta + r)
+
+
 def _solve_branch(a, tp, n, js, w, map_eval):
     """Solve the branches js at w together: zeta of shape (len(js),) + w.shape,
-    zeta0 and the largest n-step return residual.
+    zeta0, the largest n-step return residual and the number of h
+    evaluations the iteration made.
 
-    One Picard loop (one h evaluation and n-step orbit per step) runs until
-    the largest step of any branch is within `_step_bound`, so every branch
-    takes the steps of the slowest.  Each gate of `solve_branch` is taken
-    over all branches: the input passes only if every branch passes, and
-    the error raised is the first gate that any branch reaches.
+    The root of R(zeta) = T(zeta) - zeta, T(zeta) = target (1 + h(zeta, w))^{-1/(2s)},
+    is found by the secant method at every point: each step costs one h
+    evaluation (one n-step orbit); the first step is the Picard step
+    zeta + R, and so is any step where R repeats or the secant quotient is
+    not finite (`_secant_update`).  The loop runs until the largest step of
+    any branch is within `_step_bound`, so every branch takes the steps of
+    the slowest.  That test bounds the step, not the residual; the
+    equation residual is checked after the loop.  Each gate of
+    `solve_branch` is taken over all branches: the input passes only if
+    every branch passes, and the error raised is the first gate that any
+    branch reaches.
     """
     if map_eval is None:
         map_eval = make_varphi(a, tp)
@@ -326,13 +345,14 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     bound = _step_bound(zeta0, tp.s)
     zeta = target
     step = math.inf
-    for _ in range(50):
+    for steps in range(1, 51):
         h = h_eval(zeta, w, a, tp, n, map_eval)
         if float(np.abs(h).max()) > 0.5:
             raise DomainError("|h| > 1/2: contraction hypothesis lost")
-        znew = target * np.exp(inv_root * np.log(1.0 + h))
+        r = target * np.exp(inv_root * np.log(1.0 + h)) - zeta
+        znew = zeta + r if steps == 1 else _secant_update(zeta, r, zeta_prev, r_prev)
         step = float(np.abs(znew - zeta).max())
-        zeta = znew
+        zeta_prev, r_prev, zeta = zeta, r, znew
         if step <= bound:
             break
     else:
@@ -347,20 +367,24 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     ret = max(float(np.abs(xin - xi).max()), float(np.abs(etan - eta).max()))
     if ret > 1e-10:
         raise SolverError(f"n-step return residual {ret:.3e} exceeds 1e-10")
-    return zeta.reshape(shape), zeta0, ret
+    return zeta.reshape(shape), zeta0, ret, steps
 
 
 def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     """Solve the branch-j periodic-point equation at w (scalar or array).
 
     Returns zeta with zeta (1+h(zeta,w))^{1/(2s)} = e^{i j pi / s} (-beta/n)^{1/(2s)}.
-    The fixed-point iteration stops once a step is at most four times its
-    rounding floor zeta0 eps_mach / (2s zeta0^{2s}), or 1e-13 if larger (50
-    steps at most); zeta is verified both against the equation (absolute
-    residual below 1e-12) and by the n-step return test, which reads the
-    orbit of the final h evaluation instead of iterating again.  Raises
-    HypothesisViolation when beta is not in (-pi, 0), DomainError when the
-    orbit leaves the validated region, SolverError on convergence failure.
+    Each step is a secant step on R(zeta) = e^{i j pi / s} zeta0 (1+h)^{-1/(2s)} - zeta
+    at one h evaluation; the first step, and any step where R repeats or
+    the secant quotient is not finite, is the Picard step zeta + R.  The
+    iteration stops once a step is at most four times its rounding floor
+    zeta0 eps_mach / (2s zeta0^{2s}), or 1e-13 if larger (50 steps at
+    most).  That bounds the step, not the residual, so zeta is then
+    verified both against the equation (absolute residual below 1e-12) and
+    by the n-step return test, which reads the orbit of the final h
+    evaluation instead of iterating again.  Raises HypothesisViolation when
+    beta is not in (-pi, 0), DomainError when the orbit leaves the
+    validated region, SolverError on convergence failure.
     """
     scalar = np.isscalar(w) or np.asarray(w).ndim == 0
     zeta = _solve_branch(a, tp, n, (j,), w, None)[0][0]
@@ -376,9 +400,13 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     grid (alias rule: coefficient k is read at index k mod grid_size), so the
     grid must satisfy grid_size >= 2K+1.
 
-    The curve is validated numerically by the gates of ``solve_branch``
-    (|h| <= 1/2, equation residual 1e-12, n-step return 1e-10, the last on
-    the orbit of the final h evaluation).  The guard alone keeps
+    Each sample is solved as in ``solve_branch``: secant steps after a
+    Picard first step (Picard again wherever the secant quotient fails),
+    stopped on a step within the stopping bound; ``steps`` counts the h
+    evaluations this took on the grid.  The curve is validated numerically
+    by the gates of ``solve_branch`` (|h| <= 1/2, equation residual 1e-12,
+    n-step return 1e-10, the last on the orbit of the final h
+    evaluation).  The guard alone keeps
     |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
     ignored; the paper's constants come from ``compute_constants``.
     """
@@ -388,7 +416,7 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
-    zeta, zeta0, ret = _solve_branch(a, tp, n, (j,), w, map_eval)
+    zeta, zeta0, ret, steps = _solve_branch(a, tp, n, (j,), w, map_eval)
     zeta = zeta[0]
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
@@ -398,7 +426,7 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     samples = [(complex(wv), complex(zv)) for wv, zv in zip(w, zeta)]
     return PeriodicCurve(
         j=j, samples=samples, laurent=laurent, residual=ret, n=n,
-        grid_size=grid_size, zeta0=zeta0, reality_defect=reality,
+        grid_size=grid_size, zeta0=zeta0, steps=steps, reality_defect=reality,
     )
 
 

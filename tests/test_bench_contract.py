@@ -90,7 +90,7 @@ def traced_counts(run):
 
 
 def test_tracer_counts_curve_layers():
-    # One period-7 curve on 32 points takes three Picard steps, each one
+    # One period-7 curve on 32 points takes three solver steps, each one
     # h_eval; the final h evaluation, whose orbit the return test reads,
     # runs its own iterate.  Every h evaluation is one iterate of n map
     # steps, so a refactor that hides a layer from its counter shows here.
@@ -120,25 +120,26 @@ def test_tracer_counts_surface_layers():
     a = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
     abar = CoefficientFamily({(4, 0): -0.06 + 0.01j}, 1)
     counts = traced_counts(lambda: surface_curves(a, tp, n, 2, grid_size=64, abar=abar))
-    assert counts["twist.h_eval"] == (15, 0)
-    assert counts["twist.iterate"] == (16, 0)
-    assert counts["surface.tau_eval"] == (16 * n, 16 * n * 64)
+    assert counts["twist.h_eval"] == (5, 0)
+    assert counts["twist.iterate"] == (6, 0)
+    assert counts["surface.tau_eval"] == (6 * n, 6 * n * 64)
     assert "twist.map_eval" not in counts
     assert counts["surface.real_intersection"] == (1, 0)
 
 
-# (s, n, alpha, Picard steps of each branch alone, iterate calls of the
+# (s, n, alpha, secant steps of each branch alone, iterate calls of the
 # default estimator at t = 1e-2)
 OBSTRUCTION_INPUTS = [
-    (1, 4, (4 * math.pi - 2.0) / 4, 38, 24),
-    (2, 8, (4 * math.pi - 1.25) / 8, 14, 20),
+    (1, 4, (4 * math.pi - 2.0) / 4, 7, 18),
+    (2, 8, (4 * math.pi - 1.25) / 8, 5, 16),
 ]
 
 
-@pytest.mark.parametrize("s, n, alpha, steps, default_iterates", OBSTRUCTION_INPUTS)
+@pytest.mark.parametrize("s, n, alpha, steps, default_iterates", OBSTRUCTION_INPUTS,
+                         ids=["s1-n4", "s2-n8"])
 def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_iterates):
     # The 2s branch curves of Hn_obstruction are solved as one batch: one
-    # Picard loop whose every step is one h evaluation and one n-step orbit
+    # secant loop whose every step is one h evaluation and one n-step orbit
     # over all branches, plus the final evaluation the return test reads.
     # Each branch takes the steps it takes alone, so the tau points equal
     # those of 2s single-branch curves while the calls fall 2s-fold.

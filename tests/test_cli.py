@@ -260,6 +260,20 @@ class TestCurveArtifact:
         assert len(first) == 5
         assert abs(float(first[0]) - 1.0) < 1e-15
 
+    def test_readme_example_reports_its_steps(self, tmp_path):
+        # The solver's h evaluations go among the # lines, and the
+        # artifact stays byte-identical from run to run.
+        fam = write(tmp_path / "fam.txt", "4 0 0.05 0.02\n")
+        out = tmp_path / "curve.csv"
+        texts = []
+        for _ in range(2):
+            rc = main(["curve", "--alpha", "2.8915926535897931", "--s", "1", "--n", "4",
+                       "--j", "2", "--family", fam, "--grid", "64", "--out", str(out)])
+            assert rc == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        assert "# diag.branch_steps = 5" in texts[0].splitlines()
+
 
 class TestSurfaceArtifact:
     def test_continuum_annotation(self, tmp_path):

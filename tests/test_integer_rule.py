@@ -50,6 +50,9 @@ CURVE = curve()
 # (site, the argument's name as the message starts, call, a valid value,
 # a value out of range)
 SITES = [
+    ("Jet", "truncation order", lambda v: Jet(np.zeros((13, 13)), v), 12, 65),
+    # True would match the shape of an order-1 table
+    ("Jet order 1", "truncation order", lambda v: Jet(np.zeros((2, 2)), v), 1, 0),
     ("Jet.zero", "truncation order", lambda v: Jet.zero(v), 12, 65),
     ("Jet.from_entries", "truncation order", lambda v: Jet.from_entries({}, v), 12, 0),
     ("Jet.truncate", "truncation order", lambda v: Jet.zero(8).truncate(v), 4, 65),

@@ -563,4 +563,4 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
     crv = surface_curves(CoefficientFamily({(4, 0): 0.05}, 1), tp, 4, 2,
                          grid_size=64, intersect=False)
     assert crv.residual <= 1e-10
-    assert counts == {"solves": 312, "eval": 312, "passes": 936}
+    assert counts == {"solves": 64, "eval": 64, "passes": 192}

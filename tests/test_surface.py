@@ -374,16 +374,19 @@ class TestBatchedBranches:
         assert Hn_obstruction(a, tp, n, abar=abar) == math.prod(factors)
 
     def test_branches_that_stop_at_different_steps(self):
-        # Alone, branches 1 and 3 stop after 9 Picard steps and 2 and 4
-        # after 10; together all four take 10.  The extra step moves a
-        # coefficient by rounding only, within 4 stopping bounds.
-        a = CoefficientFamily({(8, 0): 0.05 + 0.02j, (5, 0): 0.03 - 0.01j}, 2)
+        # Alone, branches 2 and 4 stop after 5 secant steps and 1 and 3
+        # after 6 (their fifth step is 1.5 stopping bounds); together all
+        # four take 6.  The extra step moves a coefficient by rounding only,
+        # within 4 stopping bounds.
+        a = CoefficientFamily({(8, 0): 0.05 + 0.02j, (6, 2): -0.113 - 0.01j,
+                               (3, 3): 0.013 + 0.013j}, 2)
         batch = _w2n_coeffs(a, TP_S2, 8, (1, 2, 3, 4), WITNESS_ABAR2)
         bound = 4 * _step_bound(_require_even_resonance(TP_S2, 8), 2)
         for j, c in enumerate(batch, start=1):
             alone = surface_curves(a, TP_S2, 8, j, intersect=False, abar=WITNESS_ABAR2)
+            assert alone.steps == (6 if j % 2 else 5)
             assert abs(c - alone.laurent[16]) <= bound
-            if j % 2 == 0:
+            if j % 2:
                 assert c == alone.laurent[16]
 
 

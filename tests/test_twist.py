@@ -30,7 +30,14 @@ from revtwist.twist import (
     twist_eval,
     varphi_eval,
 )
-from revtwist.twist import _beta_window, _d0, _exponent_fixed_point, _solve_branch, _step_bound
+from revtwist.twist import (
+    _beta_window,
+    _d0,
+    _exponent_fixed_point,
+    _secant_update,
+    _solve_branch,
+    _step_bound,
+)
 
 
 def resonant_alpha(n, g, beta):
@@ -446,14 +453,14 @@ class TestSolveBranch:
             _solve_branch(fam, tp, n, (1, 2, 3), np.ones(4), None)
 
     def test_batched_rows_match_single_branch_solves(self):
-        # Every branch and point of this input takes the same Picard steps,
+        # Every branch and point of this input takes the same solver steps,
         # so each row is its single-branch solve bitwise, and a scalar w,
         # solved as a one-point array, gives that point of the row.
         n = 9
         tp = TwistParams(alpha=resonant_alpha(n, 1, -0.02), s=2)
         fam = CoefficientFamily({(5, 0): 0.02, (0, 5): 0.02}, 2, hermitian=True)
         w = 0.9 * np.exp(2j * np.pi * np.arange(5) / 5)
-        zeta, _, ret = _solve_branch(fam, tp, n, (4, 1, 2), w, None)
+        zeta, _, ret, _ = _solve_branch(fam, tp, n, (4, 1, 2), w, None)
         assert zeta.shape == (3, 5) and ret < 1e-10
         for row, j in zip(zeta, (4, 1, 2)):
             assert row.tobytes() == solve_branch(fam, tp, n, j, w).tobytes()
@@ -492,10 +499,11 @@ class TestCurveGates:
             self.solve(twist_with_h(lambda t: 0.6 + 0 * t))
 
     def test_no_convergence_in_50_steps(self):
-        # zeta -> zeta0 (|zeta/zeta0|^2 + 0.1)^{-1/2} has slope about -0.9 at
-        # its fixed point, so 50 Picard steps leave a step near 5e-5
+        # The equation has no root: T(zeta) = zeta0 (1 + h)^{-1/2} lies
+        # inside the circle |zeta| = zeta0 from outside it and outside from
+        # inside, so no step rule settles (the last step is near 1e-2)
         with pytest.raises(SolverError, match=r"^no convergence in 50 iterations; last step "):
-            self.solve(twist_with_h(lambda t: 0.1 + (t / GATE_R2 - 1)))
+            self.solve(twist_with_h(lambda t: np.where(np.abs(t) > GATE_R2, 0.2, -0.2)))
 
     def test_equation_residual(self):
         # h = 4e-13 at the start radius makes a first step below the 1e-13
@@ -515,6 +523,65 @@ class TestCurveGates:
     def test_the_unturned_map_passes_every_gate(self):
         crv = self.solve(twist_with_h(lambda t: 0 * t))
         assert crv.residual < 1e-10
+
+
+def picard_curve(fam, tp, n, j, w):
+    """The curve solver's former step rule zeta <- T(zeta), with the same
+    start and stop test: the samples and the h evaluations it made."""
+    _, zeta0 = _beta_window(tp, n)
+    target = complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
+    map_eval = make_varphi(fam, tp)
+    bound = _step_bound(zeta0, tp.s)
+    zeta = np.full(w.shape, target)
+    for steps in range(1, 51):
+        h = h_eval(zeta, w, fam, tp, n, map_eval)
+        znew = target * np.exp(-np.log(1.0 + h) / (2 * tp.s))
+        step = np.abs(znew - zeta).max()
+        zeta = znew
+        if step <= bound:
+            return zeta, steps
+    raise AssertionError("the Picard oracle did not converge")
+
+
+# (family, twist, n, j, h evaluations of the Picard oracle and of the
+# solver) on a 64-point grid
+SECANT_INPUTS = {
+    "readme-library": (CoefficientFamily({(4, 0): 0.05, (0, 4): 0.05}, 1, hermitian=True),
+                       TwistParams(alpha=(4 * math.pi - 2.0) / 4, s=1), 4, 2, 37, 7),
+    "readme-curve": (CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1),
+                     TwistParams(alpha=2.8915926535897931, s=1), 4, 2, 10, 5),
+    "s2-two-modes": (CoefficientFamily({(8, 0): 0.05, (0, 8): 0.05}, 2, hermitian=True),
+                     TwistParams(alpha=(4 * math.pi - 1.25) / 8, s=2), 8, 4, 14, 5),
+    "s1-n40-hermitian": (CoefficientFamily({(3, 0): 0.02, (0, 3): 0.02}, 1, hermitian=True),
+                         TwistParams(alpha=resonant_alpha(40, 7, -0.2), s=1), 40, 2, 2, 2),
+}
+
+
+class TestSecantStep:
+    @pytest.mark.parametrize("fam, tp, n, j, picard_steps, secant_steps",
+                             SECANT_INPUTS.values(), ids=SECANT_INPUTS)
+    def test_agrees_with_picard(self, fam, tp, n, j, picard_steps, secant_steps):
+        # Both rules stop on a step within the bound, so their roots agree
+        # to a few bounds; the secant loop gets there in fewer h evaluations.
+        crv = periodic_curve(fam, tp, n, j, grid_size=64, K=16)
+        w = np.array([wv for wv, _ in crv.samples])
+        zeta, steps = picard_curve(fam, tp, n, j, w)
+        assert (steps, crv.steps) == (picard_steps, secant_steps)
+        got = np.array([zv for _, zv in crv.samples])
+        assert np.abs(got - zeta).max() <= 4 * _step_bound(crv.zeta0, tp.s)
+
+    def test_repeated_residual_takes_the_picard_step(self):
+        # Points 0-2 repeat R (with a moved, an unmoved and a zero iterate),
+        # point 3 overflows the quotient, point 4 takes the secant step.
+        zeta = np.array([0.5, 0.5, 0.7, 0.5, 0.6], dtype=complex)
+        zeta_prev = np.array([0.4, 0.5, 0.7, 1e300, 0.65], dtype=complex)
+        r = np.array([0.1, 0.2, 0.0, 1e300, 0.03], dtype=complex)
+        r_prev = np.array([0.1, 0.2, 0.0, 1e300 - 1e285, 0.05], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _secant_update(zeta, r, zeta_prev, r_prev)
+        assert got[:4].tolist() == (zeta[:4] + r[:4]).tolist()
+        assert abs(got[4] - (0.6 - 0.03 * -0.05 / -0.02)) < 1e-15
 
 
 class TestPeriodicCurve:
@@ -545,7 +612,7 @@ class TestPeriodicCurve:
         monkeypatch.setattr(twist, "iterate", counted_iterate)
         crv = periodic_curve(fam, tp, n, 2, grid_size=32, K=8, map_eval=counted_step)
         assert crv.residual <= 1e-10
-        assert counts["h"] == 4  # three Picard steps and the final evaluation
+        assert counts["h"] == 4  # three secant-loop steps and the final evaluation
         assert counts["iterate"] == counts["h"]
         assert counts["steps"] == n * counts["h"]
 
