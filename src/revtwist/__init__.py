@@ -64,8 +64,6 @@ from .series import (
     Jet,
     MapJet,
     MAX_ORDER,
-    coeffs_close,
-    complexify,
     jet_compose,
     jet_exp_i,
     jet_mul,

@@ -184,6 +184,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
         note = ";".join(f"{w.real:.9g}{w.imag:+.9g}j" for w in hits)
     lines = _meta(args)
     lines.append(f"# zeta0 = {_g17(crv.zeta0)}")
+    lines.append(f"# diag.branch_steps = {crv.steps}")
     lines.append(f"# real_intersections = {note}")
     rows = _curve_rows(crv)
     lines.append(rows[0] + ",real_intersections")

@@ -49,6 +49,13 @@ class CoefficientFamily:
         for (i, j), v in self.entries.items():
             name = f"index of entry {(i, j)}"
             key = (_check_int(i, name, 0), _check_int(j, name, 0))
+            if np.ndim(v):
+                # Per-point entries (one value per evaluation point, along
+                # the flat point axis) serve the batched probe solves only.
+                if self._validate:
+                    raise ValueError(f"entry ({i},{j}) must be a number, not an array")
+                ent[key] = np.asarray(v, dtype=complex)
+                continue
             v = complex(v)
             if v != 0:
                 ent[key] = v

@@ -401,15 +401,6 @@ def jet_exp_i(g: Jet) -> Jet:
     return out
 
 
-def complexify(f_z: Jet) -> MapJet:
-    """Polarize a series in (z, zbar) to the pair (Phi(xi,eta), Phibar(eta,xi)).
-
-    The second component's (i,j) coefficient is the conjugate of the first
-    component's (j,i) coefficient.
-    """
-    return MapJet(f_z, Jet(np.conj(f_z.coeffs).T.copy(), f_z.order))
-
-
 def rho_conjugate(phi: MapJet, rho_kind: str = "standard") -> MapJet:
     """The holomorphic map rho . phi . rho for an antiholomorphic involution rho.
 
@@ -433,19 +424,6 @@ def rho_conjugate(phi: MapJet, rho_kind: str = "standard") -> MapJet:
 def reality_defect(phi: MapJet, rho_kind: str = "standard") -> float:
     """Max coefficient modulus of rho.phi - phi.rho (zero iff reality holds)."""
     return (rho_conjugate(phi, rho_kind) - phi).max_abs()
-
-
-def majorant(f: Jet) -> Jet:
-    """Replace every coefficient by its modulus (the hat operator)."""
-    return Jet(np.abs(f.coeffs).astype(complex), f.order)
-
-
-def coeffs_close(a, b, tol: float = 1e-12) -> bool:
-    """Absolute comparison scaled by the max input coefficient modulus."""
-    ca = a.coeffs if isinstance(a, Jet) else np.asarray(a)
-    cb = b.coeffs if isinstance(b, Jet) else np.asarray(b)
-    scale = max(1.0, float(np.abs(ca).max()), float(np.abs(cb).max()))
-    return float(np.abs(ca - cb).max()) <= tol * scale
 
 
 def map_residual(a: MapJet, b: MapJet) -> float:
@@ -511,15 +489,6 @@ def series_exp(g) -> np.ndarray:
 def series_pow(a, r: float) -> np.ndarray:
     """Principal a(t)^r for real exponent r, a(0) != 0."""
     return series_exp(r * series_log(a))
-
-
-def series_eval(a, t):
-    a = _as_series(a)
-    t = np.asarray(t, dtype=complex)
-    out = np.zeros_like(t)
-    for c in a[::-1]:
-        out = out * t + c
-    return out
 
 
 # Offset (i0, j0) of the diagonal (k+i0, k+j0) that carries the

@@ -208,16 +208,26 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
 
 
 def _w2n_coeffs(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
-                abar: CoefficientFamily | None = None) -> list[complex]:
-    """The w^{2n} Laurent coefficient of each branch curve in js, as
-    `surface_curves` reads it at its default grid: the branches are solved
-    together by one `_solve_branch` and transformed by one FFT along the
-    grid axis."""
-    _, _, phi = build_involution_maps(a, tp, abar=abar)
+                abar: CoefficientFamily | None = None,
+                scales: tuple = (1.0,)) -> np.ndarray:
+    """The w^{2n} Laurent coefficient of each branch curve in js for each
+    probe family a.scaled(c), c in scales, as `surface_curves` reads it at
+    its default grid G; shape (len(scales), len(js)).  abar is used as
+    given.
+
+    All len(js) x len(scales) curves are one `_solve_branch` over a flat
+    axis of len(js) x len(scales) x G points, and one FFT along the grid
+    axis reads them.  The probes are one family whose entries are per-point
+    arrays along that axis.  The batch takes the steps of its slowest
+    curve, every gate applies to every curve, and the error raised is the
+    first gate that any curve reaches.
+    """
     G = _default_grid(n)
     w = np.exp(2j * np.pi * np.arange(G) / G)
-    zeta = _solve_branch(a, tp, n, js, w, phi)[0]
-    return (np.fft.fft(zeta) / G)[:, 2 * n].tolist()
+    probes = a.scaled(np.tile(np.repeat(np.asarray(scales, dtype=complex), G), len(js)))
+    _, _, phi = build_involution_maps(probes, tp, abar=abar)
+    zeta = _solve_branch(probes, tp, n, js, np.tile(w, (len(scales), 1)), phi)[0]
+    return (np.fft.fft(zeta) / G)[..., 2 * n].T
 
 
 def _laurent_eval(curve: PeriodicCurve):
@@ -306,14 +316,6 @@ def _require_even_resonance(tp: TwistParams, n: int) -> float:
     return zeta0
 
 
-def _quad_coeff(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
-                t: float) -> list[complex]:
-    """Richardson-extrapolated w^{2n} coefficient of zeta(t a) / t^2 on
-    each branch in js."""
-    vals = [[c / tt**2 for c in _w2n_coeffs(a.scaled(tt), tp, n, js)] for tt in (t, 0.5 * t)]
-    return [2.0 * v1 - v0 for v0, v1 in zip(*vals)]
-
-
 def _branch_scale(tp: TwistParams, zeta0: float, n: int, j: int) -> complex:
     """Reference w^{2n} coefficient i n zeta_j(0)^{2n-2s+1} / s."""
     s = tp.s
@@ -330,6 +332,10 @@ def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, js: tuple,
     equal modulus x: the a^2 part flips sign between the probes while the
     symmetric quadratic remainder takes the same value, so the half
     difference isolates the a^2 coefficient exactly through second order.
+    Each phase is probed at sizes t and t/2 and Richardson-extrapolated.
+    The four probe curves of every branch are one `_w2n_coeffs` solve: the
+    slowest probe sets the steps, and the error raised is the first gate
+    that any probe reaches.
     Raises SolverError before probing when the expected w^{2n} signal of
     the smaller probe, |reference| x^2 (t/2)^2, is within three decades of
     the rounding floor eps zeta0 of the sampled curve on any branch: the
@@ -341,14 +347,13 @@ def _two_phase_a2(x: float, tp: TwistParams, zeta0: float, n: int, js: tuple,
         raise SolverError(
             f"w^{2 * n} probe signal {signal:.3e} at t = {t:g} is below 1e3 eps zeta0 = "
             f"{floor:.3e}: raise t or the amplitude")
-    probes = {}
-    for sgn in (1.0, -1.0):
-        fam = CoefficientFamily({(n, 0): x * cmath.exp(sgn * 0.25j * math.pi)},
-                                tp.s, False, _validate=False)
-        probes[sgn] = _quad_coeff(fam, tp, n, js, t)
-    pairs = list(zip(probes[1.0], probes[-1.0]))
-    return ([(p - m) / (2j * x * x) for p, m in pairs],
-            [(p + m) / (2.0 * x * x) for p, m in pairs])
+    sizes = (t, 0.5 * t)
+    amps = tuple(tt * (x * cmath.exp(sgn * 0.25j * math.pi))
+                 for sgn in (1.0, -1.0) for tt in sizes)
+    unit = CoefficientFamily({(n, 0): 1.0}, tp.s, False, _validate=False)
+    v = _w2n_coeffs(unit, tp, n, js, scales=amps) / np.array(sizes * 2)[:, None] ** 2
+    plus, minus = 2.0 * v[1::2] - v[0::2]
+    return ((plus - minus) / (2j * x * x)).tolist(), ((plus + minus) / (2.0 * x * x)).tolist()
 
 
 def _check_probe(t: float, amplitude: complex) -> None:
@@ -364,8 +369,10 @@ def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
 
     The measurement is taken on the branch j = 2s with probe size t.  The
     reference value is i n zeta_j(0)^{2n-2s+1} / s; rel_error is the
-    relative gap between the two-phase measurement and that value.  Each
-    probe curve is a `_solve_branch` of the one branch (2s,).  Raises
+    relative gap between the two-phase measurement and that value.  The
+    four probe curves of the branch are one stacked `_solve_branch`: the
+    slowest probe sets the steps, and the error raised is the first gate
+    that any probe reaches.  Raises
     ValueError unless t is positive and finite and a_n0 finite, and
     SolverError when t |a_n0| is too small for the probe to rise above
     rounding.
@@ -409,9 +416,11 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     estimator only, which raises SolverError when t |a_{n,0}| is too small
     for the probe to rise above rounding.
 
-    The 2s branches of each curve are solved together by `_solve_branch`:
-    they stop at the slowest branch, every gate applies to every branch,
-    and the error raised is the first gate that any branch reaches.
+    Either estimator makes one stacked `_solve_branch` (`_w2n_coeffs`):
+    the 2s branch curves, times the four probe curves of the default
+    estimator.  The batch stops at its slowest curve, every gate applies to
+    every curve, and the error raised is the first gate that any curve
+    reaches.
     Raises ValueError unless t is positive and finite and a_{n,0} finite.
     """
     an0 = a.entries.get((n, 0), 0.0 + 0.0j)
@@ -422,7 +431,8 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     js = tuple(range(1, 2 * tp.s + 1))
     scales = [_branch_scale(tp, zeta0, n, j) for j in js]
     if include_remainder:
-        factors = [2.0 * (c / sc).real for c, sc in zip(_w2n_coeffs(a, tp, n, js, abar), scales)]
+        c2n = _w2n_coeffs(a, tp, n, js, abar)[0].tolist()
+        factors = [2.0 * (c / sc).real for c, sc in zip(c2n, scales)]
     else:
         a2, _ = _two_phase_a2(abs(an0), tp, zeta0, n, js, t)
         factors = [2.0 * (an0 * an0 * a2j / sc).real for a2j, sc in zip(a2, scales)]

@@ -130,8 +130,8 @@ def test_tracer_counts_surface_layers():
 # (s, n, alpha, secant steps of each branch alone, iterate calls of the
 # default estimator at t = 1e-2)
 OBSTRUCTION_INPUTS = [
-    (1, 4, (4 * math.pi - 2.0) / 4, 7, 18),
-    (2, 8, (4 * math.pi - 1.25) / 8, 5, 16),
+    (1, 4, (4 * math.pi - 2.0) / 4, 7, 5),
+    (2, 8, (4 * math.pi - 1.25) / 8, 5, 4),
 ]
 
 
@@ -158,9 +158,9 @@ def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_iterates
     assert counts["twist.iterate"] == (steps + 1, 0)
     assert counts["surface.tau_eval"] == ((steps + 1) * n, (steps + 1) * n * 2 * s * grid)
     assert "surface.surface_curves" not in counts
-    # The default estimator makes four batched solves (two probe phases,
-    # two probe sizes), not four per branch.
+    # The default estimator makes one batched solve of the four probe
+    # curves (two probe phases, two probe sizes) of every branch.
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, t=1e-2))
     assert counts["twist.iterate"] == (default_iterates, 0)
     assert counts["surface.tau_eval"] == (default_iterates * n,
-                                          default_iterates * n * 2 * s * grid)
+                                          default_iterates * n * 2 * s * 4 * grid)

@@ -310,6 +310,24 @@ class TestSurfaceArtifact:
                    str(tmp_path / "s.csv")])
         assert rc in (0, 2)
 
+    def test_readme_example_reports_its_steps(self, tmp_path):
+        # The README surface example: the solver's h evaluations go among
+        # the # lines right after zeta0, as in the curve artifact, and the
+        # artifact stays byte-identical from run to run.
+        fam = write(tmp_path / "fam.txt", "4 0 0.05 0.02\n")
+        abar = write(tmp_path / "abar.txt", "4 0 -0.06 0.01\n")
+        out = tmp_path / "s.csv"
+        texts = []
+        for _ in range(2):
+            rc = main(["surface", "--gamma", "0.8", "--s", "1", "--n", "4", "--j", "2",
+                       "--family", fam, "--abar", abar, "--out", str(out)])
+            assert rc == 0
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+        lines = texts[0].splitlines()
+        k = lines.index("# diag.branch_steps = 6")
+        assert lines[k - 1].startswith("# zeta0 = ")
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):

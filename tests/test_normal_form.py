@@ -25,7 +25,6 @@ from revtwist.normal_form import (
 from revtwist.series import (
     Jet,
     MapJet,
-    coeffs_close,
     diagonal_series,
     map_compose,
     map_inverse,
@@ -35,6 +34,12 @@ from revtwist.series import (
     series_exp,
     series_reciprocal,
 )
+
+
+def coeffs_close(a, b, tol):
+    """Jets a and b agree within tol, scaled by their largest coefficient."""
+    scale = max(1.0, float(np.abs(a.coeffs).max()), float(np.abs(b.coeffs).max()))
+    return float(np.abs(a.coeffs - b.coeffs).max()) <= tol * scale
 
 
 def triangle_noise(rng, order, scale, min_degree=2):

@@ -19,7 +19,15 @@ from revtwist.surface import (
     surface_curves,
 )
 from revtwist.surface import _branch_scale, _require_even_resonance, _two_phase_a2, _w2n_coeffs
-from revtwist.twist import HypothesisViolation, SolverError, TwistParams, _step_bound
+from revtwist import surface
+from revtwist.twist import (
+    DomainError,
+    HypothesisViolation,
+    SolverError,
+    TwistParams,
+    _solve_branch,
+    _step_bound,
+)
 
 # One resonance configuration shared by the curve-level tests: n = 4 with
 # winding g = 2 keeps both 4s | n and the even-winding requirement satisfied
@@ -380,7 +388,7 @@ class TestBatchedBranches:
         # within 4 stopping bounds.
         a = CoefficientFamily({(8, 0): 0.05 + 0.02j, (6, 2): -0.113 - 0.01j,
                                (3, 3): 0.013 + 0.013j}, 2)
-        batch = _w2n_coeffs(a, TP_S2, 8, (1, 2, 3, 4), WITNESS_ABAR2)
+        batch = _w2n_coeffs(a, TP_S2, 8, (1, 2, 3, 4), WITNESS_ABAR2)[0]
         bound = 4 * _step_bound(_require_even_resonance(TP_S2, 8), 2)
         for j, c in enumerate(batch, start=1):
             alone = surface_curves(a, TP_S2, 8, j, intersect=False, abar=WITNESS_ABAR2)
@@ -388,6 +396,90 @@ class TestBatchedBranches:
             assert abs(c - alone.laurent[16]) <= bound
             if j % 2:
                 assert c == alone.laurent[16]
+
+
+def probe_amplitudes(x, t):
+    """The four probe amplitudes of `_two_phase_a2`, in its order."""
+    return tuple(tt * (x * cmath.exp(sgn * 0.25j * math.pi))
+                 for sgn in (1.0, -1.0) for tt in (t, 0.5 * t))
+
+
+class TestStackedProbes:
+    """`_w2n_coeffs` solves every probe curve of every branch in one
+    `_solve_branch`, with the probe amplitudes as per-point family entries."""
+
+    @pytest.mark.parametrize("tp, n", [(TP, N1), (TP_S2, 8)], ids=["s1", "s2"])
+    def test_probes_solved_alone_agree_with_the_stack(self, tp, n, monkeypatch):
+        js = tuple(range(1, 2 * tp.s + 1))
+        amps = probe_amplitudes(0.05, 1e-2)
+        unit = CoefficientFamily({(n, 0): 1.0}, tp.s, False, _validate=False)
+        stacked = []
+
+        def capture(*args):
+            out = _solve_branch(*args)
+            stacked.append(out[0])
+            return out
+
+        monkeypatch.setattr(surface, "_solve_branch", capture)
+        coeffs = _w2n_coeffs(unit, tp, n, js, scales=amps)
+        monkeypatch.undo()
+        (zeta,) = stacked
+        G = surface._default_grid(n)
+        assert zeta.shape == (len(js), len(amps), G)
+        assert coeffs.shape == (len(amps), len(js))
+        w = np.exp(2j * np.pi * np.arange(G) / G)
+        bound = 4 * _step_bound(_require_even_resonance(tp, n), tp.s)
+        for p, amp in enumerate(amps):
+            fam = CoefficientFamily({(n, 0): amp}, tp.s, False, _validate=False)
+            _, _, phi = build_involution_maps(fam, tp)
+            alone = _solve_branch(fam, tp, n, js, w, phi)[0]
+            assert np.abs(alone - zeta[:, p]).max() <= bound
+            assert np.abs(np.fft.fft(alone)[:, 2 * n] / G - coeffs[p]).max() <= bound
+
+    @pytest.mark.parametrize("amp, error", [(0.1, DomainError), (0.3, SolverError)],
+                             ids=["p_n-gate", "exponent-solve"])
+    def test_a_probe_that_fails_alone_fails_the_stack(self, amp, error):
+        # At amplitude 0.1 the orbit leaves the validated region (|p_n| > 1/2)
+        # and at 0.3 the inverse's exponent solve fails; the probes beside
+        # it pass alone.
+        fam = CoefficientFamily({(N1, 0): amp}, 1, False, _validate=False)
+        _, _, phi = build_involution_maps(fam, TP)
+        w = np.exp(2j * np.pi * np.arange(64) / 64)
+        with pytest.raises(error):
+            _solve_branch(fam, TP, N1, (2,), w, phi)
+        unit = CoefficientFamily({(N1, 0): 1.0}, 1, False, _validate=False)
+        assert np.all(np.isfinite(_w2n_coeffs(unit, TP, N1, (2,), scales=(0.05, 0.02))))
+        with pytest.raises(error):
+            _w2n_coeffs(unit, TP, N1, (2,), scales=(0.05, amp, 0.02))
+
+    def test_array_entries_evaluate_like_scalar_families(self):
+        # Three segments of m points, each carrying its own scalar family.
+        rng = np.random.default_rng(5)
+        m = 7
+        xi, eta = sample_points(rng, 3 * m)
+        values = {(4, 0): [0.05 + 0.02j, -0.03j, 0.7],
+                  (2, 3): [0.01, 0.02 - 0.01j, -0.04],
+                  (1, 5): [0.0, 0.3j, 0.001 + 0.002j]}
+        stacked = CoefficientFamily({k: np.repeat(v, m) for k, v in values.items()}, 1,
+                                    False, _validate=False)
+        got_eval = stacked.eval(xi, eta)
+        got_modes = stacked.phase_modes(xi, eta)
+        for p in range(3):
+            seg = slice(p * m, (p + 1) * m)
+            fam = CoefficientFamily({k: v[p] for k, v in values.items()}, 1,
+                                    False, _validate=False)
+            assert np.array_equal(got_eval[seg], fam.eval(xi[seg], eta[seg]))
+            modes = fam.phase_modes(xi[seg], eta[seg])
+            # A zero scalar entry is dropped; its array column is zero there.
+            for k, mk in got_modes.items():
+                want = modes.get(k, np.zeros(m, dtype=complex))
+                assert np.array_equal(mk[seg], want), k
+
+    def test_validated_family_refuses_array_entries(self):
+        with pytest.raises(ValueError, match="not an array"):
+            CoefficientFamily({(4, 0): np.full(3, 0.05)}, 1)
+        with pytest.raises(ValueError, match="not an array"):
+            CoefficientFamily({(4, 0): np.full(3, 0.05)}, 1, hermitian=True)
 
 
 class TestHnObstruction:
