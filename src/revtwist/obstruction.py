@@ -50,27 +50,6 @@ class ObstructionReport:
     witness: bool
     note: str
 
-    def as_dict(self) -> dict:
-        return {
-            "witness": self.witness,
-            "note": self.note,
-            "rows": [
-                {
-                    "n": r.n,
-                    "beta": r.beta,
-                    "Hk_numeric": [r.Hk_numeric.real, r.Hk_numeric.imag],
-                    "Hk_leading": [r.Hk_leading.real, r.Hk_leading.imag],
-                    "I_min": r.I_min,
-                    "I_max": r.I_max,
-                    "width": r.width,
-                    "threshold": r.threshold,
-                    "nonconstant": r.nonconstant,
-                    "residual": r.residual,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     """First `count` periods n <= n_max with beta(n) in (-delta, 0), ascending.
@@ -162,13 +141,19 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule) -> Obstr
     (the solver's stopping bound plus the tail of the Laurent band).  All rows
     nonconstant makes the report a witness: periodic points filling an
     interval of radii at every scheduled scale is what a convergent
-    normalization would forbid.  It is evidence, not a proof.
+    normalization would forbid.  It is evidence, not a proof.  Each schedule
+    entry must carry the beta of its period at tp.alpha, as `beta_reduce`
+    gives it; any other entry is refused with a ValueError.
     """
     rows = []
     for rd in sorted(schedule, key=lambda r: r.n):
         if not rd.beta < 0.0:
             raise HypothesisViolation(f"schedule entry n = {rd.n} has beta >= 0")
         n = rd.n
+        beta = beta_reduce(n, tp.alpha).beta
+        if rd.beta != beta:
+            raise ValueError(f"schedule entry n = {n} has beta = {rd.beta!r}, but "
+                             f"alpha = {tp.alpha!r} gives beta = {beta!r}")
         crv, K = _witness_curve(a, tp, n)
         radii = np.abs([z for _, z in crv.samples])
         tail_lo = max(1, (3 * K) // 4)
@@ -178,7 +163,7 @@ def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule) -> Obstr
         width = float(radii.max() - radii.min())
         threshold = 10.0 * (_step_bound(crv.zeta0, tp.s) + alias)
         rows.append(ObstructionRow(
-            n=n, beta=rd.beta,
+            n=n, beta=beta,
             Hk_numeric=crv.laurent[n], Hk_leading=leading_Hk(a, tp, n),
             I_min=float(radii.min()), I_max=float(radii.max()),
             width=width, threshold=threshold,

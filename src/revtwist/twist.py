@@ -332,8 +332,8 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     js = [_check_int(j, "branch index", 1, 2 * tp.s) for j in js]
     w = np.asarray(w, dtype=complex)
     wmod = np.abs(w)
-    if not (np.all(wmod > 0.5) and np.all(wmod < 2.0)):
-        raise ValueError("w outside the annulus 1/2 < |w| < 2")
+    if not (w.size and np.all(wmod > 0.5) and np.all(wmod < 2.0)):
+        raise ValueError("w must be one or more points of the annulus 1/2 < |w| < 2")
     # The branches run as one flat array of points: a single branch runs on
     # the 1-d arrays of its own grid, and no ufunc pays for a second axis.
     shape = (len(js),) + w.shape

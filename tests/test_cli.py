@@ -1,12 +1,16 @@
 """Front-end behavior: file parsing, exit codes, artifact shape, determinism."""
 
+import argparse
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from revtwist.cli import load_map, main
+from revtwist.cli import build_parser, load_map, main
 from revtwist.families import CoefficientFamily, load_family, save_family
+from revtwist.obstruction import ObstructionRow, divergence_witness, select_resonant_n
 from revtwist.series import DEFAULT_ORDER
 from revtwist.surface import involution_jets
 from revtwist.twist import TwistParams, compute_constants
@@ -327,6 +331,113 @@ class TestSurfaceArtifact:
         lines = texts[0].splitlines()
         k = lines.index("# diag.branch_steps = 6")
         assert lines[k - 1].startswith("# zeta0 = ")
+
+
+class TestObstructArtifact:
+    def test_report_serializes_to_json(self, tmp_path):
+        # n = 7 hits beta = -0.25 exactly and is the first resonant period.
+        alpha = (2 * math.pi - 0.25) / 7
+        fam = write(tmp_path / "f.txt", "7 0 0.1 0\n")
+        out = tmp_path / "r.json"
+        assert main(["obstruct", "--alpha", repr(alpha), "--s", "1", "--schedule-count", "1",
+                     "--n-max", "100", "--family", fam, "--hermitian", "--out", str(out)]) == 0
+        back = json.loads(out.read_text())
+        assert back["meta"]["config"]["schedule_count"] == 1
+        assert back["witness"] is True
+        row = back["rows"][0]
+        assert set(row) == {f.name for f in dataclasses.fields(ObstructionRow)}
+        assert row["n"] == 7
+        assert row["nonconstant"] is True
+        # Complex values are written as [re, im] and read back exactly.
+        tp = TwistParams(alpha=alpha, s=1)
+        rep = divergence_witness(load_family(fam, 1, hermitian=True), tp,
+                                 select_resonant_n(alpha, 0.3, 1, 100))
+        for key in ("Hk_numeric", "Hk_leading"):
+            value = getattr(rep.rows[0], key)
+            assert row[key] == [value.real, value.imag]
+        assert row["I_min"] == rep.rows[0].I_min
+
+
+def parser_options() -> dict:
+    """{subcommand: {option: (default, required, type, choices)}} as
+    build_parser() declares them; an option of a required mutually exclusive
+    group reads "group" for required."""
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    options = {}
+    for name, p in sub.choices.items():
+        grouped = {a for g in p._mutually_exclusive_groups if g.required
+                   for a in g._group_actions}
+        options[name] = {
+            a.option_strings[0]: (a.default, a.required or ("group" if a in grouped else False),
+                                  getattr(a.type, "__name__", None), a.choices)
+            for a in p._actions if a.option_strings and a.dest != "help"
+        }
+    return options
+
+
+class TestOptions:
+    def test_each_subcommand_keeps_its_options(self):
+        assert parser_options() == {
+            "normalize": {
+                "--map": (None, True, None, None),
+                "--tau": (None, False, None, None),
+                "--order": (None, False, "int", None),
+                "--reality": ("standard", False, None, ["standard", "surface"]),
+                "--out": ("-", False, None, None),
+            },
+            "curve": {
+                "--alpha": (None, True, "float", None),
+                "--s": (None, True, "int", None),
+                "--n": (None, True, "int", None),
+                "--j": (None, True, "int", None),
+                "--grid": (256, False, "int", None),
+                "--K": (None, False, "int", None),
+                "--family": (None, True, None, None),
+                "--hermitian": (False, False, None, None),
+                "--out": ("-", False, None, None),
+            },
+            "constants": {
+                "--alpha": (None, True, "float", None),
+                "--s": (None, True, "int", None),
+                "--n": (None, True, "int", None),
+                "--out": ("-", False, None, None),
+            },
+            "majorant": {
+                "--alpha": (None, True, "float", None),
+                "--s": (None, True, "int", None),
+                "--n": (None, True, "int", None),
+                "--K": (None, False, "int", None),
+                "--out": ("-", False, None, None),
+            },
+            "obstruct": {
+                "--alpha": (None, True, "float", None),
+                "--s": (None, True, "int", None),
+                "--schedule-count": (None, True, "int", None),
+                "--n-max": (10000, False, "int", None),
+                "--delta": (0.3, False, "float", None),
+                "--family": (None, True, None, None),
+                "--hermitian": (False, False, None, None),
+                "--out": ("-", False, None, None),
+            },
+            "surface": {
+                "--alpha": (None, "group", "float", None),
+                "--gamma": (None, "group", "float", None),
+                "--s": (None, True, "int", None),
+                "--n": (None, True, "int", None),
+                "--j": (None, True, "int", None),
+                "--grid": (None, False, "int", None),
+                "--family": (None, True, None, None),
+                "--abar": (None, False, None, None),
+                "--hermitian": (False, False, None, None),
+                "--out": ("-", False, None, None),
+            },
+            "bishop": {
+                "--gamma": (None, True, "float", None),
+                "--max-order": (64, False, "int", None),
+                "--out": ("-", False, None, None),
+            },
+        }
 
 
 class TestDeterminism:

@@ -1,6 +1,5 @@
 """Tests for resonance schedules and divergence obstructions."""
 
-import json
 import math
 
 import numpy as np
@@ -207,14 +206,15 @@ class TestDivergenceWitness:
         with pytest.raises(HypothesisViolation):
             ob.divergence_witness(fam, TP, [ResonanceData(5, 1, 0.1)])
 
-    def test_report_serializes_to_json(self):
+    def test_schedule_rejects_stale_beta(self):
+        # A schedule built for alpha1 but passed with a shifted alpha: the
+        # n = 40 entry says beta = -0.040 where its curve would be solved
+        # at beta = -0.020.
+        alpha1 = 2 * math.pi * 3 / 40 - 0.001
+        tp = TwistParams(alpha=alpha1 + 5e-4, s=1)
         fam = CoefficientFamily({(7, 0): 0.1, (0, 7): 0.1}, 1, hermitian=True)
-        rd = tw.beta_reduce(N1, ALPHA)
-        rep = ob.divergence_witness(fam, TP, [rd])
-        blob = json.dumps(rep.as_dict())
-        back = json.loads(blob)
-        assert back["witness"] is True
-        row = back["rows"][0]
-        assert row["n"] == N1
-        assert len(row["Hk_numeric"]) == 2
-        assert row["nonconstant"] is True
+        stale = tw.beta_reduce(40, alpha1)
+        with pytest.raises(ValueError, match=r"n = 40 has beta = -0\.04\d*, but .* "
+                           r"gives beta = -0\.02"):
+            ob.divergence_witness(fam, tp, [stale])
+        assert ob.divergence_witness(fam, tp, [tw.beta_reduce(40, tp.alpha)]).rows

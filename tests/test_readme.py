@@ -1,13 +1,19 @@
 """The library example and the shell examples of README.md run against the
-current API and command line."""
+current API and command line, and the examples write the artifacts pinned
+under tests/artifacts byte for byte."""
 
 import re
 import shlex
+from itertools import zip_longest
 from pathlib import Path
+
+import pytest
 
 from revtwist.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
+SUFFIX = {"curve": "csv", "surface": "csv", "obstruct": "json"}
 
 
 def test_library_example_runs():
@@ -30,7 +36,18 @@ def shell_commands():
     return commands
 
 
-def test_cli_examples_run(tmp_path, monkeypatch):
+def assert_pinned(subcommand: str, got: bytes) -> None:
+    """got equals the pinned artifact of the subcommand, or the test fails
+    at the first line that differs."""
+    name = f"{subcommand}.{SUFFIX.get(subcommand, 'txt')}"
+    want = (ARTIFACTS / name).read_bytes()
+    if got != want:
+        pairs = zip_longest(got.splitlines(True), want.splitlines(True), fillvalue=b"")
+        k, (g, w) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+        pytest.fail(f"{name} line {k}: got {g!r}, pinned {w!r}")
+
+
+def test_cli_examples_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     ran = []
     for command in shell_commands():
@@ -41,6 +58,13 @@ def test_cli_examples_run(tmp_path, monkeypatch):
             assert redirect == ">", command
             Path(path).write_text(text.replace("\\n", "\n"))
         elif argv[0] == "revtwist":
+            capsys.readouterr()
             assert main(argv[1:]) == 0, command
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            assert_pinned(argv[1], Path(out).read_bytes() if out else
+                          capsys.readouterr().out.encode())
             ran.append(argv[1])
     assert ran == ["curve", "majorant", "obstruct", "bishop", "surface"]
+    capsys.readouterr()
+    assert main(["constants", "--alpha", "1", "--s", "1", "--n", "10"]) == 0
+    assert_pinned("constants", capsys.readouterr().out.encode())

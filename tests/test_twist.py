@@ -438,6 +438,12 @@ class TestSolveBranch:
         with pytest.raises(ValueError, match="annulus"):
             solve_branch(fam, tp_neg, n, 2, 2.5 + 0.0j)
 
+    def test_empty_w_is_refused(self):
+        # numpy's max has no identity on an empty array: refuse at the boundary.
+        tp = TwistParams(alpha=resonant_alpha(4, 1, -0.2), s=1)
+        with pytest.raises(ValueError, match="one or more points of the annulus"):
+            solve_branch(CoefficientFamily({}, 1), tp, 4, 2, np.array([]))
+
     def test_bool_branch_index_is_refused(self):
         # operator.index(True) == 1, so a bool would pass as branch 1.
         n = 7
