@@ -130,7 +130,7 @@ def cmd_constants(args: argparse.Namespace) -> tuple[list[str], int]:
 
 def cmd_majorant(args: argparse.Namespace) -> tuple[list[str], int]:
     rep = majorant_sequence(_twist_from_args(args), args.n, K=args.K)
-    lines = _meta(args)
+    lines = _meta(args, effective_K=len(rep.values) - 1)
     lines.append(f"# d0 = {_g17(rep.d0)}")
     lines.append(f"# satisfied = {rep.satisfied}")
     lines.append("k,f_k,bound")
@@ -156,8 +156,8 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], int]:
     abar = None
     if args.abar is not None:
         abar = load_family(args.abar, args.s, hermitian=args.hermitian)
-    crv = surface_curves(fam, _twist_from_args(args), args.n, args.j,
-                         grid_size=args.grid, abar=abar)
+    tp = _twist_from_args(args)
+    crv = surface_curves(fam, tp, args.n, args.j, grid_size=args.grid, abar=abar)
     hits = crv.real_intersections
     if hits == "continuum":
         note = "continuum"
@@ -165,7 +165,8 @@ def cmd_surface(args: argparse.Namespace) -> tuple[list[str], int]:
         note = "none"
     else:
         note = ";".join(f"{w.real:.9g}{w.imag:+.9g}j" for w in hits)
-    return _curve_artifact(args, crv, note)
+    return _curve_artifact(args, crv, note, effective_alpha=_g17(tp.alpha),
+                           effective_grid=crv.grid_size)
 
 
 def cmd_bishop(args: argparse.Namespace) -> tuple[list[str], int]:

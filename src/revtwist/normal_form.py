@@ -18,7 +18,11 @@ from .series import (
     Jet,
     MapJet,
     _check_order,
+    _compose,
+    _powers,
+    _triangle_mask,
     diagonal_series,
+    jet_mul,
     map_compose,
     map_inverse,
     map_residual,
@@ -152,6 +156,30 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     return change, change_inv, tau_std
 
 
+def _radial_compose(c, t: Jet) -> Jet:
+    """sum_k c_k t^k through t's order, by a Horner loop of len(c) - 1 products."""
+    one = Jet.constant(1.0, t.order)
+    out = c[-1] * one
+    for ck in c[-2::-1]:
+        out = jet_mul(out, t) + ck * one
+    return out
+
+
+def _compose_product_form(form: MapJet, inner: MapJet) -> MapJet:
+    """form . inner for a product form (xi M(xi eta), eta M'(xi eta)).
+
+    form must vanish off the diagonals that carry M and M'.  With
+    inner = (X, Y) and t = X Y, the result is (X M(t), Y M'(t)): one product
+    for t, a Horner loop of (N - 1) // 2 products per series and one final
+    product each, where `map_compose` takes 3D - 1 products.
+    """
+    t = jet_mul(inner.x, inner.y)
+    return MapJet(
+        jet_mul(inner.x, _radial_compose(diagonal_series(form.x, "xi"), t)),
+        jet_mul(inner.y, _radial_compose(diagonal_series(form.y, "eta"), t)),
+    )
+
+
 def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     """Solve Phi0 . phi = F . Phi0 for the normalized Phi0 and the product form F.
 
@@ -162,6 +190,15 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     while Phi0 stays zero there, which is the normalization that makes the
     conjugator unique.  Returns (Phi0, F, defect), the defect being the
     worst of err after phi's truncation order N and of M M^{-1} - 1.
+
+    Step d then recomputes err, which the next step reads at degree d + 1
+    alone, so it composes at order m = min(d + 1, N): the degree-m part of
+    a composition needs only the degree-m parts of its factors.  The last
+    step composes at order N, so the defect is read in full.  Phi0 . phi
+    reads the corner of phi.y's power table (built once at order N, since
+    phi is the inner map of every step) that the degree-d Phi0 and order m
+    need.  F is nonzero only on the diagonals of M and M', so F . Phi0 goes
+    through the product form (X M(XY), Y M'(XY)) with (X, Y) = Phi0.
     """
     n = phi.order
     # pows[n + k] = mu^k for k = -N..N+1: the degree-N elimination divides
@@ -180,6 +217,7 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     i, j = np.indices((n + 1, n + 1))
     resonant = np.array([i == j + 1, j == i + 1])
     divisors = np.where(resonant, 1.0, pows[n + i - j] - np.array([mu, 1.0 / mu])[:, None, None])
+    ypow = _powers(phi.y, n)
 
     # Phi0 starts at the identity and F at phi's own diagonal, so err
     # vanishes through degree 1 up to phi's off-diagonal linear entries.
@@ -192,7 +230,11 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
         f = np.where(resonant, e, 0.0)
         phi_total = MapJet(phi_total.x + Jet(u[0], n), phi_total.y + Jet(u[1], n))
         form = MapJet(form.x + Jet(f[0], n), form.y + Jet(f[1], n))
-        err = map_compose(phi_total, phi) - map_compose(form, phi_total)
+        m = min(d + 1, n)
+        conj, x = phi_total.truncate(m), phi.x.truncate(m)
+        pw = np.where(_triangle_mask(m), ypow[: d + 1, : m + 1, : m + 1], 0.0)
+        lhs = MapJet(_compose(conj.x, x, pw), _compose(conj.y, x, pw))
+        err = (lhs - _compose_product_form(form.truncate(m), conj)).truncate(n)
 
     m_defect = _unit_defect(diagonal_series(form.x, "xi"), diagonal_series(form.y, "eta"))
     return phi_total, form, max(err.max_abs(), m_defect)

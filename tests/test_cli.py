@@ -333,6 +333,28 @@ class TestSurfaceArtifact:
         assert lines[k - 1].startswith("# zeta0 = ")
 
 
+    def test_effective_configuration(self, tmp_path):
+        # The alpha and grid the run used go among the # lines, also when
+        # the flags name them: --alpha given, --grid left to its default.
+        fam = write(tmp_path / "f.txt", "4 0 0.05 0.02\n")
+        out = tmp_path / "s.csv"
+        rc = main(["surface", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4",
+                   "--j", "2", "--family", fam, "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert f"# effective_alpha = {float(ALPHA_RES):.17g}" in lines
+        assert "# effective_grid = 64" in lines
+
+
+class TestMajorantArtifact:
+    @pytest.mark.parametrize("flags,K", [([], 10), (["--K", "4"], 4)])
+    def test_effective_K(self, flags, K, capsys):
+        assert main(["majorant", "--alpha", "1", "--s", "1", "--n", "10", *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"# effective_K = {K}" in lines
+        assert len(lines) - lines.index("k,f_k,bound") - 1 == K + 1
+
+
 class TestObstructArtifact:
     def test_report_serializes_to_json(self, tmp_path):
         # n = 7 hits beta = -0.25 exactly and is the first resonant period.

@@ -10,9 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from revtwist.families import CoefficientFamily
 from revtwist.normal_form import (
     InvolutionPair,
     ResonanceError,
+    _compose_product_form,
+    _solve_conjugacy,
+    _unit_defect,
     extract_eps_s,
     full_normalize,
     gamma_from_M,
@@ -34,6 +38,8 @@ from revtwist.series import (
     series_exp,
     series_reciprocal,
 )
+from revtwist.surface import involution_jets
+from revtwist.twist import TwistParams
 
 
 def coeffs_close(a, b, tol):
@@ -470,6 +476,73 @@ def test_full_normalize_reality_modes():
     assert res.residual < 1e-9
 
 
+# --- the elimination loop -----------------------------------------------------
+
+
+def full_order_conjugacy(phi, mu):
+    """Oracle for _solve_conjugacy: the same elimination, but err is
+    recomposed in full, through order N, with map_compose at every degree."""
+    n = phi.order
+    pows = np.array([mu**k for k in range(-n, n + 2)])
+    i, j = np.indices((n + 1, n + 1))
+    resonant = np.array([i == j + 1, j == i + 1])
+    divisors = np.where(resonant, 1.0, pows[n + i - j] - np.array([mu, 1.0 / mu])[:, None, None])
+    lin = phi.linear_part()
+    phi_total = MapJet.identity(n)
+    form = MapJet(lin[0, 0] * phi_total.x, lin[1, 1] * phi_total.y)
+    err = phi - form
+    for d in range(2, n + 1):
+        e = np.where(i + j == d, np.array([err.x.coeffs, err.y.coeffs]), 0.0)
+        u = np.where(resonant, 0.0, -e / divisors)
+        f = np.where(resonant, e, 0.0)
+        phi_total = MapJet(phi_total.x + Jet(u[0], n), phi_total.y + Jet(u[1], n))
+        form = MapJet(form.x + Jet(f[0], n), form.y + Jet(f[1], n))
+        err = map_compose(phi_total, phi) - map_compose(form, phi_total)
+    m_defect = _unit_defect(diagonal_series(form.x, "xi"), diagonal_series(form.y, "eta"))
+    return phi_total, form, max(err.max_abs(), m_defect)
+
+
+def assert_same_conjugacy(phi, mu):
+    """_solve_conjugacy and the full-order oracle agree to rounding."""
+    tol = 1e-12 * max(1.0, phi.max_abs())
+    phi0, form, defect = _solve_conjugacy(phi, mu)
+    phi0_full, form_full, defect_full = full_order_conjugacy(phi, mu)
+    assert map_residual(phi0, phi0_full) <= tol
+    assert map_residual(form, form_full) <= tol
+    assert abs(defect - defect_full) <= tol
+    return defect
+
+
+@pytest.mark.parametrize("s,n", [(2, 8), (2, 12), (2, 16), (2, 24), (1, 12), (3, 12)])
+def test_conjugacy_matches_full_order_loop(s, n):
+    phi = planted_swap_reversible(2.4, s, n)
+    assert assert_same_conjugacy(phi, phi.x.coeff(1, 0)) < 1e-9
+
+
+def test_conjugacy_matches_full_order_loop_on_surface_pair():
+    # The pair full_normalize(reality="surface") solves: phi brought into
+    # the frame where tau1 is the swap.
+    n = 12
+    fam = CoefficientFamily({(4, 0): 0.05 + 0.02j, (2, 1): 0.03 - 0.01j}, 1)
+    tau1, _, phi = involution_jets(fam, TwistParams(alpha=0.73, s=1), order=n)
+    change, change_inv, _ = linearize_involution(tau1)
+    inner = map_compose(map_compose(change, phi), change_inv)
+    assert assert_same_conjugacy(inner, phi.x.coeff(1, 0)) < 1e-9
+
+
+@pytest.mark.parametrize("n,terms", [(2, 1), (3, 2), (8, 1), (8, 4), (13, 7)])
+def test_product_form_composition(n, terms):
+    # F = (xi M(xi eta), eta M'(xi eta)) with `terms` coefficients in each
+    # series (1: a linear F), composed with a random map fixing the origin.
+    rng = np.random.default_rng(48 + n + terms)
+    m1, m2 = (rng.standard_normal(terms) + 1j * rng.standard_normal(terms) for _ in range(2))
+    form = MapJet(radial_to_jet(m1, n, "xi"), radial_to_jet(m2, n, "eta"))
+    inner = MapJet(Jet(triangle_noise(rng, n, 0.5, min_degree=1), n),
+                   Jet(triangle_noise(rng, n, 0.5, min_degree=1), n))
+    want = map_compose(form, inner)
+    assert map_residual(_compose_product_form(form, inner), want) <= 1e-12 * max(1.0, want.max_abs())
+
+
 # --- operation counts ---------------------------------------------------------
 
 
@@ -515,8 +588,11 @@ def test_full_normalize_operation_counts(monkeypatch):
     # the conjugacy equation is solved directly against the swap, so only
     # the involution change is inverted (the identity here, in no pass);
     # compositions stop at the outer map's top degree and inverses at the
-    # pass count its lowest nonlinear degree fixes.  Any change here is a
-    # change of algorithm and should be deliberate.
+    # pass count its lowest nonlinear degree fixes.  The elimination makes
+    # no map_compose call: each step composes at the order the next one
+    # reads, over one power table of phi.y, and F . Phi0 goes through F's
+    # product form.  Any change here is a change of algorithm and should be
+    # deliberate.
     n = 12
     target = normal_form_map(np.exp(0.7j), 1, 2, n)
     frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
@@ -524,7 +600,7 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 653, "map_compose": 34, "passes": 0, "map_inverse": 1}
+    assert counts == {"jet_mul": 499, "map_compose": 12, "passes": 0, "map_inverse": 1}
 
 
 def test_surface_exponent_solve_operation_counts(monkeypatch):
