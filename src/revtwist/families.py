@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -17,22 +18,38 @@ import numpy as np
 from .series import Jet, _check_int
 
 
-def _power(table: dict, k: int):
-    """x^k from a table holding at least x^1 (and x^-1 for k < 0), by
-    squaring; the powers it forms are added to the table."""
-    if k not in table:
-        half = _power(table, int(k / 2))
-        table[k] = half * half * table[1 if k > 0 else -1] if k % 2 else half * half
-    return table[k]
+@lru_cache(maxsize=256)
+def _power_plan(ks: frozenset) -> tuple:
+    """Squaring chain that forms x^k for every k in ks from x and 1/x:
+    (whether 1/x is needed, steps).  Step (k, h, b) forms x^k = x^h x^h,
+    times x^b when b is not 0; every step follows the steps it reads."""
+    known = {-1, 0, 1}
+    steps = []
+
+    def plan(k):
+        if k not in known:
+            h = int(k / 2)
+            plan(h)
+            steps.append((k, h, (1 if k > 0 else -1) if k % 2 else 0))
+            known.add(k)
+
+    for k in ks:
+        plan(k)
+    return min(ks, default=0) < 0, tuple(steps)
 
 
 def _power_table(x, ks) -> dict:
     """{k: x^k} for the integers ks, by squaring from x and 1/x (for most
-    k, x**k leaves numpy's fast paths and costs several products)."""
+    k, x**k leaves numpy's fast paths and costs several products).  The
+    chain is planned once per exponent set (`_power_plan`)."""
+    inverse, steps = _power_plan(frozenset(ks))
     table = {0: 1.0, 1: x}
-    if min(ks, default=0) < 0:
+    if inverse:
         table[-1] = 1.0 / x
-    return {k: _power(table, k) for k in ks}
+    for k, h, b in steps:
+        square = table[h] * table[h]
+        table[k] = square * table[b] if b else square
+    return {k: table[k] for k in ks}
 
 
 @dataclass(frozen=True)
@@ -76,6 +93,10 @@ class CoefficientFamily:
                 if abs(v) > 1.0 + 1e-12:
                     raise ValueError(f"entry ({i},{j}) has modulus {abs(v)} > 1")
         object.__setattr__(self, "entries", ent)
+        # The exponent sets of the power tables every evaluation reads.
+        object.__setattr__(self, "_xi_powers", frozenset(i for i, _ in ent))
+        object.__setattr__(self, "_eta_powers", frozenset(j for _, j in ent))
+        object.__setattr__(self, "_mode_powers", frozenset(i - j for i, j in ent))
 
     @staticmethod
     def empty(s: int) -> "CoefficientFamily":
@@ -102,8 +123,8 @@ class CoefficientFamily:
     def _terms(self, xi, eta):
         """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries, from one table
         of the powers of xi and of eta that the entries use."""
-        xp = _power_table(np.asarray(xi, dtype=complex), {i for i, _ in self.entries})
-        ep = _power_table(np.asarray(eta, dtype=complex), {j for _, j in self.entries})
+        xp = _power_table(np.asarray(xi, dtype=complex), self._xi_powers)
+        ep = _power_table(np.asarray(eta, dtype=complex), self._eta_powers)
         for (i, j), v in self.entries.items():
             term = v
             if i:

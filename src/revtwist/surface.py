@@ -140,8 +140,11 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
 
         tau2 = _phase_conjugate(b, t2, b, "tau2")
 
+    # tau2 has just tested its output, which is the input of tau1 in phi.
+    tau1_of_tau2 = _phase_conjugate(a, t1, a, "tau1", guard_input=False)
+
     def phi(xi, eta):
-        return tau1(*tau2(xi, eta))
+        return tau1_of_tau2(*tau2(xi, eta))
 
     return tau1, tau2, phi
 
@@ -213,7 +216,10 @@ def _w2n_coeffs(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
     """The w^{2n} Laurent coefficient of each branch curve in js for each
     probe family a.scaled(c), c in scales, as `surface_curves` reads it at
     its default grid G; shape (len(scales), len(js)).  abar is used as
-    given.
+    given.  Any branches may be asked for; `Hn_obstruction` asks for the
+    s branch pairs through branches 1..s only, since branch j + s gives
+    the coefficient of branch j with its sign flipped, and takes the
+    product of squares of their factors, H_n >= 0.
 
     All len(js) x len(scales) curves are one `_solve_branch` over a flat
     axis of len(js) x len(scales) x G points, and one FFT along the grid
@@ -397,6 +403,13 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
                    abar: CoefficientFamily | None = None) -> float:
     """Estimate the isolation obstruction, a product over the 2s branches.
 
+    The 2s branches form s pairs (j, j + s), and H_n is the product of
+    squares of the factors of branches 1..s, so H_n >= 0.  h(zeta, w)
+    reads (zeta, w) only through the start point (zeta w, zeta/w) and
+    zeta^{2s}, which (zeta, w) -> (-zeta, -w) keeps, so branch j + s is
+    -zeta_j(-w): its w^{2n} coefficient and its reference value both
+    change sign, and its factor is that of branch j.
+
     The default estimator takes the leading part of each branch factor:
     twice the real part of a_{n,0}^2 times the measured a^2 response of
     the branch (normalized by its reference value), so a single-mode
@@ -417,7 +430,7 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     for the probe to rise above rounding.
 
     Either estimator makes one stacked `_solve_branch` (`_w2n_coeffs`):
-    the 2s branch curves, times the four probe curves of the default
+    the s branch curves 1..s, times the four probe curves of the default
     estimator.  The batch stops at its slowest curve, every gate applies to
     every curve, and the error raised is the first gate that any curve
     reaches.
@@ -428,7 +441,7 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     zeta0 = _require_even_resonance(tp, n)
     if an0 == 0 and not include_remainder:
         return 0.0
-    js = tuple(range(1, 2 * tp.s + 1))
+    js = tuple(range(1, tp.s + 1))
     scales = [_branch_scale(tp, zeta0, n, j) for j in js]
     if include_remainder:
         c2n = _w2n_coeffs(a, tp, n, js, abar)[0].tolist()
@@ -436,4 +449,4 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     else:
         a2, _ = _two_phase_a2(abs(an0), tp, zeta0, n, js, t)
         factors = [2.0 * (an0 * an0 * a2j / sc).real for a2j, sc in zip(a2, scales)]
-    return math.prod(factors)
+    return math.prod(f * f for f in factors)

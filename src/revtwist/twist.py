@@ -168,18 +168,21 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     a step of at most 4e-16 (1 + max|c|), within 80 steps.  A root reached
     after the first step is accepted only where the plain iteration
     c <- g(c) contracts, max|g'(c)| < 1, which keeps the solve on the
-    branch that iteration converges to; otherwise SolverError.
+    branch that iteration converges to; otherwise SolverError.  An empty
+    family has the root c = 0, returned without a step.
     """
     modes = fam.phase_modes(xi, eta)
     shape = np.broadcast(np.asarray(xi), np.asarray(eta)).shape
+    if not modes:
+        return np.zeros(shape, dtype=complex)
     isign = 1j * sign
 
     def sums(powers):
         # g = sum m_k u^k and dg = sum k m_k u^k; g'(c) = i sign dg.
-        g = dg = np.zeros(shape, dtype=complex)
+        g = None
         for k, mk in modes.items():
             t = mk if powers is None else mk * powers[k]
-            g, dg = g + t, dg + k * t
+            g, dg = (t, k * t) if g is None else (g + t, dg + k * t)
         return g, dg
 
     c = np.zeros(shape, dtype=complex)
@@ -187,33 +190,39 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
         for n in range(80):
-            g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
+            g, dg = sums(_power_table(np.exp(isign * c), fam._mode_powers) if n else None)
             step = (c - g) / (1.0 - isign * dg)
             c = c - step
             cmax = np.abs(c).max()
             if not cmax < math.inf:
                 break
-            if np.abs(step).max() <= 4e-16 * (1.0 + cmax):
+            # From c = 0 the first step is -c, of the same modulus.
+            if (cmax if n == 0 else np.abs(step).max()) <= 4e-16 * (1.0 + cmax):
                 if n == 0 or np.abs(dg).max() < 1.0:
                     return c
                 break
     raise SolverError(f"{what}: exponent iteration did not converge")
 
 
-def _phase_conjugate(f: CoefficientFamily, model, g: CoefficientFamily, what: str):
+def _phase_conjugate(f: CoefficientFamily, model, g: CoefficientFamily, what: str,
+                     guard_input: bool = True):
     """Pointwise evaluator of phi_f . model . phi_g^{-1}.
 
     phi_f multiplies (xi, eta) by (e^{i f}, e^{-i f}) at the point, one
     evaluation of f; the inverse of phi_g solves the exponent identity
     c = g(e^{-ic} xi, e^{ic} eta) by Newton on the phase modes of g, which
     evaluates no family.  Input and output must stay inside the unit
-    polydisk.
+    polydisk; guard_input=False skips the input test, for a caller that
+    passes the output of an evaluator which has just tested it.
     """
 
+    # Operand order matters: numpy's complex product is not bitwise
+    # commutative, so ph * xi and xi * ph can differ in the last bit.
     def conjugated(xi, eta):
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        _guard_inside(xi, eta, f"{what} input")
+        if guard_input:
+            _guard_inside(xi, eta, f"{what} input")
         ph = np.exp(-1j * _exponent_fixed_point(g, xi, eta, -1, f"{what} inverse"))
         x, y = model(ph * xi, eta / ph)
         ph = np.exp(1j * f.eval(x, y))

@@ -138,11 +138,12 @@ OBSTRUCTION_INPUTS = [
 @pytest.mark.parametrize("s, n, alpha, steps, default_iterates", OBSTRUCTION_INPUTS,
                          ids=["s1-n4", "s2-n8"])
 def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_iterates):
-    # The 2s branch curves of Hn_obstruction are solved as one batch: one
-    # secant loop whose every step is one h evaluation and one n-step orbit
-    # over all branches, plus the final evaluation the return test reads.
-    # Each branch takes the steps it takes alone, so the tau points equal
-    # those of 2s single-branch curves while the calls fall 2s-fold.
+    # Hn_obstruction solves branches 1..s, one of each pair (j, j + s), as
+    # one batch: one secant loop whose every step is one h evaluation and
+    # one n-step orbit over all of them, plus the final evaluation the
+    # return test reads.  Each branch takes the steps it takes alone, so
+    # the tau points equal those of s single-branch curves while the calls
+    # fall s-fold.
     from revtwist.families import CoefficientFamily
     from revtwist.surface import Hn_obstruction, surface_curves
     from revtwist.twist import TwistParams
@@ -156,11 +157,11 @@ def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_iterates
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, include_remainder=True))
     assert counts["twist.h_eval"] == (steps, 0)
     assert counts["twist.iterate"] == (steps + 1, 0)
-    assert counts["surface.tau_eval"] == ((steps + 1) * n, (steps + 1) * n * 2 * s * grid)
+    assert counts["surface.tau_eval"] == ((steps + 1) * n, (steps + 1) * n * s * grid)
     assert "surface.surface_curves" not in counts
     # The default estimator makes one batched solve of the four probe
     # curves (two probe phases, two probe sizes) of every branch.
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, t=1e-2))
     assert counts["twist.iterate"] == (default_iterates, 0)
     assert counts["surface.tau_eval"] == (default_iterates * n,
-                                          default_iterates * n * 2 * s * 4 * grid)
+                                          default_iterates * n * s * 4 * grid)

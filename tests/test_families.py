@@ -105,6 +105,37 @@ def test_power_table_squares():
     assert _power_table(x, set()) == {}
 
 
+def power_oracle(table, k):
+    """x^k by squaring, planned on every call: the power table as first
+    written, kept as the reference the planned chain must match."""
+    if k not in table:
+        half = power_oracle(table, int(k / 2))
+        table[k] = half * half * table[1 if k > 0 else -1] if k % 2 else half * half
+    return table[k]
+
+
+def power_table_oracle(x, ks):
+    table = {0: 1.0, 1: x}
+    if min(ks, default=0) < 0:
+        table[-1] = 1.0 / x
+    return {k: power_oracle(table, k) for k in ks}
+
+
+@pytest.mark.parametrize("ks", [set(), {0}, {1}, {-1}, {0, 1, 2}, {7, 16, 33},
+                                {-7, -2, 0, 3, 12}, set(range(-9, 10)), {-40, 41}])
+@pytest.mark.parametrize("shape", [(), (9,), (3, 4)])
+def test_power_table_matches_oracle_bitwise(ks, shape):
+    rng = np.random.default_rng(len(ks) + len(shape))
+    x = 0.9 * np.exp(2j * np.pi * rng.uniform(size=shape)) * rng.uniform(0.5, 1.0, shape)
+    # twice: the second call reads the cached chain
+    for _ in range(2):
+        got, ref = _power_table(x, ks), power_table_oracle(x, ks)
+        assert got.keys() == ref.keys()
+        for k in ks:
+            assert np.shape(got[k]) == np.shape(ref[k])
+            assert np.asarray(got[k]).tobytes() == np.asarray(ref[k]).tobytes()
+
+
 def test_scaled_and_conjugated():
     fam = CoefficientFamily({(3, 1): 0.2 + 0.5j}, s=1)
     assert fam.scaled(2.0).entries[(3, 1)] == 0.4 + 1.0j

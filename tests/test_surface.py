@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,25 @@ class TestInvolutionMaps:
     def test_independent_second_family(self):
         rng = np.random.default_rng(13)
         self.check_pair(WITNESS_A, TP, rng, abar=WITNESS_ABAR)
+
+    @pytest.mark.parametrize("abar", [None, WITNESS_ABAR], ids=["self", "witness"])
+    def test_phi_is_tau1_after_tau2_bitwise(self, abar):
+        # phi does not test tau2's output again on its way into tau1; the
+        # values and the errors must be those of tau1(*tau2(x)).  (0.99,
+        # 0.99) escapes on the way out of tau2 and (1.2, 0.1) on the way in.
+        tau1, tau2, phi = build_involution_maps(WITNESS_A, TP, abar=abar)
+        xi, eta = sample_points(np.random.default_rng(29), 64)
+        for point in ((xi, eta), (0.2 + 0.1j, 0.3 - 0.05j), (0.5, 0.999), (0.99, 0.99),
+                      (1.2, 0.1)):
+            try:
+                ref = tau1(*tau2(*point))
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    phi(*point)
+                continue
+            for got, want in zip(phi(*point), ref):
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_zero_family_reduces_to_rotation(self):
         rng = np.random.default_rng(17)
@@ -359,7 +379,8 @@ class TestQZetaCheck:
 
 
 class TestBatchedBranches:
-    """Hn_obstruction solves its 2s branches together; each factor must be
+    """Hn_obstruction solves branches 1..s together and squares each
+    factor, since branch j + s is branch j reflected; each factor must be
     the one the single-branch curve gives."""
 
     @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
@@ -367,19 +388,33 @@ class TestBatchedBranches:
         zeta0 = _require_even_resonance(tp, n)
         factors = [2.0 * (surface_curves(a, tp, n, j, intersect=False, abar=abar).laurent[2 * n]
                           / _branch_scale(tp, zeta0, n, j)).real
-                   for j in range(1, 2 * tp.s + 1)]
-        assert Hn_obstruction(a, tp, n, include_remainder=True, abar=abar) == math.prod(factors)
+                   for j in range(1, tp.s + 1)]
+        h = Hn_obstruction(a, tp, n, include_remainder=True, abar=abar)
+        assert h == math.prod(f * f for f in factors) and h >= 0.0
 
     @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
     def test_default_estimator_is_the_product_over_branch_probes(self, tp, n, a, abar):
         zeta0 = _require_even_resonance(tp, n)
         an0 = a.entries[(n, 0)]
-        js = tuple(range(1, 2 * tp.s + 1))
+        js = tuple(range(1, tp.s + 1))
         alone = [_two_phase_a2(abs(an0), tp, zeta0, n, (j,), 1e-3)[0][0] for j in js]
         assert _two_phase_a2(abs(an0), tp, zeta0, n, js, 1e-3)[0] == alone
         factors = [2.0 * (an0 * an0 * a2 / _branch_scale(tp, zeta0, n, j)).real
                    for j, a2 in zip(js, alone)]
-        assert Hn_obstruction(a, tp, n, abar=abar) == math.prod(factors)
+        h = Hn_obstruction(a, tp, n, abar=abar)
+        assert h == math.prod(f * f for f in factors) and h >= 0.0
+
+    @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
+    def test_branch_j_plus_s_is_branch_j_reflected(self, tp, n, a, abar):
+        # h is unchanged by (zeta, w) -> (-zeta, -w), so zeta_{j+s}(w) =
+        # -zeta_j(-w); -w is the grid point half a turn on.  Both curves
+        # are solved to the stopping bound, and so agree within it.
+        bound = _step_bound(_require_even_resonance(tp, n), tp.s)
+        for j in range(1, tp.s + 1):
+            zj, zjs = (np.array([z for _, z in surface_curves(a, tp, n, b, intersect=False,
+                                                              abar=abar).samples])
+                       for b in (j, j + tp.s))
+            assert np.abs(zjs + np.roll(zj, -(len(zj) // 2))).max() <= bound
 
     def test_branches_that_stop_at_different_steps(self):
         # Alone, branches 2 and 4 stop after 5 secant steps and 1 and 3

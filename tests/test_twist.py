@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revtwist.families import CoefficientFamily
+from revtwist.families import CoefficientFamily, _power_table
 from revtwist.twist import (
     CurveDomain,
     DomainError,
@@ -812,15 +812,17 @@ class TestExponentSolve:
         # Far outside the solver disk; no numpy warning may escape either
         # (the suite runs with warnings as errors).
         fam = CoefficientFamily(entries, 1, _validate=False)
-        with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            _exponent_fixed_point(fam, np.full(4, 0.99), np.full(4, 0.99), sign, "test")
+        for solve in (_exponent_fixed_point, exponent_solve_oracle):
+            with pytest.raises(SolverError, match="exponent iteration did not converge"):
+                solve(fam, np.full(4, 0.99), np.full(4, 0.99), sign, "test")
 
     def test_singular_first_step_raises(self):
         # 1 - i sign sum k m_k vanishes at c = 0 for the first point, so the
         # closed-form step is infinite: SolverError, not inf or a warning.
         fam = CoefficientFamily({(1, 0): 1.0}, 1, _validate=False)
-        with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            _exponent_fixed_point(fam, np.array([-1j, 0.3]), 0.5, 1, "test")
+        for solve in (_exponent_fixed_point, exponent_solve_oracle):
+            with pytest.raises(SolverError, match="exponent iteration did not converge"):
+                solve(fam, np.array([-1j, 0.3]), 0.5, 1, "test")
 
     @settings(derandomize=True, deadline=None)
     @given(s=st.sampled_from([1, 2]),
@@ -844,3 +846,63 @@ class TestExponentSolve:
         except SolverError:
             return
         assert exponent_residual(fam, xi, eta, sign, c) <= 1e-14
+
+
+def exponent_solve_oracle(fam, xi, eta, sign, what):
+    """The exponent solve as first written (sums started from zeros, both
+    stopping maxima taken on every pass), kept as the reference that the
+    leaner solve must match bit for bit."""
+    modes = fam.phase_modes(xi, eta)
+    shape = np.broadcast(np.asarray(xi), np.asarray(eta)).shape
+    isign = 1j * sign
+
+    def sums(powers):
+        g = dg = np.zeros(shape, dtype=complex)
+        for k, mk in modes.items():
+            t = mk if powers is None else mk * powers[k]
+            g, dg = g + t, dg + k * t
+        return g, dg
+
+    c = np.zeros(shape, dtype=complex)
+    with np.errstate(all="ignore"):
+        for n in range(80):
+            g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
+            step = (c - g) / (1.0 - isign * dg)
+            c = c - step
+            cmax = np.abs(c).max()
+            if not cmax < math.inf:
+                break
+            if np.abs(step).max() <= 4e-16 * (1.0 + cmax):
+                if n == 0 or np.abs(dg).max() < 1.0:
+                    return c
+                break
+    raise SolverError(f"{what}: exponent iteration did not converge")
+
+
+ORACLE_CASES = {
+    "s1-scalar": (SOLVE_FAMILY, *SOLVE_POINTS["scalar"]),
+    "s1-broadcast": (SOLVE_FAMILY, *SOLVE_POINTS["broadcast"]),
+    "scalar-xi-array-eta": (SOLVE_FAMILY, 0.4 + 0.1j, np.array([0.3, -0.2j, 0.1 + 0.4j])),
+    "empty": (CoefficientFamily.empty(1), *SOLVE_POINTS["broadcast"]),
+    # modes 5, 3, 0, -1, -4 and -6
+    "negative-modes": (CoefficientFamily({(5, 0): 0.3 - 0.1j, (4, 1): 0.2j, (2, 2): -0.25,
+                                          (3, 4): 0.4 + 0.3j, (1, 5): -0.2 + 0.1j,
+                                          (0, 6): 0.35}, 1),
+                       0.45 * np.exp(2j * np.pi * np.arange(5) / 5),
+                       0.5 * np.exp(-1j * np.arange(5))),
+    "per-point-entries": (CoefficientFamily({(4, 0): np.linspace(0.05, 0.3, 6) * 1j,
+                                             (1, 4): np.linspace(-0.2, 0.2, 6)}, 1,
+                                            _validate=False),
+                          0.5 * np.exp(2j * np.pi * np.arange(6) / 6), np.full(6, 0.4 - 0.1j)),
+}
+
+
+class TestExponentSolveOracle:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_oracle_bitwise(self, case, sign):
+        fam, xi, eta = ORACLE_CASES[case]
+        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        ref = exponent_solve_oracle(fam, xi, eta, sign, "test")
+        assert c.shape == ref.shape and c.dtype == ref.dtype
+        assert np.array_equal(c, ref)
