@@ -19,10 +19,10 @@ from .series import (
     MapJet,
     _check_order,
     _compose,
+    _compose_product_form,
     _powers,
     _triangle_mask,
     diagonal_series,
-    jet_mul,
     map_compose,
     map_inverse,
     map_residual,
@@ -156,40 +156,16 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet, MapJet]:
     return change, change_inv, tau_std
 
 
-def _radial_compose(c, t: Jet) -> Jet:
-    """sum_k c_k t^k through t's order, by a Horner loop of len(c) - 1 products."""
-    one = Jet.constant(1.0, t.order)
-    out = c[-1] * one
-    for ck in c[-2::-1]:
-        out = jet_mul(out, t) + ck * one
-    return out
-
-
-def _compose_product_form(form: MapJet, inner: MapJet) -> MapJet:
-    """form . inner for a product form (xi M(xi eta), eta M'(xi eta)).
-
-    form must vanish off the diagonals that carry M and M'.  With
-    inner = (X, Y) and t = X Y, the result is (X M(t), Y M'(t)): one product
-    for t, a Horner loop of (N - 1) // 2 products per series and one final
-    product each, where `map_compose` takes 3D - 1 products.
-    """
-    t = jet_mul(inner.x, inner.y)
-    return MapJet(
-        jet_mul(inner.x, _radial_compose(diagonal_series(form.x, "xi"), t)),
-        jet_mul(inner.y, _radial_compose(diagonal_series(form.y, "eta"), t)),
-    )
-
-
-def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
-    """Solve Phi0 . phi = F . Phi0 for the normalized Phi0 and the product form F.
+def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, np.ndarray, np.ndarray, float]:
+    """Solve Phi0 . phi = F . Phi0 for the normalized Phi0 and F = (xi M, eta M').
 
     phi has the linear part (mu, 1/mu).  With Phi0 and F known through
     degree d - 1, the degree-d part of err = Phi0 . phi - F . Phi0 is
     cancelled: off the resonant entries ((i+1,i) in xi, (i,i+1) in eta) by
-    Phi0's coefficient -err / (mu^{i-j} - mu) (1/mu in eta), on them by F,
-    while Phi0 stays zero there, which is the normalization that makes the
-    conjugator unique.  Returns (Phi0, F, defect), the defect being the
-    worst of err after phi's truncation order N and of M M^{-1} - 1.
+    Phi0's coefficient -err / (mu^{i-j} - mu) (1/mu in eta), on them by M
+    or M', while Phi0 stays zero there, which is the normalization that
+    makes the conjugator unique.  Returns (Phi0, M, M', defect), the defect
+    being the worst of err after phi's truncation order N and of M M' - 1.
 
     Step d then recomputes err, which the next step reads at degree d + 1
     alone, so it composes at order m = min(d + 1, N): the degree-m part of
@@ -197,8 +173,7 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     step composes at order N, so the defect is read in full.  Phi0 . phi
     reads the corner of phi.y's power table (built once at order N, since
     phi is the inner map of every step) that the degree-d Phi0 and order m
-    need.  F is nonzero only on the diagonals of M and M', so F . Phi0 goes
-    through the product form (X M(XY), Y M'(XY)) with (X, Y) = Phi0.
+    need; F . Phi0 is the product-form kernel on M and M'.
     """
     n = phi.order
     # pows[n + k] = mu^k for k = -N..N+1: the degree-N elimination divides
@@ -219,29 +194,33 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, MapJet, float]:
     divisors = np.where(resonant, 1.0, pows[n + i - j] - np.array([mu, 1.0 / mu])[:, None, None])
     ypow = _powers(phi.y, n)
 
-    # Phi0 starts at the identity and F at phi's own diagonal, so err
-    # vanishes through degree 1 up to phi's off-diagonal linear entries.
-    phi_total = MapJet.identity(n)
-    form = MapJet(lin[0, 0] * phi_total.x, lin[1, 1] * phi_total.y)
-    err = phi - form
+    # Phi0 starts at the identity and M, M' at phi's own diagonal, so err
+    # = phi - F vanishes through degree 1 up to phi's off-diagonal linear entries.
+    phi0 = np.array([Jet.coordinate("xi", n).coeffs, Jet.coordinate("eta", n).coeffs])
+    m_series = np.zeros((2, (n + 1) // 2), dtype=complex)
+    m_series[:, 0] = lin[0, 0], lin[1, 1]
+    err = np.array([phi.x.coeffs, phi.y.coeffs])
+    err[(0, 1), (1, 0), (0, 1)] -= np.diag(lin)
     for d in range(2, n + 1):
-        e = np.where(i + j == d, np.array([err.x.coeffs, err.y.coeffs]), 0.0)
-        u = np.where(resonant, 0.0, -e / divisors)
-        f = np.where(resonant, e, 0.0)
-        phi_total = MapJet(phi_total.x + Jet(u[0], n), phi_total.y + Jet(u[1], n))
-        form = MapJet(form.x + Jet(f[0], n), form.y + Jet(f[1], n))
+        deg = (slice(None), np.arange(d + 1), np.arange(d, -1, -1))  # the degree-d entries
+        e = err[deg]
+        phi0[deg] = np.where(resonant[deg], 0.0, -e / divisors[deg])
+        if d % 2:
+            m_series[:, d // 2] = e[0, d // 2 + 1], e[1, d // 2]
         m = min(d + 1, n)
-        conj, x = phi_total.truncate(m), phi.x.truncate(m)
+        conj = MapJet(*(Jet(c[: m + 1, : m + 1].copy(), m) for c in phi0))
+        x = phi.x.truncate(m)
         pw = np.where(_triangle_mask(m), ypow[: d + 1, : m + 1, : m + 1], 0.0)
-        lhs = MapJet(_compose(conj.x, x, pw), _compose(conj.y, x, pw))
-        err = (lhs - _compose_product_form(form.truncate(m), conj)).truncate(n)
+        rhs = _compose_product_form(*m_series, conj)
+        err = np.array([_compose(conj.x, x, pw).coeffs - rhs.x.coeffs,
+                        _compose(conj.y, x, pw).coeffs - rhs.y.coeffs])
 
-    m_defect = _unit_defect(diagonal_series(form.x, "xi"), diagonal_series(form.y, "eta"))
-    return phi_total, form, max(err.max_abs(), m_defect)
+    defect = max(float(np.abs(err).max()), _unit_defect(*m_series))
+    return MapJet(Jet(phi0[0], n), Jet(phi0[1], n)), m_series[0], m_series[1], defect
 
 
-def _check_off_form(residual: float, form: MapJet) -> None:
-    if residual > 1e-6 * max(1.0, form.max_abs()):
+def _check_off_form(residual: float, m_series, m_inv) -> None:
+    if residual > 1e-6 * max(1.0, float(np.abs(m_series).max()), float(np.abs(m_inv).max())):
         raise ValueError(f"normalization failed: off-form residual {residual:.3e}")
 
 
@@ -252,8 +231,7 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     involution's radial factor Lambda_j from Phi0 . tau_j . Phi0^{-1}.
     """
     mu = pair.lambda1 / pair.lambda2
-    phi_total, form, residual = _solve_conjugacy(map_compose(pair.tau1, pair.tau2), mu)
-    m_series = diagonal_series(form.x, "xi")
+    phi_total, m_series, m_inv, residual = _solve_conjugacy(map_compose(pair.tau1, pair.tau2), mu)
 
     phi_total_inv = map_inverse(phi_total)
     lambdas = []
@@ -270,7 +248,7 @@ def mw_normalize(pair: InvolutionPair) -> MWResult:
     recomposed = series_mul(lambdas[0], series_reciprocal(lambdas[1]))
     residual = max(residual, float(np.abs(recomposed - m_series).max()))
 
-    _check_off_form(residual, form)
+    _check_off_form(residual, m_series, m_inv)
     return MWResult(phi_total, m_series, lambdas[0], lambdas[1], mu, residual)
 
 
@@ -299,29 +277,36 @@ def extract_eps_s(gamma) -> tuple[int, int | float]:
     return 0, S_INFINITY
 
 
-def phi2_from_Gamma(gamma, eps: int, s: int, order: int) -> MapJet:
-    """Radial rescaling (xi r(xi eta), eta r(xi eta)) flattening Gamma to eps t^s."""
+def _phi2_series(gamma, eps: int, s: int) -> np.ndarray:
+    """The series r of the radial rescaling Phi2 = (xi r(xi eta), eta r(xi eta))."""
     if eps == 0:
         raise ValueError("eps = 0: no rescaling exists (caller should skip Phi2)")
     g = np.asarray(gamma, dtype=complex)
     shifted = g[s:] / eps
     if shifted[0].real <= 0:
         raise ValueError("Gamma's leading non-constant coefficient does not match eps at order s")
-    r = series_pow(shifted, 1.0 / (2 * s))
+    return series_pow(shifted, 1.0 / (2 * s))
+
+
+def phi2_from_Gamma(gamma, eps: int, s: int, order: int) -> MapJet:
+    """Radial rescaling (xi r(xi eta), eta r(xi eta)) flattening Gamma to eps t^s."""
+    r = _phi2_series(gamma, eps, s)
     return MapJet(radial_to_jet(r, order, "xi"), radial_to_jet(r, order, "eta"))
+
+
+def _model_series(lam: complex, eps: int, s: int | float, order: int):
+    """The series (M, M') of the model map's product form."""
+    # Radial: g = i eps t^s in t = xi eta, zero for eps = 0 or s beyond order.
+    g = np.zeros(order // 2 + 1, dtype=complex)
+    if eps and s < len(g):
+        g[int(s)] = 1j * eps
+    return lam * series_exp(g), (1.0 / lam) * series_exp(-g)
 
 
 def normal_form_map(lam: complex, eps: int, s: int | float, order: int) -> MapJet:
     """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s})."""
-    # Radial: g = i eps t^s in t = xi eta, zero for eps = 0 or s beyond order.
-    order = _check_order(order)
-    g = np.zeros(order // 2 + 1, dtype=complex)
-    if eps and s < len(g):
-        g[int(s)] = 1j * eps
-    return MapJet(
-        radial_to_jet(lam * series_exp(g), order, "xi"),
-        radial_to_jet((1.0 / lam) * series_exp(-g), order, "eta"),
-    )
+    m_series, m_inv = _model_series(lam, eps, s, _check_order(order))
+    return MapJet(radial_to_jet(m_series, order, "xi"), radial_to_jet(m_inv, order, "eta"))
 
 
 def full_normalize(
@@ -358,6 +343,7 @@ def full_normalize(
     "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
     ``residual`` is the worst of these defects.  (eps, s) = (0, S_INFINITY)
     means Gamma is constant through order N (see ``NormalFormResult``).
+    Phi2 and the target are composed from their series by the product-form kernel.
     """
     n = phi.order if order is None else _check_order(order)
     if n > phi.order or (tau is not None and n > tau.order):
@@ -384,11 +370,11 @@ def full_normalize(
     if lam_phi.imag <= 0:
         raise ValueError("normalization requires Im lambda > 0")
 
-    phi0, form, defect = _solve_conjugacy(map_compose(map_compose(change, phi), change_inv), lam_phi)
+    phi0, m_series, m_inv, defect = _solve_conjugacy(map_compose(map_compose(change, phi), change_inv), lam_phi)
     # The swap-reversed S . Phi0 . S is again a normalized conjugator, so by
     # uniqueness Phi0 commutes with the swap: Phi0.y is Phi0.x transposed.
-    _check_off_form(max(defect, float(np.abs(phi0.y.coeffs - phi0.x.coeffs.T).max())), form)
-    m_series = diagonal_series(form.x, "xi")
+    swap_defect = float(np.abs(phi0.y.coeffs - phi0.x.coeffs.T).max())
+    _check_off_form(max(defect, swap_defect), m_series, m_inv)
 
     gamma = gamma_from_M(m_series)
     eps, s = extract_eps_s(gamma)
@@ -400,13 +386,12 @@ def full_normalize(
         gamma_imag = float(np.abs(head.imag).max())
         if gamma_imag > 1e-8 * max(1.0, float(np.abs(gamma).max())):
             raise ValueError(f"Gamma head is not real (defect {gamma_imag:.3e}); pair lacks the rho-symmetry")
-    phi2 = phi2_from_Gamma(gamma, eps, s, n) if eps else MapJet.identity(n)
-
-    conjugator = map_compose(phi2, map_compose(phi0, change))
+    r = _phi2_series(gamma, eps, s) if eps else np.ones(1)  # Phi2 = identity at eps = 0
+    conjugator = _compose_product_form(r, r, map_compose(phi0, change))
     lam = m_series[0]
-    target = normal_form_map(lam, eps, s, n)
+    target = _compose_product_form(*_model_series(lam, eps, s, n), conjugator)  # target . conjugator
     residual = max(
-        map_residual(map_compose(conjugator, phi), map_compose(target, conjugator)),
+        map_residual(map_compose(conjugator, phi), target),
         map_residual(map_compose(conjugator, tau), MapJet(conjugator.y, conjugator.x)),
     )
     if reality == "standard":

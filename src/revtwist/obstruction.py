@@ -92,28 +92,30 @@ def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w):
 
     zeta = zeta0 (1+h)^{-1/(2s)} gives d zeta = -zeta0 dh/(2s), so the value
     is -(zeta0/(2 s n zeta0^{2s})) sum_j [a(zeta0 w u^{j+1}, zeta0 w^{-1} ubar^{j+1})
-    + a(zeta0 w^{-1} ubar^j, zeta0 w u^j)] with u = e^{i omega(zeta0^2)}; the
-    rotation closes up (u^n = 1) so each diagonal mode either cancels over
+    + abar(zeta0 w u^j, zeta0 w^{-1} ubar^j)], u = e^{i omega(zeta0^2)}, abar
+    phibar_a's conjugated family; u^n = 1, so each diagonal mode cancels over
     the orbit sum or survives in full when its index gap is a multiple of n.
     """
     _, zeta0 = _beta_window(tp, n)
     u = complex(np.exp(1j * (tp.alpha + zeta0 ** (2 * tp.s))))
     w = np.asarray(w, dtype=complex)
     ub = np.conj(u)
+    abar = a.conjugated()
     acc = np.zeros(w.shape, dtype=complex)
     for j in range(n):
         acc += a.eval(zeta0 * w * u ** (j + 1), zeta0 / w * ub ** (j + 1))
-        acc += a.eval(zeta0 / w * ub**j, zeta0 * w * u**j)
+        acc += abar.eval(zeta0 * w * u**j, zeta0 / w * ub**j)
     out = -zeta0 * acc / (2 * tp.s * n * zeta0 ** (2 * tp.s))
     return complex(out) if out.ndim == 0 else out
 
 
 def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int) -> complex:
     """Closed-form linear part of the w^n Laurent coefficient:
-    -zeta0^{n-2s+1} (a_{n,0} + a_{0,n}) / (2s), the chain-rule image of the
-    surviving orbit sum under zeta = zeta0 (1+h)^{-1/(2s)}."""
+    -zeta0^{n-2s+1} (a_{n,0} + conj(a_{n,0})) / (2s), the chain-rule image of
+    the surviving orbit sum under zeta = zeta0 (1+h)^{-1/(2s)}."""
     _, zeta0 = _beta_window(tp, n)
-    pair = a.entries.get((n, 0), 0.0) + a.entries.get((0, n), 0.0)
+    an0 = a.entries.get((n, 0), 0.0)
+    pair = an0 + np.conj(an0)
     return complex(-(zeta0 ** (n - 2 * tp.s + 1)) * pair / (2 * tp.s))
 
 

@@ -25,11 +25,11 @@ from .series import (
     Jet,
     MapJet,
     _check_int,
+    _compose_product_form,
     jet_exp_i,
     jet_mul,
     map_compose,
     map_inverse,
-    radial_to_jet,
     rho_conjugate,
     series_exp,
     series_reciprocal,
@@ -155,32 +155,29 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
     """Truncated series (tau1, tau2, phi) of the same triple.
 
     Matches build_involution_maps through the jet order; feeds the normal
-    form pipeline, which expects maps as power series.
+    form pipeline, which expects maps as power series.  The half-turn swaps
+    T1 = (eta c, xi / c) and T2 = (eta / c, xi c) go through the product-form kernel.
     """
     xi = Jet.coordinate("xi", order)
     eta = Jet.coordinate("eta", order)
 
-    def conjugate(f: CoefficientFamily, model: MapJet) -> MapJet:
-        # phi_f . model . phi_f^{-1}, phi_f = (xi e^{i f}, eta e^{-i f})
+    def conjugate(f: CoefficientFamily, m, m_prime) -> MapJet:
+        # phi_f . T . phi_f^{-1}, T = (eta M, xi M'), phi_f = (xi e^{i f}, eta e^{-i f})
         ftilde = f.to_jet(order)
         phi_f = MapJet(jet_mul(xi, jet_exp_i(ftilde)), jet_mul(eta, jet_exp_i(-1.0 * ftilde)))
-        return map_compose(phi_f, map_compose(model, map_inverse(phi_f)))
+        inv = map_inverse(phi_f)
+        return map_compose(phi_f, _compose_product_form(m, m_prime, MapJet(inv.y, inv.x)))
 
     half = np.zeros(order + 1, dtype=complex)
     half[tp.s] = 0.5j
     c = cmath.exp(0.5j * tp.alpha) * series_exp(half)
-    t1 = MapJet(radial_to_jet(c, order, "eta"),
-                radial_to_jet(series_reciprocal(c), order, "xi"))
 
-    tau1 = conjugate(a, t1)
+    tau1 = conjugate(a, c, series_reciprocal(c))
     if abar is None:
         tau2 = rho_conjugate(tau1, "surface")
     else:
-        t2 = MapJet(radial_to_jet(series_reciprocal(c), order, "eta"),
-                    radial_to_jet(c, order, "xi"))
-        tau2 = conjugate(abar.scaled(-1.0), t2)
-    phi = map_compose(tau1, tau2)
-    return tau1, tau2, phi
+        tau2 = conjugate(abar.scaled(-1.0), series_reciprocal(c), c)
+    return tau1, tau2, map_compose(tau1, tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +414,11 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     to relative O(t) probe error.
 
     include_remainder=True instead measures the full form at the family's
-    own amplitude: twice the real part of the normalized w^{2n}
-    coefficient of each branch curve, which includes every symmetric
-    remainder term.  The reference value is pure imaginary on the branches
-    used here, so the full factor is proportional to the reality defect
-    Im c_{2n} of the curve.  At the self-conjugate pair (abar=None) the
+    own amplitude: 2 Re(c_{2n}/reference) on each branch curve, which
+    includes every symmetric remainder term.  That reads Im c_{2n}, the
+    curve's reality defect, where the reference is pure imaginary (every
+    branch at s = 1), and Re c_{2n} where it is real (branch 1 at s = 2).
+    At the self-conjugate pair (abar=None) the
     reversor forces the curve to be real over real w, a continuum of real
     points, and the full product vanishes identically for every a; it is
     nonzero only for an independent abar, the regime where isolated

@@ -12,9 +12,9 @@ import pytest
 
 from revtwist.families import CoefficientFamily
 from revtwist.normal_form import (
+    RESONANCE_TOL,
     InvolutionPair,
     ResonanceError,
-    _compose_product_form,
     _solve_conjugacy,
     _unit_defect,
     extract_eps_s,
@@ -29,7 +29,12 @@ from revtwist.normal_form import (
 from revtwist.series import (
     Jet,
     MapJet,
+    _compose,
+    _compose_product_form,
+    _powers,
+    _triangle_mask,
     diagonal_series,
+    jet_mul,
     map_compose,
     map_inverse,
     map_residual,
@@ -502,13 +507,78 @@ def full_order_conjugacy(phi, mu):
     return phi_total, form, max(err.max_abs(), m_defect)
 
 
+def dense_form_conjugacy(phi, mu):
+    """Bitwise oracle for _solve_conjugacy: the same loop with F carried as
+    a dense jet, its series read back off the diagonals at every step, and
+    F . Phi0 composed by a kernel that takes F itself."""
+    n = phi.order
+    pows = np.array([mu**k for k in range(-n, n + 2)])
+    for k, gap in enumerate(np.abs(pows[n + 1 :] - 1.0), start=1):
+        if gap < RESONANCE_TOL:
+            raise ResonanceError(k, float(gap))
+    lin = phi.linear_part()
+    off = max(abs(lin[0, 1]), abs(lin[1, 0]), abs(lin[0, 0] - mu), abs(lin[1, 1] - 1.0 / mu))
+    if off > 1e-9 * max(1.0, phi.max_abs()):
+        raise ValueError("phi does not have the diagonal linear part (mu, 1/mu)")
+
+    def radial(c, t):
+        one = Jet.constant(1.0, t.order)
+        out = c[-1] * one
+        for ck in c[-2::-1]:
+            out = jet_mul(out, t) + ck * one
+        return out
+
+    def compose_dense_form(form, inner):
+        t = jet_mul(inner.x, inner.y)
+        return MapJet(
+            jet_mul(inner.x, radial(diagonal_series(form.x, "xi"), t)),
+            jet_mul(inner.y, radial(diagonal_series(form.y, "eta"), t)),
+        )
+
+    i, j = np.indices((n + 1, n + 1))
+    resonant = np.array([i == j + 1, j == i + 1])
+    divisors = np.where(resonant, 1.0, pows[n + i - j] - np.array([mu, 1.0 / mu])[:, None, None])
+    ypow = _powers(phi.y, n)
+    phi_total = MapJet.identity(n)
+    form = MapJet(lin[0, 0] * phi_total.x, lin[1, 1] * phi_total.y)
+    err = phi - form
+    for d in range(2, n + 1):
+        e = np.where(i + j == d, np.array([err.x.coeffs, err.y.coeffs]), 0.0)
+        u = np.where(resonant, 0.0, -e / divisors)
+        f = np.where(resonant, e, 0.0)
+        phi_total = MapJet(phi_total.x + Jet(u[0], n), phi_total.y + Jet(u[1], n))
+        form = MapJet(form.x + Jet(f[0], n), form.y + Jet(f[1], n))
+        m = min(d + 1, n)
+        conj, x = phi_total.truncate(m), phi.x.truncate(m)
+        pw = np.where(_triangle_mask(m), ypow[: d + 1, : m + 1, : m + 1], 0.0)
+        lhs = MapJet(_compose(conj.x, x, pw), _compose(conj.y, x, pw))
+        err = (lhs - compose_dense_form(form.truncate(m), conj)).truncate(n)
+
+    m_series, m_inv = diagonal_series(form.x, "xi"), diagonal_series(form.y, "eta")
+    return phi_total, m_series, m_inv, max(err.max_abs(), _unit_defect(m_series, m_inv))
+
+
+def assert_bitwise_conjugacy(phi, mu):
+    """_solve_conjugacy equals the dense-form loop bit for bit."""
+    got = _solve_conjugacy(phi, mu)
+    phi0, m_series, m_inv, defect = got
+    phi0_dense, m_dense, m_inv_dense, defect_dense = dense_form_conjugacy(phi, mu)
+    assert np.array_equal(phi0.x.coeffs, phi0_dense.x.coeffs)
+    assert np.array_equal(phi0.y.coeffs, phi0_dense.y.coeffs)
+    assert np.array_equal(m_series, m_dense) and np.array_equal(m_inv, m_inv_dense)
+    assert defect == defect_dense
+    return got
+
+
 def assert_same_conjugacy(phi, mu):
-    """_solve_conjugacy and the full-order oracle agree to rounding."""
+    """_solve_conjugacy equals the dense-form loop bit for bit, and the
+    full-order oracle to rounding."""
     tol = 1e-12 * max(1.0, phi.max_abs())
-    phi0, form, defect = _solve_conjugacy(phi, mu)
+    phi0, m_series, m_inv, defect = assert_bitwise_conjugacy(phi, mu)
     phi0_full, form_full, defect_full = full_order_conjugacy(phi, mu)
     assert map_residual(phi0, phi0_full) <= tol
-    assert map_residual(form, form_full) <= tol
+    assert np.abs(m_series - diagonal_series(form_full.x, "xi")).max() <= tol
+    assert np.abs(m_inv - diagonal_series(form_full.y, "eta")).max() <= tol
     assert abs(defect - defect_full) <= tol
     return defect
 
@@ -517,6 +587,17 @@ def assert_same_conjugacy(phi, mu):
 def test_conjugacy_matches_full_order_loop(s, n):
     phi = planted_swap_reversible(2.4, s, n)
     assert assert_same_conjugacy(phi, phi.x.coeff(1, 0)) < 1e-9
+
+
+@pytest.mark.parametrize("theta,s,n", [(0.7, 1, 12), (0.7, 2, 12), (0.7, 3, 16), (1.225, 1, 16),
+                                       (2.4, 3, 20), (2.4, 1, 24), (2.4, 1, 1), (2.4, 2, 2)])
+def test_conjugacy_matches_dense_form_loop_bitwise(theta, s, n):
+    # Carrying F as its two series changes no bit of Phi0, M, M' or the
+    # defect.  At s = 1 the small divisors leave the full-order loop further
+    # apart than the rounding bound of assert_same_conjugacy.  At N = 1 the
+    # loop runs no step, so the defect is read off the starting err alone.
+    phi = planted_swap_reversible(theta, s, n)
+    assert assert_bitwise_conjugacy(phi, phi.x.coeff(1, 0))[3] < 1e-9
 
 
 def test_conjugacy_matches_full_order_loop_on_surface_pair():
@@ -530,17 +611,23 @@ def test_conjugacy_matches_full_order_loop_on_surface_pair():
     assert assert_same_conjugacy(inner, phi.x.coeff(1, 0)) < 1e-9
 
 
-@pytest.mark.parametrize("n,terms", [(2, 1), (3, 2), (8, 1), (8, 4), (13, 7)])
+@pytest.mark.parametrize("n,terms", [(2, 1), (3, 2), (8, 1), (8, 4), (13, 7), (8, 9)])
 def test_product_form_composition(n, terms):
     # F = (xi M(xi eta), eta M'(xi eta)) with `terms` coefficients in each
-    # series (1: a linear F), composed with a random map fixing the origin.
+    # series (1: a linear F; beyond (n + 1) // 2 they reach past degree n),
+    # composed with a random map fixing the origin; the swapped form
+    # (eta M, xi M') is the same kernel on the swapped inner map.
     rng = np.random.default_rng(48 + n + terms)
     m1, m2 = (rng.standard_normal(terms) + 1j * rng.standard_normal(terms) for _ in range(2))
     form = MapJet(radial_to_jet(m1, n, "xi"), radial_to_jet(m2, n, "eta"))
+    swapped = MapJet(radial_to_jet(m1, n, "eta"), radial_to_jet(m2, n, "xi"))
     inner = MapJet(Jet(triangle_noise(rng, n, 0.5, min_degree=1), n),
                    Jet(triangle_noise(rng, n, 0.5, min_degree=1), n))
     want = map_compose(form, inner)
-    assert map_residual(_compose_product_form(form, inner), want) <= 1e-12 * max(1.0, want.max_abs())
+    assert map_residual(_compose_product_form(m1, m2, inner), want) <= 1e-12 * max(1.0, want.max_abs())
+    want = map_compose(swapped, inner)
+    got = _compose_product_form(m1, m2, MapJet(inner.y, inner.x))
+    assert map_residual(got, want) <= 1e-12 * max(1.0, want.max_abs())
 
 
 # --- operation counts ---------------------------------------------------------
@@ -590,9 +677,9 @@ def test_full_normalize_operation_counts(monkeypatch):
     # compositions stop at the outer map's top degree and inverses at the
     # pass count its lowest nonlinear degree fixes.  The elimination makes
     # no map_compose call: each step composes at the order the next one
-    # reads, over one power table of phi.y, and F . Phi0 goes through F's
-    # product form.  Any change here is a change of algorithm and should be
-    # deliberate.
+    # reads, over one power table of phi.y.  F, Phi2 and the model map are
+    # product forms and never the outer map of map_compose.  Any change
+    # here is a change of algorithm and should be deliberate.
     n = 12
     target = normal_form_map(np.exp(0.7j), 1, 2, n)
     frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
@@ -600,7 +687,7 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 499, "map_compose": 12, "passes": 0, "map_inverse": 1}
+    assert counts == {"jet_mul": 475, "map_compose": 10, "passes": 0, "map_inverse": 1}
 
 
 def test_surface_exponent_solve_operation_counts(monkeypatch):

@@ -98,6 +98,21 @@ class TestPredictedLinearZeta:
         assert 1.8 < errs[0] / errs[1] < 2.2
         assert 1.8 < errs[1] / errs[2] < 2.2
 
+    @pytest.mark.parametrize("entries", [{(8, 0): 0.05 + 0.02j}, {(8, 0): 0.05, (0, 8): 0.03}])
+    def test_non_hermitian_family(self, entries):
+        # phibar_a uses the conjugated family, so a_{0,n} does not stand in
+        # for conj(a_{n,0}) once a is not Hermitian: the central difference
+        # of the solved curve and the w^n coefficient follow conj(a_{n,0}).
+        tp, n = TwistParams(alpha=1.41421356, s=1), 8
+        fam = CoefficientFamily(entries, 1)
+        pred = ob.predicted_linear_zeta(fam, tp, n, W3)
+        t = 1e-3
+        resp = (tw.solve_branch(fam.scaled(t), tp, n, 2, W3)
+                - tw.solve_branch(fam.scaled(-t), tp, n, 2, W3)) / (2 * t)
+        assert np.abs(resp - pred).max() < 1e-6 * np.abs(resp).max()
+        num, lead = ob.Hk_estimate(fam.scaled(1e-2), tp, n)
+        assert abs(num / lead - 1.0) < 1e-6
+
     def test_orbit_shift_invariance(self):
         fam = CoefficientFamily(
             {(7, 0): 0.1, (0, 7): 0.1, (2, 1): 0.3, (1, 2): 0.3}, 1,
