@@ -43,7 +43,6 @@ from .twist import (
     periodic_curve,
     solve_branch,
     twist_eval,
-    varphi_eval,
 )
 from .normal_form import (
     InvolutionPair,

@@ -117,9 +117,6 @@ class CoefficientFamily:
     def max_modulus(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def max_degree(self) -> int:
-        return max((i + j for i, j in self.entries), default=0)
-
     def _terms(self, xi, eta):
         """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries, from one table
         of the powers of xi and of eta that the entries use."""

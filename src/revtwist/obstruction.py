@@ -57,7 +57,8 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     A float64 prefilter walks the line n*alpha mod 2pi in chunks; every
     candidate is then confirmed through the extended-precision reduction, so
     large-n rounding in the prefilter cannot leak a wrong period in (a
-    margin around the window absorbs it).  Fewer than `count` hits below
+    margin around the window absorbs it), and a period whose float64
+    n*alpha overflows is a candidate.  Fewer than `count` hits below
     n_max returns the partial list with a warning: existence of infinitely
     many resonant periods is only guaranteed asymptotically.
     """
@@ -72,8 +73,11 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     chunk = 1 << 20
     for lo in range(1, n_max + 1, chunk):
         ns = np.arange(lo, min(lo + chunk, n_max + 1))
-        bf = np.mod(ns * alpha + math.pi, 2 * math.pi) - math.pi
-        hits = ns[(bf > -delta - margin) & (bf < margin)]
+        # n*alpha overflows to inf near the top of float64, and its
+        # reduction to nan: such a period goes to beta_reduce unfiltered.
+        with np.errstate(over="ignore", invalid="ignore"):
+            bf = np.mod(ns * alpha + math.pi, 2 * math.pi) - math.pi
+        hits = ns[((bf > -delta - margin) & (bf < margin)) | ~np.isfinite(bf)]
         for n in hits:
             rd = beta_reduce(int(n), alpha)
             if -delta < rd.beta < 0.0:

@@ -116,9 +116,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Jet":
-        return Jet(-self.coeffs, self.order)
-
     def coeff(self, i: int, j: int) -> complex:
         return complex(self.coeffs[i, j])
 
@@ -362,8 +359,8 @@ def map_inverse(phi: MapJet) -> MapJet:
     d - 1 and each pass fixes d - 1 more degrees, so (N - d) // (d - 1) + 1
     passes reach degree N (none for a linear phi).  This holds bit for bit
     in floating point: a degree-m coefficient of P(psi) is computed from
-    coefficients of psi of degree at most m - d + 1 alone.  The iteration
-    stops earlier once a pass returns its input unchanged.
+    coefficients of psi of degree at most m - d + 1 alone.  The pass count
+    is the one stopping rule: a pass at the fixed point returns its input.
     """
     n = phi.order
     if not phi.fixes_origin():
@@ -396,12 +393,7 @@ def map_inverse(phi: MapJet) -> MapJet:
 
     psi = linmap(ident)
     for _ in range(passes):
-        nxt = linmap(ident - map_compose(pnl, psi))
-        if np.array_equal(nxt.x.coeffs, psi.x.coeffs) and np.array_equal(
-            nxt.y.coeffs, psi.y.coeffs
-        ):
-            break
-        psi = nxt
+        psi = linmap(ident - map_compose(pnl, psi))
     return psi
 
 
@@ -450,21 +442,14 @@ def map_residual(a: MapJet, b: MapJet) -> float:
 # One-variable series in t = xi*eta.
 
 
-def _as_series(c, order: int | None = None) -> np.ndarray:
-    c = np.asarray(c, dtype=complex).ravel()
-    if order is not None:
-        if len(c) > order + 1:
-            c = c[: order + 1]
-        elif len(c) < order + 1:
-            c = np.concatenate([c, np.zeros(order + 1 - len(c), dtype=complex)])
-    return c
+def _as_series(c) -> np.ndarray:
+    return np.asarray(c, dtype=complex).ravel()
 
 
-def series_mul(a, b, order: int | None = None) -> np.ndarray:
+def series_mul(a, b) -> np.ndarray:
+    """Product of two series, truncated at the order of a."""
     a = _as_series(a)
-    b = _as_series(b)
-    n = (len(a) - 1 if order is None else order)
-    return _as_series(np.convolve(a, b), n)
+    return np.convolve(a, _as_series(b))[: len(a)]
 
 
 def series_reciprocal(a) -> np.ndarray:

@@ -3,12 +3,12 @@
 Hyperbolic Bishop-invariant arithmetic, the numeric involution triple
 tau1 = phi_a T1 phi_a^{-1} and tau2 built from a second coefficient
 family abar (defaulting to the conjugated family, which makes
-tau2 = rho tau1 rho for plain coordinate conjugation rho), periodic
-curves of phi = tau1 tau2, the search for intersections with the totally
-real space, and the second-order w^{2n} probes that feed the obstruction
-product.  The two families are independent arguments throughout: the
-self-conjugate default describes an actual surface, while an independent
-abar probes the full two-variable obstruction.
+tau2 = rho tau1 rho to rounding, rho the coordinate conjugation),
+periodic curves of phi = tau1 tau2, the search for intersections with
+the totally real space, and the second-order w^{2n} probes that feed the
+obstruction product.  The two families are independent arguments
+throughout: the self-conjugate default describes an actual surface,
+while an independent abar probes the full two-variable obstruction.
 """
 
 from __future__ import annotations
@@ -109,37 +109,24 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
     """Numeric evaluators (tau1, tau2, phi) with phi = tau1 . tau2.
 
     tau1 conjugates the half-angle swap T1 by phi_a.  tau2 conjugates the
-    opposite swap T2 by the companion change of variables built from abar;
-    the two coefficient families are independent arguments.  Passing
-    abar=None uses the conjugated family, the self-conjugate case where
-    tau2 = rho tau1 rho and the reality condition rho tau1 = tau2 rho holds
-    exactly; that case is realized by conjugating the point before and
-    after tau1.
+    opposite swap T2 by phi_b, b = -abar: rho phi_a rho with abar in place
+    of the conjugated family, rho the coordinate conjugation.  The two
+    coefficient families are independent arguments; abar=None takes
+    a.conjugated(), the self-conjugate case where tau2 = rho tau1 rho and
+    the reality condition rho tau1 = tau2 rho hold to rounding.
     """
 
     def t1(xi, eta):
         ph = np.exp(0.5j * tp.omega(xi * eta))
         return ph * eta, xi / ph
 
+    def t2(xi, eta):
+        ph = np.exp(0.5j * tp.omega(xi * eta))
+        return eta / ph, ph * xi
+
+    b = (a.conjugated() if abar is None else abar).scaled(-1.0)
     tau1 = _phase_conjugate(a, t1, a, "tau1")
-    if abar is None:
-
-        def tau2(xi, eta):
-            x, y = tau1(np.conj(xi), np.conj(eta))
-            return np.conj(x), np.conj(y)
-
-    else:
-        # psi = rho phi_a rho with abar in place of the conjugated family;
-        # it multiplies xi by exp(-i abar) and eta by exp(+i abar), which
-        # is phi_b for b = -abar.
-        b = abar.scaled(-1.0)
-
-        def t2(xi, eta):
-            ph = np.exp(0.5j * tp.omega(xi * eta))
-            return eta / ph, ph * xi
-
-        tau2 = _phase_conjugate(b, t2, b, "tau2")
-
+    tau2 = _phase_conjugate(b, t2, b, "tau2")
     # tau2 has just tested its output, which is the input of tau1 in phi.
     tau1_of_tau2 = _phase_conjugate(a, t1, a, "tau1", guard_input=False)
 
@@ -155,28 +142,28 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
     """Truncated series (tau1, tau2, phi) of the same triple.
 
     Matches build_involution_maps through the jet order; feeds the normal
-    form pipeline, which expects maps as power series.  The half-turn swaps
-    T1 = (eta c, xi / c) and T2 = (eta / c, xi c) go through the product-form kernel.
+    form pipeline, which expects maps as power series.  tau1 conjugates
+    the half-turn swap T1 = (eta c, xi / c) by phi_a through the
+    product-form kernel.  tau2 is rho tau1' rho, tau1' the same conjugate
+    built from conj(abar) (tau1 itself when abar is None): rho T1 rho = T2
+    and rho phi_{conj(abar)} rho = phi_{-abar}.
     """
     xi = Jet.coordinate("xi", order)
     eta = Jet.coordinate("eta", order)
-
-    def conjugate(f: CoefficientFamily, m, m_prime) -> MapJet:
-        # phi_f . T . phi_f^{-1}, T = (eta M, xi M'), phi_f = (xi e^{i f}, eta e^{-i f})
-        ftilde = f.to_jet(order)
-        phi_f = MapJet(jet_mul(xi, jet_exp_i(ftilde)), jet_mul(eta, jet_exp_i(-1.0 * ftilde)))
-        inv = map_inverse(phi_f)
-        return map_compose(phi_f, _compose_product_form(m, m_prime, MapJet(inv.y, inv.x)))
-
     half = np.zeros(order + 1, dtype=complex)
     half[tp.s] = 0.5j
     c = cmath.exp(0.5j * tp.alpha) * series_exp(half)
+    c_inv = series_reciprocal(c)
 
-    tau1 = conjugate(a, c, series_reciprocal(c))
-    if abar is None:
-        tau2 = rho_conjugate(tau1, "surface")
-    else:
-        tau2 = conjugate(abar.scaled(-1.0), series_reciprocal(c), c)
+    def conjugate(f: CoefficientFamily) -> MapJet:
+        # phi_f . T1 . phi_f^{-1}, phi_f = (xi e^{i f}, eta e^{-i f})
+        ftilde = f.to_jet(order)
+        phi_f = MapJet(jet_mul(xi, jet_exp_i(ftilde)), jet_mul(eta, jet_exp_i(-1.0 * ftilde)))
+        inv = map_inverse(phi_f)
+        return map_compose(phi_f, _compose_product_form(c, c_inv, MapJet(inv.y, inv.x)))
+
+    tau1 = conjugate(a)
+    tau2 = rho_conjugate(tau1 if abar is None else conjugate(abar.conjugated()), "surface")
     return tau1, tau2, map_compose(tau1, tau2)
 
 
@@ -244,9 +231,9 @@ def _laurent_eval(curve: PeriodicCurve):
     return at
 
 
-def _bisect_zero(f, lo: float, hi: float, iters: int = 60) -> float:
+def _bisect_zero(f, lo: float, hi: float) -> float:
     flo = f(lo)
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm == 0.0:
@@ -378,17 +365,13 @@ def q_zeta_check(a_n0: complex, tp: TwistParams, n: int,
     that any probe reaches.  Raises
     ValueError unless t is positive and finite and a_n0 finite, and
     SolverError when t |a_n0| is too small for the probe to rise above
-    rounding.
+    rounding, a zero a_n0 included.
     """
     _check_probe(t, a_n0)
     zeta0 = _require_even_resonance(tp, n)
     j = 2 * tp.s
     predicted = _branch_scale(tp, zeta0, n, j)
-    x = abs(a_n0)
-    if x == 0.0:
-        return QZetaReport(n=n, j=j, t=t, a2_coeff=0.0, predicted=predicted,
-                           rel_error=1.0, symmetric_coeff=0.0)
-    a2, sym = _two_phase_a2(x, tp, zeta0, n, (j,), t)
+    a2, sym = _two_phase_a2(abs(a_n0), tp, zeta0, n, (j,), t)
     a2, sym = a2[0], sym[0]
     rel = abs(a2 - predicted) / abs(predicted)
     return QZetaReport(n=n, j=j, t=t, a2_coeff=a2, predicted=predicted,

@@ -131,7 +131,9 @@ def beta_reduce(n: int, alpha: float) -> ResonanceData:
     n = _check_int(n, "n")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    digits = 30 + max(0, int(math.log10(max(abs(alpha), 1.0) * n + 1.0)))
+    # The count of digits of n*alpha, taken in log space: the product
+    # itself overflows float64 once |alpha| n passes 1.8e308.
+    digits = 30 + int(math.log10(max(abs(alpha), 1.0)) + math.log10(n))
     with mpmath.workdps(digits):
         x = mpmath.mpf(n) * mpmath.mpf(alpha)
         g = int(mpmath.floor((x + mpmath.pi) / (2 * mpmath.pi)))
@@ -242,11 +244,6 @@ def make_varphi(a: CoefficientFamily, tp: TwistParams):
     """
     return _phase_conjugate(a, lambda xi, eta: twist_eval(tp, xi, eta),
                             a.conjugated().scaled(-1.0), "varphi")
-
-
-def varphi_eval(a: CoefficientFamily, tp: TwistParams, point):
-    """Single application of the perturbed twist at one point (or array pair)."""
-    return make_varphi(a, tp)(point[0], point[1])
 
 
 def iterate(map_eval, n: int, point):

@@ -109,6 +109,15 @@ class TestExitCodes:
         assert abs(float(vals["lambda_re"]) * 1e200 - 0.5) < 1e-15
         assert float(vals["modulus_residual"]) == 0.0
 
+    def test_curve_huge_alpha_exits_two(self, tmp_path, capsys):
+        # n * alpha overflows float64; the reduction still runs.
+        fam = write(tmp_path / "f.txt", "4 0 0.05 0\n")
+        rc = main(["curve", "--alpha", "1e308", "--s", "1", "--n", "4",
+                   "--j", "2", "--family", fam])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hypothesis violation: ")
+
     def test_curve_beta_positive_exits_two(self, tmp_path, capsys):
         fam = write(tmp_path / "f.txt", "3 0 0.05 0\n")
         rc = main(["curve", "--alpha", "0.5", "--s", "1", "--n", "4",

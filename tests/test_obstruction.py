@@ -1,6 +1,7 @@
 """Tests for resonance schedules and divergence obstructions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ class TestSelectResonant:
         assert ns == sorted(ns)
         for rd in sched:
             assert -0.3 < rd.beta < 0
+
+    def test_overflowing_prefilter_keeps_its_periods(self):
+        # n * 1e308 overflows float64 for n >= 2; such periods skip the
+        # float64 prefilter and are reduced exactly, without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = ob.select_resonant_n(1e308, 0.3, 2, 50)
+        assert [r.n for r in sched] == [7, 47]
+        assert [r.beta for r in sched] == [tw.beta_reduce(n, 1e308).beta for n in (7, 47)]
 
     def test_partial_schedule_warns(self):
         with pytest.warns(UserWarning, match="only"):

@@ -156,7 +156,15 @@ class TestInvolutionMaps:
         xi, eta = sample_points(rng, 100)
         x0, e0 = phi0(xi, eta)
         x1, e1 = phi1(xi, eta)
-        assert np.max(np.abs(x0 - x1) + np.abs(e0 - e1)) < 1e-13
+        assert np.array_equal(x0, x1) and np.array_equal(e0, e1)
+
+    def test_self_conjugate_tau2_names_itself(self):
+        # tau2 is built from a.conjugated(), not by conjugating tau1, so a
+        # point escaping on the way in is reported as tau2's input.
+        _, tau2, phi = build_involution_maps(WITNESS_A, TP)
+        for f in (tau2, phi):
+            with pytest.raises(DomainError, match=r"^tau2 input: point modulus 1\.2 escaped"):
+                f(1.2, 0.1)
 
     def test_independent_second_family(self):
         rng = np.random.default_rng(13)
@@ -349,9 +357,9 @@ class TestQZetaCheck:
         assert abs(r1.a2_coeff - r2.a2_coeff) < 1e-4 * abs(r1.predicted)
 
     def test_zero_amplitude_degenerates(self):
-        rep = q_zeta_check(0.0, TP, N1)
-        assert rep.a2_coeff == 0
-        assert rep.rel_error == 1.0
+        # Nothing to measure: the probe signal is zero, below rounding.
+        with pytest.raises(SolverError, match=r"probe signal 0\.000e\+00 "):
+            q_zeta_check(0.0, TP, N1)
 
     def test_resonance_hypotheses_enforced(self):
         # 4s must divide n.

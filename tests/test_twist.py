@@ -28,7 +28,6 @@ from revtwist.twist import (
     periodic_curve,
     solve_branch,
     twist_eval,
-    varphi_eval,
 )
 from revtwist.twist import (
     _beta_window,
@@ -109,6 +108,16 @@ class TestBetaReduce:
                 err = mpmath.mpf(n) * mpmath.mpf(alpha) - 2 * rd.g * mpmath.pi - mpmath.mpf(rd.beta)
             assert abs(float(err)) < 1e-12
 
+    def test_huge_product_against_independent_reduction(self):
+        # 3 * 6e307 overflows float64; the digit count is taken in log space.
+        n, alpha = 3, 6e307
+        rd = beta_reduce(n, alpha)
+        with mpmath.workdps(700):
+            x = mpmath.mpf(n) * mpmath.mpf(alpha)
+            g = mpmath.floor((x + mpmath.pi) / (2 * mpmath.pi))
+            assert rd.g == int(g)
+            assert rd.beta == float(x - 2 * g * mpmath.pi)
+
     def test_boundary_rejected(self):
         with pytest.raises(ValueError, match="branch cut"):
             beta_reduce(1, math.pi)
@@ -150,7 +159,7 @@ class TestVarphi:
         tp = TwistParams(alpha=0.7, s=1)
         fam = CoefficientFamily({}, 1)
         xi, eta = 0.1 + 0.05j, 0.12 - 0.01j
-        got = varphi_eval(fam, tp, (xi, eta))
+        got = make_varphi(fam, tp)(xi, eta)
         want = twist_eval(tp, xi, eta)
         assert abs(complex(got[0]) - complex(want[0])) < 1e-16
         assert abs(complex(got[1]) - complex(want[1])) < 1e-16
@@ -170,7 +179,7 @@ class TestVarphi:
         tp = TwistParams(alpha=0.7, s=1)
         fam = CoefficientFamily({}, 1)
         with pytest.raises(DomainError, match="unit polydisk"):
-            varphi_eval(fam, tp, (1.5, 0.1))
+            make_varphi(fam, tp)(1.5, 0.1)
 
     def test_nan_input_fails_the_guard(self):
         fam = CoefficientFamily({(3, 0): 0.1}, 1)
@@ -179,7 +188,7 @@ class TestVarphi:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DomainError, match="varphi input"):
-                    varphi_eval(fam, tp, point)
+                    make_varphi(fam, tp)(*point)
 
     def test_one_step_linearization(self):
         # first order in the family: p = i a(xi e^{iw}, eta e^{-iw}) + i a_conj(xi, eta)
@@ -192,7 +201,7 @@ class TestVarphi:
         om = complex(tp.omega(xi * eta))
 
         def p_of(t):
-            x2, _ = varphi_eval(fam.scaled(t), tp, (xi, eta))
+            x2, _ = make_varphi(fam.scaled(t), tp)(xi, eta)
             return complex(x2) * np.exp(-1j * om) / xi - 1
 
         eps = 1e-6
