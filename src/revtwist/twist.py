@@ -301,18 +301,23 @@ def curve_band(n: int, grid_size: int) -> int:
     return min(2 * n + 8, (grid_size - 1) // 2)
 
 
+def _rounding_floor(zeta0: float, s: int) -> float:
+    """Rounding floor of R = T(zeta) - zeta: zeta0 eps_mach / (2s zeta0^{2s})."""
+    return zeta0 * float(np.finfo(float).eps) / (2 * s * zeta0 ** (2 * s))
+
+
 def _step_bound(zeta0: float, s: int) -> float:
     """Stopping step of the branch iteration: 4x its rounding floor, at least 1e-13."""
-    return max(1e-13, 4 * zeta0 * float(np.finfo(float).eps) / (2 * s * zeta0 ** (2 * s)))
+    return max(1e-13, 4 * _rounding_floor(zeta0, s))
 
 
-def _secant_update(zeta, r, zeta_prev, r_prev):
-    """One secant step on R(zeta) = T(zeta) - zeta from the last two iterates;
-    the Picard step zeta + r wherever R repeats (r == r_prev) or the quotient
-    is not finite, without a numpy warning."""
-    with np.errstate(all="ignore"):
-        secant = zeta - r * (zeta - zeta_prev) / (r - r_prev)
-    return np.where(np.isfinite(secant), secant, zeta + r)
+def _secant_update(zeta, r, zeta_prev, r_prev, floor):
+    """One step on R(zeta) = T(zeta) - zeta: secant where R moved by more than
+    4 floor, else Picard zeta + r (a nan r_prev, the first iterate, never moved).
+    The polydisk guard and the |h| gate bound r and zeta, so the quotient is finite."""
+    dr = r - r_prev
+    moved = np.abs(dr) > 4 * floor
+    return np.where(moved, zeta - r * (zeta - zeta_prev) / np.where(moved, dr, 1.0), zeta + r)
 
 
 def _solve_branch(a, tp, n, js, w, map_eval):
@@ -321,10 +326,10 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     evaluations the iteration made.
 
     The root of R(zeta) = T(zeta) - zeta, T(zeta) = target (1 + h(zeta, w))^{-1/(2s)},
-    is found by the secant method at every point: each step costs one h
-    evaluation (one n-step orbit); the first step is the Picard step
-    zeta + R, and so is any step where R repeats or the secant quotient is
-    not finite (`_secant_update`).  The loop runs until the largest step of
+    is found at one h evaluation (one n-step orbit) per step: the secant
+    step where R moved by more than four times its rounding floor since the
+    previous iterate, the Picard step zeta + R elsewhere, the first iterate
+    included (`_secant_update`).  The loop runs until the largest step of
     any branch is within `_step_bound`, so every branch takes the steps of
     the slowest.  That test bounds the step, not the residual; the
     equation residual is checked after the loop.  Each gate of
@@ -348,15 +353,15 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     w = np.concatenate([w.ravel()] * len(js))
 
     inv_root = -1.0 / (2 * tp.s)
+    floor = _rounding_floor(zeta0, tp.s)
     bound = _step_bound(zeta0, tp.s)
-    zeta = target
-    step = math.inf
+    zeta_prev, r_prev, zeta = target, math.nan, target
     for steps in range(1, 51):
         h = h_eval(zeta, w, a, tp, n, map_eval)
         if float(np.abs(h).max()) > 0.5:
             raise DomainError("|h| > 1/2: contraction hypothesis lost")
         r = target * np.exp(inv_root * np.log(1.0 + h)) - zeta
-        znew = zeta + r if steps == 1 else _secant_update(zeta, r, zeta_prev, r_prev)
+        znew = _secant_update(zeta, r, zeta_prev, r_prev, floor)
         step = float(np.abs(znew - zeta).max())
         zeta_prev, r_prev, zeta = zeta, r, znew
         if step <= bound:
@@ -380,17 +385,17 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     """Solve the branch-j periodic-point equation at w (scalar or array).
 
     Returns zeta with zeta (1+h(zeta,w))^{1/(2s)} = e^{i j pi / s} (-beta/n)^{1/(2s)}.
-    Each step is a secant step on R(zeta) = e^{i j pi / s} zeta0 (1+h)^{-1/(2s)} - zeta
-    at one h evaluation; the first step, and any step where R repeats or
-    the secant quotient is not finite, is the Picard step zeta + R.  The
-    iteration stops once a step is at most four times its rounding floor
-    zeta0 eps_mach / (2s zeta0^{2s}), or 1e-13 if larger (50 steps at
-    most).  That bounds the step, not the residual, so zeta is then
-    verified both against the equation (absolute residual below 1e-12) and
-    by the n-step return test, which reads the orbit of the final h
-    evaluation instead of iterating again.  Raises HypothesisViolation when
-    beta is not in (-pi, 0), DomainError when the orbit leaves the
-    validated region, SolverError on convergence failure.
+    Each step costs one h evaluation.  On R(zeta) = e^{i j pi / s} zeta0
+    (1+h)^{-1/(2s)} - zeta it is the secant step where R moved by more than
+    four times its rounding floor zeta0 eps_mach / (2s zeta0^{2s}) since the
+    previous iterate, else the Picard step zeta + R (so at the first
+    iterate).  It stops once a step is at most four times that floor, or
+    1e-13 if larger (50 steps at most).  That bounds the step, not the
+    residual, so zeta is then verified both against the equation (absolute
+    residual below 1e-12) and by the n-step return test, which reads the
+    orbit of the final h evaluation instead of iterating again.  Raises
+    HypothesisViolation when beta is not in (-pi, 0), DomainError when the
+    orbit leaves the validated region, SolverError on convergence failure.
     """
     scalar = np.isscalar(w) or np.asarray(w).ndim == 0
     zeta = _solve_branch(a, tp, n, (j,), w, None)[0][0]
@@ -406,15 +411,14 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     grid (alias rule: coefficient k is read at index k mod grid_size), so the
     grid must satisfy grid_size >= 2K+1.
 
-    Each sample is solved as in ``solve_branch``: secant steps after a
-    Picard first step (Picard again wherever the secant quotient fails),
-    stopped on a step within the stopping bound; ``steps`` counts the h
-    evaluations this took on the grid.  The curve is validated numerically
-    by the gates of ``solve_branch`` (|h| <= 1/2, equation residual 1e-12,
-    n-step return 1e-10, the last on the orbit of the final h
-    evaluation).  The guard alone keeps
-    |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted and
-    ignored; the paper's constants come from ``compute_constants``.
+    Each sample is solved as in ``solve_branch``: the secant step where R
+    moved above its rounding floor, the Picard step elsewhere, stopped on a
+    step within the stopping bound; ``steps`` counts the h evaluations this
+    took on the grid.  The curve is validated numerically by the gates of
+    ``solve_branch`` (|h| <= 1/2, equation residual 1e-12, n-step return
+    1e-10, the last on the orbit of the final h evaluation).  The guard
+    alone keeps |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted
+    and ignored; the paper's constants come from ``compute_constants``.
     """
     grid_size = _check_int(grid_size, "grid_size")
     K = _check_int(K, "K", 0)

@@ -542,20 +542,21 @@ class TestCurveGates:
 
 def picard_curve(fam, tp, n, j, w):
     """The curve solver's former step rule zeta <- T(zeta), with the same
-    start and stop test: the samples and the h evaluations it made."""
+    start and stop test but 200 steps: the samples and the h evaluations
+    it made."""
     _, zeta0 = _beta_window(tp, n)
     target = complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
     map_eval = make_varphi(fam, tp)
     bound = _step_bound(zeta0, tp.s)
     zeta = np.full(w.shape, target)
-    for steps in range(1, 51):
+    for steps in range(1, 201):
         h = h_eval(zeta, w, fam, tp, n, map_eval)
         znew = target * np.exp(-np.log(1.0 + h) / (2 * tp.s))
         step = np.abs(znew - zeta).max()
         zeta = znew
         if step <= bound:
             return zeta, steps
-    raise AssertionError("the Picard oracle did not converge")
+    raise SolverError("the Picard oracle did not converge")
 
 
 # (family, twist, n, j, h evaluations of the Picard oracle and of the
@@ -585,18 +586,62 @@ class TestSecantStep:
         got = np.array([zv for _, zv in crv.samples])
         assert np.abs(got - zeta).max() <= 4 * _step_bound(crv.zeta0, tp.s)
 
-    def test_repeated_residual_takes_the_picard_step(self):
-        # Points 0-2 repeat R (with a moved, an unmoved and a zero iterate),
-        # point 3 overflows the quotient, point 4 takes the secant step.
-        zeta = np.array([0.5, 0.5, 0.7, 0.5, 0.6], dtype=complex)
-        zeta_prev = np.array([0.4, 0.5, 0.7, 1e300, 0.65], dtype=complex)
-        r = np.array([0.1, 0.2, 0.0, 1e300, 0.03], dtype=complex)
-        r_prev = np.array([0.1, 0.2, 0.0, 1e300 - 1e285, 0.05], dtype=complex)
+    def test_secant_step_only_where_r_moved_above_its_floor(self):
+        # Point 0 repeats R exactly, point 1 moved R by less than 4 floors,
+        # point 2 is a first iterate (no previous R), point 3 takes the
+        # secant step.
+        floor = 1e-16
+        zeta = np.array([0.5, 0.5, 0.7, 0.6], dtype=complex)
+        zeta_prev = np.array([0.4, 0.45, 0.7, 0.65], dtype=complex)
+        r = np.array([0.1, 1e-12, 0.02, 0.03], dtype=complex)
+        r_prev = np.array([0.1, 1e-12 + 3e-16, math.nan, 0.05], dtype=complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _secant_update(zeta, r, zeta_prev, r_prev)
-        assert got[:4].tolist() == (zeta[:4] + r[:4]).tolist()
-        assert abs(got[4] - (0.6 - 0.03 * -0.05 / -0.02)) < 1e-15
+            got = _secant_update(zeta, r, zeta_prev, r_prev, floor)
+        assert got[:3].tolist() == (zeta[:3] + r[:3]).tolist()
+        assert abs(got[3] - (0.6 - 0.03 * -0.05 / -0.02)) < 1e-15
+
+    @pytest.mark.parametrize("b", [1.61, 1.62, 1.64, 1.67, 1.71, 1.72, 2.20, 2.23,
+                                   2.24, 2.26, 2.30, 2.35, 2.36, 2.37, 2.40])
+    def test_readme_library_family_where_r_sits_at_its_floor(self, b):
+        # R sits at its rounding floor at some grid points here: a secant
+        # step there would divide rounding noise by rounding noise and send
+        # the next orbit out of the polydisk.  The Picard oracle converges.
+        fam, tp = SECANT_INPUTS["readme-library"][0], TwistParams(alpha=(4 * math.pi - b) / 4, s=1)
+        crv = periodic_curve(fam, tp, 4, 2)
+        assert crv.residual <= 1e-10 and crv.steps <= 8
+        w = np.array([wv for wv, _ in crv.samples])
+        zeta, _ = picard_curve(fam, tp, 4, 2, w)
+        got = np.array([zv for _, zv in crv.samples])
+        assert np.abs(got - zeta).max() <= _step_bound(crv.zeta0, tp.s)
+
+    @pytest.mark.parametrize("alpha, a", [
+        (2.4909446165996454, 0.005667673854954483 + 0.008238778615417785j),
+        (2.492312360818099, -0.003387585427003907 - 0.009408733441582388j),
+    ])
+    def test_witness_curves_where_r_sits_at_its_floor(self, alpha, a):
+        # Two witness rows of a linear q = 5 family at n = 5 on 4n points.
+        fam = CoefficientFamily({(5, 0): a, (0, 5): a.conjugate()}, 1, hermitian=True)
+        crv = periodic_curve(fam, TwistParams(alpha=alpha, s=1), 5, 2, grid_size=20, K=9)
+        assert crv.residual <= 1e-10
+
+    def test_every_refusal_is_an_oracle_refusal(self):
+        # The README family over b = 0.20, 0.25, ..., 3.00 on 64 points: the
+        # rule refuses only where |p_n| > 1/2 (b >= 2.7, b = 2.8 among them).
+        # The Picard oracle refuses each of these too, at b = 2.7 by
+        # cycling without convergence and elsewhere at |p_n| > 1/2.
+        fam, w = SECANT_INPUTS["readme-library"][0], np.exp(2j * np.pi * np.arange(64) / 64)
+        refused = []
+        for b in np.round(np.arange(0.2, 3.01, 0.05), 2):
+            tp = TwistParams(alpha=(4 * math.pi - b) / 4, s=1)
+            try:
+                periodic_curve(fam, tp, 4, 2, grid_size=64, K=16)
+            except DomainError as exc:
+                refused.append(float(b))
+                assert str(exc).startswith("|p_n| = ")
+                with pytest.raises((DomainError, SolverError)):
+                    picard_curve(fam, tp, 4, 2, w)
+        assert refused == [2.7, 2.75, 2.8, 2.85, 2.9, 2.95, 3.0]
 
 
 class TestPeriodicCurve:
