@@ -56,7 +56,6 @@ from .normal_form import (
     linearize_involution,
     mw_normalize,
     normal_form_map,
-    phi2_from_Gamma,
 )
 from .series import (
     DEFAULT_ORDER,

@@ -24,7 +24,6 @@ from .twist import (
     SolverError,
     TwistParams,
     compute_constants,
-    curve_band,
     majorant_sequence,
     periodic_curve,
 )
@@ -113,10 +112,9 @@ def _curve_artifact(args: argparse.Namespace, crv, note: str | None = None,
 
 def cmd_curve(args: argparse.Namespace) -> tuple[list[str], int]:
     fam = load_family(args.family, args.s, hermitian=args.hermitian)
-    K = args.K if args.K is not None else curve_band(args.n, args.grid)
     crv = periodic_curve(fam, _twist_from_args(args), args.n, args.j,
-                         grid_size=args.grid, K=K)
-    return _curve_artifact(args, crv, effective_K=K)
+                         grid_size=args.grid, K=args.K)
+    return _curve_artifact(args, crv, effective_K=max(crv.laurent))
 
 
 def cmd_constants(args: argparse.Namespace) -> tuple[list[str], int]:

@@ -27,7 +27,6 @@ from .series import (
     map_inverse,
     map_residual,
     off_diagonal_residual,
-    radial_to_jet,
     reality_defect,
     series_exp,
     series_log,
@@ -276,20 +275,13 @@ def extract_eps_s(gamma) -> tuple[int, int | float]:
 
 
 def _phi2_series(gamma, eps: int, s: int) -> np.ndarray:
-    """The series r of the radial rescaling Phi2 = (xi r(xi eta), eta r(xi eta))."""
-    if eps == 0:
-        raise ValueError("eps = 0: no rescaling exists (caller should skip Phi2)")
+    """The series r of the radial rescaling Phi2 = (xi r(xi eta), eta r(xi eta))
+    that flattens Gamma to Gamma(0) + eps t^s, for eps = +-1."""
     g = np.asarray(gamma, dtype=complex)
     shifted = g[s:] / eps
     if shifted[0].real <= 0:
         raise ValueError("Gamma's leading non-constant coefficient does not match eps at order s")
     return series_pow(shifted, 1.0 / (2 * s))
-
-
-def phi2_from_Gamma(gamma, eps: int, s: int, order: int) -> MapJet:
-    """Radial rescaling (xi r(xi eta), eta r(xi eta)) flattening Gamma to eps t^s."""
-    r = _phi2_series(gamma, eps, s)
-    return MapJet(radial_to_jet(r, order, "xi"), radial_to_jet(r, order, "eta"))
 
 
 def _model_series(lam: complex, eps: int, s: int | float, order: int):
@@ -303,8 +295,8 @@ def _model_series(lam: complex, eps: int, s: int | float, order: int):
 
 def normal_form_map(lam: complex, eps: int, s: int | float, order: int) -> MapJet:
     """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s})."""
-    m_series, m_inv = _model_series(lam, eps, s, _check_order(order))
-    return MapJet(radial_to_jet(m_series, order, "xi"), radial_to_jet(m_inv, order, "eta"))
+    order = _check_order(order)
+    return _compose_product_form(*_model_series(lam, eps, s, order), MapJet.identity(order))
 
 
 def full_normalize(

@@ -21,9 +21,9 @@ import numpy as np
 from .families import CoefficientFamily
 from .series import _check_int
 from .twist import (
-    HypothesisViolation,
     TwistParams,
     _beta_window,
+    _check_beta,
     _step_bound,
     beta_reduce,
     periodic_curve,
@@ -124,43 +124,40 @@ def leading_Hk(a: CoefficientFamily, tp: TwistParams, n: int) -> complex:
 
 
 def _witness_curve(a: CoefficientFamily, tp: TwistParams, n: int):
-    """The j=2s branch curve with its Laurent band K, for reading w^n.
-
-    The grid holds 4n points so the target coefficient is read alias-free;
-    Laurent data is retained through |k| <= K = 2n-1.
-    """
-    K = 2 * _check_int(n, "n") - 1
-    return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * n, K=K), K
+    """The j=2s branch curve on 4n points, for reading w^n alias-free; its
+    Laurent band is `curve_band(n, 4n)` = 2n-1."""
+    return periodic_curve(a, tp, n, 2 * tp.s, grid_size=4 * _check_int(n, "n"))
 
 
 def Hk_estimate(a: CoefficientFamily, tp: TwistParams, n: int):
     """(numeric, leading) for the w^n coefficient of the j=2s branch curve,
     sampled on 4n points with the stopping rule of `solve_branch`."""
-    crv, _ = _witness_curve(a, tp, n)
-    return crv.laurent[n], leading_Hk(a, tp, n)
+    return _witness_curve(a, tp, n).laurent[n], leading_Hk(a, tp, n)
 
 
 def divergence_witness(a: CoefficientFamily, tp: TwistParams, schedule) -> ObstructionReport:
     """Per-period intervals I_k = [min |zeta|, max |zeta|] with verdicts.
 
     A row is flagged nonconstant when its width clears 10x the noise budget
-    (the solver's stopping bound plus the tail of the Laurent band).  All rows
+    (the solver's stopping bound plus the largest coefficient in the top
+    quarter of the curve's Laurent band, K = 2n-1 on its 4n points).  All rows
     nonconstant makes the report a witness: periodic points filling an
     interval of radii at every scheduled scale is what a convergent
-    normalization would forbid.  It is evidence, not a proof.  Each schedule
-    entry must carry the beta of its period at tp.alpha, as `beta_reduce`
-    gives it; any other entry is refused with a ValueError.
+    normalization would forbid.  It is evidence, not a proof.  An entry
+    whose beta is not in (-pi, 0) is refused with HypothesisViolation, the
+    one window rule of every curve; an entry whose beta is not the one
+    `beta_reduce` gives its period at tp.alpha, with a ValueError.
     """
     rows = []
     for rd in sorted(schedule, key=lambda r: r.n):
-        if not rd.beta < 0.0:
-            raise HypothesisViolation(f"schedule entry n = {rd.n} has beta >= 0")
+        _check_beta(rd)
         n = rd.n
         beta = beta_reduce(n, tp.alpha).beta
         if rd.beta != beta:
             raise ValueError(f"schedule entry n = {n} has beta = {rd.beta!r}, but "
                              f"alpha = {tp.alpha!r} gives beta = {beta!r}")
-        crv, K = _witness_curve(a, tp, n)
+        crv = _witness_curve(a, tp, n)
+        K = max(crv.laurent)
         radii = np.abs([z for _, z in crv.samples])
         tail_lo = max(1, (3 * K) // 4)
         alias = max(

@@ -506,17 +506,6 @@ def _diagonal(kind: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     return k + i0, k + j0
 
 
-def radial_to_jet(series, order: int, kind: str = "plain") -> Jet:
-    """Lift a one-variable series in t = xi*eta into a Jet.
-
-    kind "plain" gives sum c_k (xi eta)^k; "xi" gives xi * sum c_k (xi eta)^k
-    (coefficients on the (k+1, k) diagonal); "eta" the mirror.
-    """
-    rows, cols = _diagonal(kind, order)
-    entries = {(int(i), int(j)): v for i, j, v in zip(rows, cols, _as_series(series)) if v != 0}
-    return Jet.from_entries(entries, order)
-
-
 def diagonal_series(f: Jet, kind: str) -> np.ndarray:
     """Extract the radial series sitting on a diagonal of a Jet.
 

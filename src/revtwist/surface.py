@@ -7,8 +7,8 @@ tau2 = rho tau1 rho to rounding, rho the coordinate conjugation),
 periodic curves of phi = tau1 tau2, the search for intersections with
 the totally real space, and the second-order w^{2n} probes that feed the
 obstruction product.  The two families are independent arguments
-throughout: the self-conjugate default describes an actual surface,
-while an independent abar probes the full two-variable obstruction.
+wherever tau2 is built: the self-conjugate default describes an actual
+surface, while an independent abar probes the full two-variable obstruction.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from .twist import (
     SolverError,
     TwistParams,
     _beta_window,
+    _default_grid,
     _phase_conjugate,
     _solve_branch,
-    curve_band,
     periodic_curve,
 )
 
@@ -171,10 +171,6 @@ def involution_jets(a: CoefficientFamily, tp: TwistParams,
 # Periodic curves of phi = tau1 tau2
 
 
-def _default_grid(n: int) -> int:
-    return max(8 * _check_int(n, "n"), 64)
-
-
 def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
                    grid_size: int | None = None, intersect: bool = True,
                    abar: CoefficientFamily | None = None) -> PeriodicCurve:
@@ -188,7 +184,7 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
     """
     _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = _default_grid(n) if grid_size is None else grid_size
-    crv = periodic_curve(a, tp, n, j, grid_size=G, K=curve_band(n, G), map_eval=phi)
+    crv = periodic_curve(a, tp, n, j, grid_size=G, map_eval=phi)
     if intersect:
         crv = replace(crv, real_intersections=real_intersection(crv))
     return crv
@@ -394,7 +390,8 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     twice the real part of a_{n,0}^2 times the measured a^2 response of
     the branch (normalized by its reference value), so a single-mode
     family gives the product of a_{n,0}^2 + conj(a_{n,0})^2 per branch up
-    to relative O(t) probe error.
+    to relative O(t) probe error.  It reads a_{n,0} alone and refuses an
+    abar with a ValueError.
 
     include_remainder=True instead measures the full form at the family's
     own amplitude: 2 Re(c_{2n}/reference) on each branch curve, which
@@ -416,6 +413,8 @@ def Hn_obstruction(a: CoefficientFamily, tp: TwistParams, n: int,
     reaches.
     Raises ValueError unless t is positive and finite and a_{n,0} finite.
     """
+    if abar is not None and not include_remainder:
+        raise ValueError("abar enters only the include_remainder=True estimator")
     an0 = a.entries.get((n, 0), 0.0 + 0.0j)
     _check_probe(t, an0)
     zeta0 = _require_even_resonance(tp, n)

@@ -285,19 +285,30 @@ def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None
     return _h_orbit(zeta, w, tp, n, map_eval)[0]
 
 
+def _check_beta(rd: ResonanceData) -> ResonanceData:
+    """rd, whose beta must lie in (-pi, 0) for period rd.n to carry a curve."""
+    if not rd.beta < 0.0:
+        raise HypothesisViolation(
+            f"beta = {rd.beta:.6e} outside (-{math.pi:.6e}, 0): period {rd.n} carries no curve here"
+        )
+    return rd
+
+
 def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
     """Resonance data of period n, whose beta must lie in (-pi, 0), and the
     radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi."""
-    rd = beta_reduce(n, tp.alpha)
-    if not rd.beta < 0.0:
-        raise HypothesisViolation(
-            f"beta = {rd.beta:.6e} outside (-{math.pi:.6e}, 0): period {n} carries no curve here"
-        )
+    rd = _check_beta(beta_reduce(n, tp.alpha))
     return rd, (-rd.beta / n) ** (1.0 / (2 * tp.s))
 
 
+def _default_grid(n: int) -> int:
+    """Default grid of an involution-pair curve: max(8n, 64) points."""
+    return max(8 * _check_int(n, "n"), 64)
+
+
 def curve_band(n: int, grid_size: int) -> int:
-    """Default Laurent half-width of a sampled curve: 2n+8, capped by the grid."""
+    """Laurent half-width of a sampled curve: 2n+8, capped by the grid.  On
+    4n points this is 2n-1, the band of the divergence witness."""
     return min(2 * n + 8, (grid_size - 1) // 2)
 
 
@@ -403,13 +414,15 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
 
 
 def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
-                   K: int = 32, map_eval=None,
+                   K: int | None = None, map_eval=None,
                    check_domain: bool = True) -> PeriodicCurve:
     """Sample the branch over the unit w-circle and take its Laurent data.
 
     Laurent coefficients come from the discrete Fourier transform over the
     grid (alias rule: coefficient k is read at index k mod grid_size), so the
-    grid must satisfy grid_size >= 2K+1.
+    grid must satisfy grid_size >= 2K+1.  The dict holds |k| <= K, K
+    defaulting to ``curve_band(n, grid_size)``; K picks the keys only and
+    moves no sampled value.
 
     Each sample is solved as in ``solve_branch``: the secant step where R
     moved above its rounding floor, the Picard step elsewhere, stopped on a
@@ -421,7 +434,7 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     and ignored; the paper's constants come from ``compute_constants``.
     """
     grid_size = _check_int(grid_size, "grid_size")
-    K = _check_int(K, "K", 0)
+    K = curve_band(_check_int(n, "n"), grid_size) if K is None else _check_int(K, "K", 0)
     if grid_size < 2 * K + 1:
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)

@@ -15,6 +15,7 @@ from revtwist.normal_form import (
     RESONANCE_TOL,
     InvolutionPair,
     ResonanceError,
+    _phi2_series,
     _solve_conjugacy,
     _unit_defect,
     extract_eps_s,
@@ -24,7 +25,6 @@ from revtwist.normal_form import (
     linearize_involution,
     mw_normalize,
     normal_form_map,
-    phi2_from_Gamma,
 )
 from revtwist.series import (
     Jet,
@@ -38,7 +38,7 @@ from revtwist.series import (
     map_compose,
     map_inverse,
     map_residual,
-    radial_to_jet,
+    off_diagonal_residual,
     reality_defect,
     series_exp,
     series_reciprocal,
@@ -81,10 +81,13 @@ def anti_diagonal_involution(lam, order, gamma_coeffs=()):
     for k, v in enumerate(gamma_coeffs, start=1):
         g[k] = v
     lam_series = lam * series_exp(1j * g)
-    return MapJet(
-        radial_to_jet(lam_series, order, "eta"),
-        radial_to_jet(series_reciprocal(lam_series), order, "xi"),
-    )
+    return _compose_product_form(lam_series, series_reciprocal(lam_series), MapJet.swap(order))
+
+
+def phi2(gamma, eps, s, order):
+    """Phi2 = (xi r(xi eta), eta r(xi eta)), built as full_normalize builds it."""
+    r = _phi2_series(gamma, eps, s)
+    return _compose_product_form(r, r, MapJet.identity(order))
 
 
 def conjugate_map(frame, target):
@@ -298,22 +301,21 @@ def test_extract_eps_s():
 
 def test_phi2_constant_rescaling():
     # Gamma = alpha + 4 t^2: the flattening rescale is the constant 4^{1/4}
-    phi2 = phi2_from_Gamma([0.3, 0.0, 4.0], eps=1, s=2, order=8)
-    assert abs(phi2.x.coeff(1, 0) - 4 ** 0.25) < 1e-14
-    assert abs(phi2.y.coeff(0, 1) - 4 ** 0.25) < 1e-14
-    assert phi2.x.max_abs() == pytest.approx(4 ** 0.25)
+    rescale = phi2([0.3, 0.0, 4.0], eps=1, s=2, order=8)
+    assert abs(rescale.x.coeff(1, 0) - 4 ** 0.25) < 1e-14
+    assert abs(rescale.y.coeff(0, 1) - 4 ** 0.25) < 1e-14
+    assert rescale.x.max_abs() == pytest.approx(4 ** 0.25)
 
 
 def test_phi2_square_root_series():
     # Gamma = alpha + t + t^2 gives r = (1+t)^{1/2}
     gamma = [0.3, 1.0, 1.0, 0.0, 0.0, 0.0]
-    phi2 = phi2_from_Gamma(gamma, eps=1, s=1, order=12)
-    r = diagonal_series(phi2.x, "xi")
+    r = diagonal_series(phi2(gamma, eps=1, s=1, order=12).x, "xi")
     expected = [1.0, 0.5, -0.125, 0.0625, -0.0390625]
     assert np.abs(r[:5] - expected).max() < 1e-13
 
     with pytest.raises(ValueError, match="eps"):
-        phi2_from_Gamma([0.3, 0.0, -4.0], eps=1, s=2, order=8)
+        phi2([0.3, 0.0, -4.0], eps=1, s=2, order=8)
 
 
 def test_phi2_flattens_radial_map():
@@ -322,14 +324,10 @@ def test_phi2_flattens_radial_map():
     n = 14
     gamma = np.array([0.9, -0.2, 0.05, 0.01, -0.03, 0.02, 0.004], dtype=complex)
     m_series = series_exp(1j * gamma)
-    m = MapJet(
-        radial_to_jet(m_series, n, "xi"),
-        radial_to_jet(series_reciprocal(m_series), n, "eta"),
-    )
+    m = _compose_product_form(m_series, series_reciprocal(m_series), MapJet.identity(n))
     eps, s = extract_eps_s(gamma)
     assert (eps, s) == (-1, 1)
-    phi2 = phi2_from_Gamma(gamma, eps, s, n)
-    flattened = conjugate_map(phi2, m)
+    flattened = conjugate_map(phi2(gamma, eps, s, n), m)
     new_gamma = gamma_from_M(diagonal_series(flattened.x, "xi"))
     expected = np.zeros_like(new_gamma)
     expected[0], expected[s] = gamma[0], eps
@@ -387,8 +385,7 @@ def test_full_normalize_matches_swap_pair(theta, n):
     res = full_normalize(phi)
     assert np.abs(mw.Lambda1 - np.eye(1, len(mw.Lambda1))[0]).max() < 1e-12
     assert np.abs(mw.M - res.M).max() < 1e-12
-    phi2 = phi2_from_Gamma(res.Gamma, res.eps, res.s, n)
-    assert map_residual(res.Phi, map_compose(phi2, mw.Phi0)) < 1e-10
+    assert map_residual(res.Phi, map_compose(phi2(res.Gamma, res.eps, res.s, n), mw.Phi0)) < 1e-10
 
 
 def test_full_normalize_order_boundary():
@@ -618,11 +615,18 @@ def test_product_form_composition(n, terms):
     # F = (xi M(xi eta), eta M'(xi eta)) with `terms` coefficients in each
     # series (1: a linear F; beyond (n + 1) // 2 they reach past degree n),
     # composed with a random map fixing the origin; the swapped form
-    # (eta M, xi M') is the same kernel on the swapped inner map.
+    # (eta M, xi M') is the same kernel on the swapped inner map.  Both
+    # forms are the kernel on the identity and the swap, whose entries sit
+    # on the xi and eta diagonals and nowhere else.
     rng = np.random.default_rng(48 + n + terms)
     m1, m2 = (rng.standard_normal(terms) + 1j * rng.standard_normal(terms) for _ in range(2))
-    form = MapJet(radial_to_jet(m1, n, "xi"), radial_to_jet(m2, n, "eta"))
-    swapped = MapJet(radial_to_jet(m1, n, "eta"), radial_to_jet(m2, n, "xi"))
+    form = _compose_product_form(m1, m2, MapJet.identity(n))
+    swapped = _compose_product_form(m1, m2, MapJet.swap(n))
+    k = (n + 1) // 2
+    for jet, kind, m in ((form.x, "xi", m1), (form.y, "eta", m2),
+                         (swapped.x, "eta", m1), (swapped.y, "xi", m2)):
+        assert diagonal_series(jet, kind).tolist() == m[:k].tolist() + [0] * (k - len(m[:k]))
+        assert off_diagonal_residual(jet, kind) == 0.0
     inner = MapJet(Jet(triangle_noise(rng, n, 0.5, min_degree=1), n),
                    Jet(triangle_noise(rng, n, 0.5, min_degree=1), n))
     want = map_compose(form, inner)

@@ -227,9 +227,13 @@ class TestDivergenceWitness:
         assert not rep.witness
 
     def test_schedule_rejects_nonnegative_beta(self):
+        # A made-up entry, and the true entry of n = 2, whose beta = 2 alpha
+        # (about +1.72) carries no curve: the window rule refuses both.
         fam = CoefficientFamily({(7, 0): 0.1, (0, 7): 0.1}, 1, hermitian=True)
-        with pytest.raises(HypothesisViolation):
-            ob.divergence_witness(fam, TP, [ResonanceData(5, 1, 0.1)])
+        for entry in (ResonanceData(5, 1, 0.1), tw.beta_reduce(2, ALPHA)):
+            assert entry.beta >= 0.0
+            with pytest.raises(HypothesisViolation):
+                ob.divergence_witness(fam, TP, [entry])
 
     def test_schedule_rejects_stale_beta(self):
         # A schedule built for alpha1 but passed with a shifted alpha: the

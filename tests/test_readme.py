@@ -13,7 +13,7 @@ from revtwist.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ARTIFACTS = Path(__file__).resolve().parent / "artifacts"
-SUFFIX = {"curve": "csv", "surface": "csv", "obstruct": "json"}
+SUFFIX = {"curve": "csv", "surface": "csv", "normalize": "csv", "obstruct": "json"}
 
 
 def test_library_example_runs():
@@ -64,7 +64,7 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
             assert_pinned(argv[1], Path(out).read_bytes() if out else
                           capsys.readouterr().out.encode())
             ran.append(argv[1])
-    assert ran == ["curve", "majorant", "obstruct", "bishop", "surface"]
+    assert ran == ["curve", "majorant", "obstruct", "bishop", "surface", "normalize"]
     capsys.readouterr()
     assert main(["constants", "--alpha", "1", "--s", "1", "--n", "10"]) == 0
     assert_pinned("constants", capsys.readouterr().out.encode())

@@ -24,7 +24,6 @@ from revtwist.series import (
     map_inverse,
     map_residual,
     off_diagonal_residual,
-    radial_to_jet,
     reality_defect,
     rho_conjugate,
     series_exp,
@@ -395,7 +394,7 @@ def test_inverse_is_bitwise_exact_within_pass_bound(order, monkeypatch):
 
 def test_exp_i_radial():
     n = 10
-    t = radial_to_jet([0.0, 1.0], n, "plain")
+    t = Jet.from_entries({(1, 1): 1.0}, n)
     e = jet_exp_i(t)
     for k in range(n // 2 + 1):
         assert abs(e.coeff(k, k) - 1j**k / math.factorial(k)) < 1e-14
@@ -450,11 +449,18 @@ def test_series_pow_binomial():
 
 
 def test_radial_round_trip():
+    # The product-form kernel writes a radial series exactly onto the xi
+    # and eta diagonals: (xi M, eta M') on the identity, (eta M, xi M') on
+    # the swap; diagonal_series reads it back off each, and off the plain
+    # diagonal of (xi eta)^k.
     rng = np.random.default_rng(21)
     a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     a[0] = 1.0 + 0.2j
-    for kind in ("plain", "xi", "eta"):
-        j = radial_to_jet(a, 12, kind)
+    on_identity = series._compose_product_form(a, a, MapJet.identity(12))
+    on_swap = series._compose_product_form(a, a, MapJet.swap(12))
+    plain = Jet.from_entries({(k, k): v for k, v in enumerate(a)}, 12)
+    for j, kind in ((on_identity.x, "xi"), (on_identity.y, "eta"), (on_swap.x, "eta"),
+                    (on_swap.y, "xi"), (plain, "plain")):
         assert np.abs(diagonal_series(j, kind)[:5] - a).max() == 0.0
         assert off_diagonal_residual(j, kind) == 0.0
 

@@ -409,7 +409,8 @@ class TestBatchedBranches:
         assert _two_phase_a2(abs(an0), tp, zeta0, n, js, 1e-3)[0] == alone
         factors = [2.0 * (an0 * an0 * a2 / _branch_scale(tp, zeta0, n, j)).real
                    for j, a2 in zip(js, alone)]
-        h = Hn_obstruction(a, tp, n, abar=abar)
+        # The default estimator reads a_{n,0} alone, so it takes no abar.
+        h = Hn_obstruction(a, tp, n)
         assert h == math.prod(f * f for f in factors) and h >= 0.0
 
     @pytest.mark.parametrize("tp, n, a, abar", BRANCH_PAIRS.values(), ids=BRANCH_PAIRS)
@@ -556,6 +557,15 @@ class TestHnObstruction:
         h = Hn_obstruction(WITNESS_A, TP, N1, include_remainder=True,
                            abar=WITNESS_ABAR)
         assert abs(h) > 1e-7
+
+    @pytest.mark.parametrize("pair", ["s1-witness", "s2-witness"])
+    def test_default_estimator_refuses_abar(self, pair):
+        # The default estimator reads a_{n,0} alone: an abar it would ignore
+        # is refused rather than answered with the abar=None value.
+        tp, n, a, abar = BRANCH_PAIRS[pair]
+        with pytest.raises(ValueError, match="^abar enters only the include_remainder=True"):
+            Hn_obstruction(a, tp, n, t=1e-2, abar=abar)
+        assert Hn_obstruction(a, tp, n, include_remainder=True, abar=abar) >= 0.0
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
     def test_probe_size_must_be_positive_and_finite(self, t):

@@ -676,6 +676,40 @@ class TestPeriodicCurve:
         assert counts["iterate"] == counts["h"]
         assert counts["steps"] == n * counts["h"]
 
+    def test_every_default_band_is_curve_band(self, tmp_path, monkeypatch, capsys):
+        # Wherever K is left out, one rule sets the Laurent band: the
+        # library default, the surface curve, the witness curve on 4n
+        # points and the `curve` command's effective_K, on 16 points, which
+        # cap the band, and on 64, which do not.
+        from revtwist import obstruction
+        from revtwist.cli import main
+        from revtwist.surface import surface_curves
+        from revtwist.twist import _default_grid, curve_band
+
+        n, alpha = 4, "2.8915926535897931"
+        tp = TwistParams(alpha=float(alpha), s=1)
+        fam = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
+        assert max(periodic_curve(fam, tp, n, 2).laurent) == curve_band(n, 128)
+        crv = surface_curves(fam, tp, n, 2, intersect=False)
+        assert max(crv.laurent) == curve_band(n, _default_grid(n))
+        witness = []
+
+        def spy(*args, **kwargs):
+            witness.append(periodic_curve(*args, **kwargs))
+            return witness[-1]
+
+        monkeypatch.setattr(obstruction, "periodic_curve", spy)
+        assert obstruction.Hk_estimate(fam, tp, n)[0] == witness[0].laurent[n]
+        assert max(witness[0].laurent) == curve_band(n, 4 * n) == 2 * n - 1
+        (tmp_path / "f.txt").write_text("4 0 0.05 0.02\n")
+        for grid in (16, 64):
+            capsys.readouterr()
+            assert main(["curve", "--alpha", alpha, "--s", "1", "--n", str(n), "--j", "2",
+                         "--family", str(tmp_path / "f.txt"), "--grid", str(grid)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert f"# effective_K = {curve_band(n, grid)}" in lines
+        assert (curve_band(n, 16), curve_band(n, 64)) == (7, 16)
+
     def test_a_zero_circle(self):
         n = 100
         tp = TwistParams(alpha=resonant_alpha(n, 7, -1e-4), s=1)
