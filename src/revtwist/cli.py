@@ -16,7 +16,7 @@ from . import __version__
 from .families import _read_entries, load_family
 from .normal_form import full_normalize
 from .obstruction import divergence_witness, select_resonant_n
-from .series import DEFAULT_ORDER, Jet, MapJet, _check_order
+from .series import Jet, MapJet, _check_order
 from .surface import lambda_from_gamma, surface_curves
 from .twist import (
     DomainError,
@@ -68,7 +68,11 @@ def _twist_from_args(args: argparse.Namespace) -> TwistParams:
 
 
 def cmd_normalize(args: argparse.Namespace) -> tuple[list[str], int]:
-    order = args.order if args.order is not None else DEFAULT_ORDER
+    # A map file does not record the order it was truncated at, and
+    # reading it at a higher one zero-fills the degrees it never gave.
+    if args.order is None:
+        raise ValueError("normalize needs --order, the truncation order of the map file")
+    order = args.order
     phi = load_map(args.map, order)
     tau = load_map(args.tau, order) if args.tau else None
     res = full_normalize(phi, tau=tau, order=order, reality=args.reality)
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help="map file, 'x|y i j re im' lines")
     p.add_argument("--tau", default=None, help="optional reversor map file")
     p.add_argument("--order", type=int, default=None,
-                   help="truncation order (default %d)" % DEFAULT_ORDER)
+                   help="truncation order of the map file (needed)")
     p.add_argument("--reality", default="standard",
                    choices=["standard", "surface"])
     p.set_defaults(func=cmd_normalize)

@@ -97,6 +97,7 @@ class CoefficientFamily:
         object.__setattr__(self, "_xi_powers", frozenset(i for i, _ in ent))
         object.__setattr__(self, "_eta_powers", frozenset(j for _, j in ent))
         object.__setattr__(self, "_mode_powers", frozenset(i - j for i, j in ent))
+        object.__setattr__(self, "_band_powers", frozenset(min(i, j) for i, j in ent))
 
     @staticmethod
     def empty(s: int) -> "CoefficientFamily":
@@ -147,6 +148,22 @@ class CoefficientFamily:
         for k, term in self._terms(xi, eta):
             modes[k] = modes[k] + term if k in modes else term
         return modes
+
+    def _bands(self, t) -> dict:
+        """Band coefficients {k: B_k(t)} of atilde on the level set xi*eta = t.
+
+        B_k = sum over i - j = k of a_{i,j} t^{min(i, j)}, so that
+        atilde = sum_{k >= 0} B_k xi^k + sum_{k < 0} B_k eta^{-k} there:
+        each term a xi^i eta^j is a t^j xi^{i-j} or a t^i eta^{j-i}, a power
+        of modulus at most 1 inside the unit polydisk, never of 1/xi.  An
+        orbit that keeps t forms the bands once.
+        """
+        powers = _power_table(np.asarray(t, dtype=complex), self._band_powers)
+        out: dict = {}
+        for (i, j), v in self.entries.items():
+            term = v * powers[min(i, j)] if min(i, j) else v
+            out[i - j] = out[i - j] + term if i - j in out else term
+        return out
 
     def to_jet(self, order: int) -> Jet:
         ent = {k: v for k, v in self.entries.items() if k[0] + k[1] <= order}

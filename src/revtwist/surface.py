@@ -41,7 +41,8 @@ from .twist import (
     TwistParams,
     _beta_window,
     _default_grid,
-    _phase_conjugate,
+    _one_step,
+    _phase_factor,
     _solve_branch,
     periodic_curve,
 )
@@ -104,6 +105,41 @@ def lambda_from_gamma(gamma: float, max_order: int = 64) -> BishopData:
 # The involution triple
 
 
+def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
+                       abar: CoefficientFamily | None = None):
+    """tau1, tau2 and phi = tau1 . tau2 in the orbit kernel's step contract.
+
+    On the level set xi*eta = t, each tau's orbit(t) fixes its half turn
+    e^{+-i omega(t)/2} and the bands of its family (a for tau1, b = -abar
+    for tau2) and returns one `_phase_factor` with a half-turn swap, whose
+    phase c + f is counted from the coordinate it swaps in.  phi's swaps
+    flip the sign of what tau2 added: xi' = xi e^{i (omega + (f_a + c_1)
+    - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).
+    """
+    b = (a.conjugated() if abar is None else abar).scaled(-1.0)
+
+    def tau(fam: CoefficientFamily, half: complex, what: str):
+        def orbit(t):
+            bands = fam._bands(t)
+            return _phase_factor(bands, bands, np.exp(half * tp.omega(t)), True, what)
+
+        return orbit
+
+    tau1, tau2 = tau(a, 0.5j, "tau1"), tau(b, -0.5j, "tau2")
+
+    def phi(t):
+        step1, step2 = tau1(t), tau2(t)
+
+        def step(x, y):
+            x, y, p2 = step2(x, y)
+            x, y, p1 = step1(x, y)
+            return x, y, p1 - p2
+
+        return step
+
+    return tau1, tau2, phi
+
+
 def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
                           abar: CoefficientFamily | None = None):
     """Numeric evaluators (tau1, tau2, phi) with phi = tau1 . tau2.
@@ -113,27 +149,19 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
     of the conjugated family, rho the coordinate conjugation.  The two
     coefficient families are independent arguments; abar=None takes
     a.conjugated(), the self-conjugate case where tau2 = rho tau1 rho and
-    the reality condition rho tau1 = tau2 rho hold to rounding.
+    the reality condition rho tau1 = tau2 rho hold to rounding.  Each is
+    one step of the maps that the orbit kernel iterates, with the same
+    factor code (`_involution_orbits`).
     """
-
-    def t1(xi, eta):
-        ph = np.exp(0.5j * tp.omega(xi * eta))
-        return ph * eta, xi / ph
-
-    def t2(xi, eta):
-        ph = np.exp(0.5j * tp.omega(xi * eta))
-        return eta / ph, ph * xi
-
-    b = (a.conjugated() if abar is None else abar).scaled(-1.0)
-    tau1 = _phase_conjugate(a, t1, a, "tau1")
-    tau2 = _phase_conjugate(b, t2, b, "tau2")
-    # tau2 has just tested its output, which is the input of tau1 in phi.
-    tau1_of_tau2 = _phase_conjugate(a, t1, a, "tau1", guard_input=False)
+    tau1, tau2, _ = _involution_orbits(a, tp, abar)
+    step2 = _one_step(tau2, "tau2")
 
     def phi(xi, eta):
-        return tau1_of_tau2(*tau2(xi, eta))
+        # tau1 at the level set of tau2's output, which tau2 has just tested.
+        x, y = (np.asarray(v) for v in step2(xi, eta))
+        return tau1(x * y)(x, y)[:2]
 
-    return tau1, tau2, phi
+    return _one_step(tau1, "tau1"), step2, phi
 
 
 def involution_jets(a: CoefficientFamily, tp: TwistParams,
@@ -177,14 +205,13 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
     """Solve the branch-j period-n curve of the involution product.
 
     Runs the solver of `solve_branch`, its stopping rule and gates included,
-    with phi = tau1 tau2 injected as the map, on grid_size points (default
+    with phi = tau1 tau2 as the orbit kernel's map, on grid_size points (default
     max(8n, 64)) with the Laurent band of `curve_band`; the returned Laurent
     data is the input for the real-space intersection search and the w^{2n}
     probes.  intersect=True fills in `real_intersections`.
     """
-    _, _, phi = build_involution_maps(a, tp, abar=abar)
     G = _default_grid(n) if grid_size is None else grid_size
-    crv = periodic_curve(a, tp, n, j, grid_size=G, map_eval=phi)
+    crv = periodic_curve(a, tp, n, j, grid_size=G, _orbit=_involution_orbits(a, tp, abar)[2])
     if intersect:
         crv = replace(crv, real_intersections=real_intersection(crv))
     return crv
@@ -211,7 +238,7 @@ def _w2n_coeffs(a: CoefficientFamily, tp: TwistParams, n: int, js: tuple,
     G = _default_grid(n)
     w = np.exp(2j * np.pi * np.arange(G) / G)
     probes = a.scaled(np.tile(np.repeat(np.asarray(scales, dtype=complex), G), len(js)))
-    _, _, phi = build_involution_maps(probes, tp, abar=abar)
+    phi = _involution_orbits(probes, tp, abar)[2]
     zeta = _solve_branch(probes, tp, n, js, np.tile(w, (len(scales), 1)), phi)[0]
     return (np.fft.fft(zeta) / G)[..., 2 * n].T
 

@@ -3,7 +3,9 @@
 The map under study is the conjugated twist phi_a . T . phibar_a^{-1}, where
 T rotates by omega(xi eta) = alpha + (xi eta)^s and phi_a multiplies the two
 coordinates by e^{+-i atilde(xi, eta)}.  Everything here is pointwise numeric
-(vectorized over numpy arrays); truncated series never enter.  The module
+(vectorized over numpy arrays); truncated series never enter.  Every map
+keeps t = xi eta, so the orbit kernel `_h_orbit` carries each orbit on its
+level set and reads h as the orbit's phase sum.  The module
 also carries the explicit constants (d0, c1, c2, epsilon0, delta, r0), the
 scalar majorant recursion that underwrites them, and the branch solver for
 the periodic-point equation zeta (1+h)^{1/(2s)} = e^{i j pi/s} (-beta/n)^{1/(2s)}.
@@ -160,21 +162,19 @@ def twist_eval(tp: TwistParams, xi, eta):
     return ph * xi, eta / ph
 
 
-def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
-    """Solve c = fam(e^{i sign c} xi, e^{-i sign c} eta) by Newton's method.
+def _exponent_newton(modes: dict, ks, shape, sign: int, what: str):
+    """Solve c = g(c) = sum_k m_k u^k, u = e^{i sign c}, by Newton's method.
 
-    The phase keeps xi*eta fixed, so the right side is g(c) = sum_k m_k u^k
-    with u = e^{i sign c} and m_k the phase modes of fam at the point,
-    formed once.  Newton on c - g(c) starts at c = 0, where u = 1 and the
-    first step is closed form; each later step costs one exp.  It stops at
-    a step of at most 4e-16 (1 + max|c|), within 80 steps.  A root reached
-    after the first step is accepted only where the plain iteration
-    c <- g(c) contracts, max|g'(c)| < 1, which keeps the solve on the
-    branch that iteration converges to; otherwise SolverError.  An empty
-    family has the root c = 0, returned without a step.
+    The modes m_k are those of a family at a point, whose phase change by u
+    keeps xi*eta fixed; ks is their key set.  Newton on c - g(c) starts at
+    c = 0, where u = 1 and the first step is closed form; each later step
+    costs one exp.  It stops at a step of at most 4e-16 (1 + max|c|),
+    within 80 steps.  A root reached after the first step is accepted only
+    where the plain iteration c <- g(c) contracts, max|g'(c)| < 1, which
+    keeps the solve on the branch that iteration converges to; otherwise
+    SolverError.  No modes (an empty family) give the root c = 0 of the
+    given shape, returned without a step.
     """
-    modes = fam.phase_modes(xi, eta)
-    shape = np.broadcast(np.asarray(xi), np.asarray(eta)).shape
     if not modes:
         return np.zeros(shape, dtype=complex)
     isign = 1j * sign
@@ -192,7 +192,7 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
         for n in range(80):
-            g, dg = sums(_power_table(np.exp(isign * c), fam._mode_powers) if n else None)
+            g, dg = sums(_power_table(np.exp(isign * c), ks) if n else None)
             step = (c - g) / (1.0 - isign * dg)
             c = c - step
             cmax = np.abs(c).max()
@@ -206,33 +206,98 @@ def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str)
     raise SolverError(f"{what}: exponent iteration did not converge")
 
 
-def _phase_conjugate(f: CoefficientFamily, model, g: CoefficientFamily, what: str,
-                     guard_input: bool = True):
-    """Pointwise evaluator of phi_f . model . phi_g^{-1}.
+def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
+    """Solve c = fam(e^{i sign c} xi, e^{-i sign c} eta) at the point (xi, eta):
+    `_exponent_newton` on the phase modes of fam there.  The orbit kernel
+    forms the same modes from the bands of its level set instead."""
+    shape = np.broadcast(np.asarray(xi), np.asarray(eta)).shape
+    return _exponent_newton(fam.phase_modes(xi, eta), fam._mode_powers, shape, sign, what)
 
-    phi_f multiplies (xi, eta) by (e^{i f}, e^{-i f}) at the point, one
-    evaluation of f; the inverse of phi_g solves the exponent identity
-    c = g(e^{-ic} xi, e^{ic} eta) by Newton on the phase modes of g, which
-    evaluates no family.  Input and output must stay inside the unit
-    polydisk; guard_input=False skips the input test, for a caller that
-    passes the output of an evaluator which has just tested it.
+
+def _band_keys(bands: dict) -> tuple:
+    """The exponents a Laurent sum over the bands reads: of x for k >= 0
+    and of y for the modes k < 0 (-k)."""
+    return frozenset(k for k in bands if k >= 0), frozenset(-k for k in bands if k < 0)
+
+
+def _band_terms(bands: dict, keys: tuple, x, y) -> dict:
+    """The modes {k: B_k x^k for k >= 0, B_k y^{-k} for k < 0} of a family
+    on its level set (`CoefficientFamily._bands`), from one power table of
+    x and one of y (keys from `_band_keys`): no power of 1/x or 1/y."""
+    xp, yp = _power_table(x, keys[0]), _power_table(y, keys[1])
+    return {k: b * (xp[k] if k >= 0 else yp[-k]) for k, b in bands.items()}
+
+
+def _laurent(bands: dict, keys: tuple, x, y):
+    """The family's value at (x, y) on its level set: the sum of its
+    `_band_terms` (0 if none)."""
+    terms = list(_band_terms(bands, keys, x, y).values())
+    return sum(terms[1:], terms[0]) if terms else 0.0
+
+
+def _phase_factor(f: dict, g: dict, turn, swap: bool, what: str):
+    """One phase conjugation phi_f . model . phi_g^{-1} on a level set xi*eta = t.
+
+    f and g are the bands of the two families at t (`CoefficientFamily._bands`)
+    and turn the model's unit factor there: the model multiplies (xi, eta)
+    by (turn, 1/turn), or with swap=True is the half-turn swap
+    (xi, eta) -> (turn eta, xi / turn).  Returns step(x, y) -> (x', y', phase).
+    The inverse of phi_g solves c = g(e^{-ic} x, e^{ic} y) by Newton on the
+    modes of g at (x, y) (`_band_terms`, `_exponent_newton`); phi_f then
+    multiplies by e^{+-i f} at the model's image, f its Laurent sum.  x' is
+    the source coordinate (x, or y when swapping) times turn e^{i phase},
+    phase = f - c, or f + c when swapping.  The output must stay inside the
+    unit polydisk.
     """
+    fk, gk, gmodes = _band_keys(f), _band_keys(g), frozenset(g)
+    inverse, output = f"{what} inverse", f"{what} output"
 
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
-    def conjugated(xi, eta):
+    def step(x, y):
+        c = _exponent_newton(_band_terms(g, gk, x, y), gmodes, np.shape(x), -1, inverse)
+        if swap:
+            q = turn * np.exp(1j * c)
+            x, y = q * y, x / q
+        else:
+            q = turn * np.exp(-1j * c)
+            x, y = q * x, y / q
+        fv = _laurent(f, fk, x, y)
+        e = np.exp(1j * fv)
+        x, y = e * x, y / e
+        _guard_inside(x, y, output)
+        return x, y, fv + c if swap else fv - c
+
+    return step
+
+
+def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
+    """varphi = phi_a . T . phibar_a^{-1} in the orbit kernel's step contract:
+    orbit(t) fixes e^{i omega(t)} and the bands of a and of g = -abar (phibar_a
+    is the coefficient-conjugate of phi_a, which is phi_g) on the level set
+    xi*eta = t, and returns the step of `_phase_factor`, whose phase is
+    f - c."""
+    g = a.conjugated().scaled(-1.0)
+
+    def orbit(t):
+        return _phase_factor(a._bands(t), g._bands(t), np.exp(1j * tp.omega(t)), False, "varphi")
+
+    return orbit
+
+
+def _one_step(orbit, what: str):
+    """Pointwise evaluator (xi, eta) -> (xi', eta') of a map given in the
+    orbit kernel's step contract: one step on the level set of the point,
+    whose input must lie inside the unit polydisk."""
+
+    def evaluate(xi, eta):
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        if guard_input:
-            _guard_inside(xi, eta, f"{what} input")
-        ph = np.exp(-1j * _exponent_fixed_point(g, xi, eta, -1, f"{what} inverse"))
-        x, y = model(ph * xi, eta / ph)
-        ph = np.exp(1j * f.eval(x, y))
-        x, y = ph * x, y / ph
-        _guard_inside(x, y, f"{what} output")
+        _guard_inside(xi, eta, f"{what} input")
+        x, y, _ = orbit(xi * eta)(xi, eta)
         return x, y
 
-    return conjugated
+    return evaluate
 
 
 def make_varphi(a: CoefficientFamily, tp: TwistParams):
@@ -240,10 +305,11 @@ def make_varphi(a: CoefficientFamily, tp: TwistParams):
 
     Each factor multiplies the coordinates by reciprocal unit factors, so
     xi*eta is preserved to rounding regardless of the family.  phibar_a is
-    the coefficient-conjugate of phi_a, which is phi_g for g = -abar.
+    the coefficient-conjugate of phi_a, which is phi_g for g = -abar.  It is
+    one step of the map that the orbit kernel (`_h_orbit`) iterates, with
+    the same factor code (`_phase_factor`).
     """
-    return _phase_conjugate(a, lambda xi, eta: twist_eval(tp, xi, eta),
-                            a.conjugated().scaled(-1.0), "varphi")
+    return _one_step(_varphi_orbit(a, tp), "varphi")
 
 
 def iterate(map_eval, n: int, point):
@@ -254,14 +320,22 @@ def iterate(map_eval, n: int, point):
     return xi, eta
 
 
-def _h_orbit(zeta, w, tp: TwistParams, n: int, map_eval):
-    """h at (zeta, w) with the start points (xi, eta) = (zeta w, zeta/w) and
-    their n-th iterates: (h, (xi, eta), (xi_n, eta_n)).
+def _h_orbit(zeta, w, tp: TwistParams, n: int, orbit):
+    """The orbit kernel: h at (zeta, w) with the start points
+    (xi, eta) = (zeta w, zeta/w) and their n-th iterates: (h, (xi, eta),
+    (xi_n, eta_n)).
 
-    h = log(1 + p_n) / (i n zeta^{2s}), where p_n = xi_n e^{-i n omega(t)} / xi - 1
-    (t = xi eta) is the relative deviation of the n-th iterate from the
-    model rotation; the large multiple n*alpha is reduced through
-    beta_reduce so no precision is lost to phase wrapping.
+    Every map here multiplies xi and eta by reciprocal factors or swaps
+    them, so t = xi*eta is an exact integral.  `orbit(t)` fixes what t
+    determines once per orbit and returns the step
+    (xi, eta) -> (xi', eta', phase) with xi' = xi e^{i (omega(t) + phase)}
+    in exact arithmetic.  The kernel advances both coordinates n times and
+    sums the phases into Sigma.  Since n alpha = beta mod 2 pi and
+    omega(t) = alpha + t^s, the deviation of xi_n from the model rotation
+    is p_n = xi_n e^{-i n omega(t)} / xi - 1 = e^{i Sigma} - 1, and
+    h = log(1 + p_n) / (i n zeta^{2s}) = Sigma / (n zeta^{2s}) with Sigma
+    taken at its principal value.  No end point is subtracted, so h carries
+    only the rounding of the phases it sums, not a floor of eps/zeta^{2s}.
     """
     zeta = np.asarray(zeta, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -269,20 +343,28 @@ def _h_orbit(zeta, w, tp: TwistParams, n: int, map_eval):
         raise DomainError("h is undefined at zeta = 0")
     xi, eta = zeta * w, zeta / w
     _guard_inside(xi, eta, "h_eval")
-    rd = beta_reduce(n, tp.alpha)
-    xin, etan = iterate(map_eval, n, (xi, eta))
-    p = xin / (xi * np.exp(1j * (rd.beta + n * (xi * eta) ** tp.s))) - 1.0
-    pmax = float(np.abs(p).max())
+    step = orbit(xi * eta)
+    x, y, total = xi, eta, 0.0
+    for _ in range(_check_int(n, "n")):
+        x, y, phase = step(x, y)
+        total = total + phase
+    total = total - 2 * math.pi * np.round(total.real / (2 * math.pi))
+    pmax = float(np.abs(np.expm1(1j * total)).max())
     if pmax > 0.5:
         raise DomainError(f"|p_n| = {pmax:.3f} > 1/2: outside the validated region")
-    return np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s)), (xi, eta), (xin, etan)
+    return total / (n * zeta ** (2 * tp.s)), (xi, eta), (x, y)
 
 
-def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, map_eval=None):
-    """h(zeta, w) = log(1 + p_n(zeta w, zeta/w)) / (i n zeta^{2s})."""
-    if map_eval is None:
-        map_eval = make_varphi(a, tp)
-    return _h_orbit(zeta, w, tp, n, map_eval)[0]
+def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, *, _orbit=None):
+    """h(zeta, w) = log(1 + p_n(zeta w, zeta/w)) / (i n zeta^{2s}) of varphi,
+    read by the orbit kernel (`_h_orbit`) as the orbit's phase sum over
+    n zeta^{2s}.
+
+    The private _orbit replaces varphi by another map in the kernel's step
+    contract, orbit(t) -> step with step(xi, eta) -> (xi', eta', phase),
+    as the involution pair of ``surface_curves``; no pointwise map enters.
+    """
+    return _h_orbit(zeta, w, tp, n, _varphi_orbit(a, tp) if _orbit is None else _orbit)[0]
 
 
 def _check_beta(rd: ResonanceData) -> ResonanceData:
@@ -296,9 +378,16 @@ def _check_beta(rd: ResonanceData) -> ResonanceData:
 
 def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
     """Resonance data of period n, whose beta must lie in (-pi, 0), and the
-    radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi."""
+    radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi.
+    An alpha so large that float64 alpha + zeta0^{2s} rounds to alpha has
+    no twist left at the curve's radius, and is refused."""
     rd = _check_beta(beta_reduce(n, tp.alpha))
-    return rd, (-rd.beta / n) ** (1.0 / (2 * tp.s))
+    zeta0 = (-rd.beta / n) ** (1.0 / (2 * tp.s))
+    if tp.alpha + zeta0 ** (2 * tp.s) == tp.alpha:
+        raise HypothesisViolation(
+            f"alpha = {tp.alpha:.6e} absorbs zeta0^{2 * tp.s} = {zeta0 ** (2 * tp.s):.6e} "
+            f"in float64: the rotation leaves no twist at period {n}")
+    return rd, zeta0
 
 
 def _default_grid(n: int) -> int:
@@ -313,7 +402,12 @@ def curve_band(n: int, grid_size: int) -> int:
 
 
 def _rounding_floor(zeta0: float, s: int) -> float:
-    """Rounding floor of R = T(zeta) - zeta: zeta0 eps_mach / (2s zeta0^{2s})."""
+    """Rounding floor of R = T(zeta) - zeta: zeta0 eps_mach / (2s zeta0^{2s}).
+
+    This is the floor of h read from the end point of its orbit, eps_mach /
+    zeta0^{2s}, carried through T.  The orbit kernel sums phases instead,
+    whose rounding is far below it; the floor still sets the secant rule
+    and the stopping bound."""
     return zeta0 * float(np.finfo(float).eps) / (2 * s * zeta0 ** (2 * s))
 
 
@@ -331,16 +425,17 @@ def _secant_update(zeta, r, zeta_prev, r_prev, floor):
     return np.where(moved, zeta - r * (zeta - zeta_prev) / np.where(moved, dr, 1.0), zeta + r)
 
 
-def _solve_branch(a, tp, n, js, w, map_eval):
+def _solve_branch(a, tp, n, js, w, orbit):
     """Solve the branches js at w together: zeta of shape (len(js),) + w.shape,
     zeta0, the largest n-step return residual and the number of h
     evaluations the iteration made.
 
     The root of R(zeta) = T(zeta) - zeta, T(zeta) = target (1 + h(zeta, w))^{-1/(2s)},
-    is found at one h evaluation (one n-step orbit) per step: the secant
-    step where R moved by more than four times its rounding floor since the
-    previous iterate, the Picard step zeta + R elsewhere, the first iterate
-    included (`_secant_update`).  The loop runs until the largest step of
+    is found at one h evaluation per step, one n-step orbit of the kernel
+    `_h_orbit` (orbit in its step contract, varphi when None): the
+    secant step where R moved by more than four times its rounding floor
+    since the previous iterate, the Picard step zeta + R elsewhere, the
+    first iterate included (`_secant_update`).  The loop runs until the largest step of
     any branch is within `_step_bound`, so every branch takes the steps of
     the slowest.  That test bounds the step, not the residual; the
     equation residual is checked after the loop.  Each gate of
@@ -348,8 +443,8 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     every branch passes, and the error raised is the first gate that any
     branch reaches.
     """
-    if map_eval is None:
-        map_eval = make_varphi(a, tp)
+    if orbit is None:
+        orbit = _varphi_orbit(a, tp)
     _, zeta0 = _beta_window(tp, n)
     js = [_check_int(j, "branch index", 1, 2 * tp.s) for j in js]
     w = np.asarray(w, dtype=complex)
@@ -368,7 +463,7 @@ def _solve_branch(a, tp, n, js, w, map_eval):
     bound = _step_bound(zeta0, tp.s)
     zeta_prev, r_prev, zeta = target, math.nan, target
     for steps in range(1, 51):
-        h = h_eval(zeta, w, a, tp, n, map_eval)
+        h = h_eval(zeta, w, a, tp, n, _orbit=orbit)
         if float(np.abs(h).max()) > 0.5:
             raise DomainError("|h| > 1/2: contraction hypothesis lost")
         r = target * np.exp(inv_root * np.log(1.0 + h)) - zeta
@@ -381,7 +476,7 @@ def _solve_branch(a, tp, n, js, w, map_eval):
         raise SolverError(f"no convergence in 50 iterations; last step {step:.3e}")
 
     # The return test reads the orbit of this last h evaluation.
-    h, (xi, eta), (xin, etan) = _h_orbit(zeta, w, tp, n, map_eval)
+    h, (xi, eta), (xin, etan) = _h_orbit(zeta, w, tp, n, orbit)
     eq_res = float(np.abs(zeta * np.exp(-inv_root * np.log(1.0 + h)) - target).max())
     if eq_res > EQ_RESIDUAL_BOUND:
         raise SolverError(f"equation residual {eq_res:.3e} exceeds {EQ_RESIDUAL_BOUND}")
@@ -414,8 +509,8 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
 
 
 def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
-                   K: int | None = None, map_eval=None,
-                   check_domain: bool = True) -> PeriodicCurve:
+                   K: int | None = None, check_domain: bool = True, *,
+                   _orbit=None) -> PeriodicCurve:
     """Sample the branch over the unit w-circle and take its Laurent data.
 
     Laurent coefficients come from the discrete Fourier transform over the
@@ -432,6 +527,8 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     1e-10, the last on the orbit of the final h evaluation).  The guard
     alone keeps |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted
     and ignored; the paper's constants come from ``compute_constants``.
+    The private ``_orbit`` replaces varphi by another map in the step
+    contract of the orbit kernel (`h_eval`), as ``surface_curves`` does.
     """
     grid_size = _check_int(grid_size, "grid_size")
     K = curve_band(_check_int(n, "n"), grid_size) if K is None else _check_int(K, "K", 0)
@@ -439,12 +536,12 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
-    zeta, zeta0, ret, steps = _solve_branch(a, tp, n, (j,), w, map_eval)
+    zeta, zeta0, ret, steps = _solve_branch(a, tp, n, (j,), w, _orbit)
     zeta = zeta[0]
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
     reality = None
-    if map_eval is None and a.hermitian and j == 2 * tp.s:
+    if _orbit is None and a.hermitian and j == 2 * tp.s:
         reality = float(np.abs(zeta.imag).max())
     samples = [(complex(wv), complex(zv)) for wv, zv in zip(w, zeta)]
     return PeriodicCurve(
@@ -473,8 +570,10 @@ def calibration_family(tp: TwistParams) -> CoefficientFamily:
 
 
 def measurable_ring(s: int) -> float:
-    """Smallest |zeta| at which float64 phase rounding stays two decades
-    under the 1/4 threshold for |h| (noise in h scales like eps/|zeta|^{2s})."""
+    """Smallest |zeta| at which eps/|zeta|^{2s}, the rounding floor of h read
+    from the end point of its orbit, stays two decades under the 1/4
+    threshold for |h|.  The orbit kernel reads h as a phase sum, whose
+    rounding is far below that floor, so the ring is conservative."""
     return (400.0 * np.finfo(float).eps) ** (1.0 / (2 * s))
 
 
@@ -488,7 +587,6 @@ def _calibrate_c2(tp: TwistParams, n: int, c1: float) -> float:
     check therefore runs on that ring instead and dominates the disk.
     """
     fam = calibration_family(tp)
-    mv = make_varphi(fam, tp)
     floor = measurable_ring(tp.s)
     radii = np.array([0.7, 0.85, 1.0])
     zph = np.exp(1j * np.pi * np.arange(4) / 4)
@@ -499,7 +597,7 @@ def _calibrate_c2(tp: TwistParams, n: int, c1: float) -> float:
         zv = (r_meas * radii[:, None] * zph).ravel()
         zz, ww = np.meshgrid(zv, wv)
         try:
-            h = h_eval(zz.ravel(), ww.ravel(), fam, tp, n, map_eval=mv)
+            h = h_eval(zz.ravel(), ww.ravel(), fam, tp, n)
             if float(np.abs(h).max()) <= 0.25:
                 return c
         except DomainError:

@@ -16,6 +16,10 @@ from revtwist.surface import involution_jets
 from revtwist.twist import TwistParams, compute_constants
 
 ALPHA_RES = (4 * math.pi - 2.0) / 4  # n = 4 resonance with beta = -2, g = 2
+# The map file of the README's normalize example.
+README_MAP = ("x 1 0 0.764842187284 0.644217687238\nx 2 1 -0.644217687238 0.764842187284\n"
+              "x 0 3 0.317422072971 0.376856763472\ny 0 1 0.764842187284 -0.644217687238\n"
+              "y 1 2 -0.644217687238 -0.764842187284\ny 3 0 0.317422072971 -0.376856763472\n")
 
 
 def write(path, text):
@@ -251,6 +255,18 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+
+    def test_normalize_without_order_is_refused(self, tmp_path, capsys):
+        # The README map has entries through degree 3 and runs at order 4;
+        # read at any other order it was refused as not tau-reversible.
+        pm = write(tmp_path / "map.txt", README_MAP)
+        out = tmp_path / "n.csv"
+        assert main(["normalize", "--map", pm, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: normalize needs --order, the truncation order of the map file"]
+        assert captured.out == "" and not out.exists()
+        assert main(["normalize", "--map", pm, "--order", "4"]) == 0
 
 
 class TestCurveArtifact:

@@ -699,20 +699,20 @@ def test_full_normalize_operation_counts(monkeypatch):
 
 def test_surface_exponent_solve_operation_counts(monkeypatch):
     # Machine-independent cost of one small involution-pair curve: each
-    # tau evaluation inverts one phase change by an exponent solve, which
-    # forms the family's phase modes once and takes its first Newton step
+    # tau step of the orbit kernel inverts one phase change by an exponent
+    # solve on the modes of its bands, which takes its first Newton step
     # in closed form, so it pays one exp per later step (its passes) and
-    # no family evaluation; only the forward phases evaluate the family.
+    # no Laurent sum; only the forward phases sum the family's bands.
     # The return test reads the orbit of the last h evaluation, so every
     # n = 4 orbit here (two tau steps per map step) serves an h evaluation.
     # Any change here is a change of algorithm and should be deliberate.
-    from revtwist import families, twist
+    from revtwist import twist
     from revtwist.families import CoefficientFamily
     from revtwist.surface import surface_curves
 
     counts = {"solves": 0, "eval": 0, "passes": 0}
     solving = []
-    solve, fam_eval, exp = twist._exponent_fixed_point, families.CoefficientFamily.eval, np.exp
+    solve, laurent, exp = twist._exponent_newton, twist._laurent, np.exp
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -722,17 +722,17 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
         finally:
             solving.pop()
 
-    def counted_eval(self, xi, eta):
+    def counted_eval(*args):
         counts["eval"] += 1
-        return fam_eval(self, xi, eta)
+        return laurent(*args)
 
     def counted_exp(*args, **kwargs):
         if solving:
             counts["passes"] += 1
         return exp(*args, **kwargs)
 
-    monkeypatch.setattr(twist, "_exponent_fixed_point", counted_solve)
-    monkeypatch.setattr(families.CoefficientFamily, "eval", counted_eval)
+    monkeypatch.setattr(twist, "_exponent_newton", counted_solve)
+    monkeypatch.setattr(twist, "_laurent", counted_eval)
     monkeypatch.setattr(np, "exp", counted_exp)
     tp = twist.TwistParams(alpha=(4 * math.pi - 2) / 4, s=1)
     crv = surface_curves(CoefficientFamily({(4, 0): 0.05}, 1), tp, 4, 2,

@@ -475,7 +475,7 @@ class TestStackedProbes:
         bound = 4 * _step_bound(_require_even_resonance(tp, n), tp.s)
         for p, amp in enumerate(amps):
             fam = CoefficientFamily({(n, 0): amp}, tp.s, False, _validate=False)
-            _, _, phi = build_involution_maps(fam, tp)
+            phi = surface._involution_orbits(fam, tp)[2]
             alone = _solve_branch(fam, tp, n, js, w, phi)[0]
             assert np.abs(alone - zeta[:, p]).max() <= bound
             assert np.abs(np.fft.fft(alone)[:, 2 * n] / G - coeffs[p]).max() <= bound
@@ -487,7 +487,7 @@ class TestStackedProbes:
         # and at 0.3 the inverse's exponent solve fails; the probes beside
         # it pass alone.
         fam = CoefficientFamily({(N1, 0): amp}, 1, False, _validate=False)
-        _, _, phi = build_involution_maps(fam, TP)
+        phi = surface._involution_orbits(fam, TP)[2]
         w = np.exp(2j * np.pi * np.arange(64) / 64)
         with pytest.raises(error):
             _solve_branch(fam, TP, N1, (2,), w, phi)

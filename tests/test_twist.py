@@ -488,25 +488,31 @@ GATE_R2 = _beta_window(GATE_TP, GATE_N)[1] ** 2  # zeta0^2
 
 
 def twist_with_h(H, eta_turn=0.0):
-    """The twist of GATE_TP turned by a further t H(t) per step (t = xi eta),
-    with eta turned by eta_turn more.  t is kept, so the n-step
-    deviation of xi is e^{i n t H(t)} and the solver sees h = H(zeta^2)
-    (s = 1); h reads xi alone, so eta_turn only spoils the n-step return."""
+    """The twist of GATE_TP turned by a further t H(t) per step, in the orbit
+    kernel's step contract: on the level set xi eta = t the step returns
+    the point and its phase t H(t) beyond omega(t), with eta turned by
+    eta_turn more.  The phase sum over n zeta^2 is h = H(zeta^2) (s = 1);
+    h reads the phases alone, so eta_turn only spoils the n-step return."""
 
-    def step(xi, eta):
-        t = xi * eta
-        ph = np.exp(1j * (GATE_TP.omega(t) + t * H(t)))
-        return ph * xi, eta / ph * np.exp(1j * eta_turn)
+    def orbit(t):
+        phase = t * H(t)
+        ph = np.exp(1j * (GATE_TP.omega(t) + phase))
 
-    return step
+        def step(xi, eta):
+            return ph * xi, eta / ph * np.exp(1j * eta_turn), phase
+
+        return step
+
+    return orbit
 
 
 class TestCurveGates:
-    """One injected map per gate of the curve solver, each reaching it first."""
+    """One injected map per gate of the curve solver, each reaching it first.
+    Each is given in the orbit kernel's step contract (`twist_with_h`)."""
 
-    def solve(self, map_eval):
+    def solve(self, orbit):
         return periodic_curve(CoefficientFamily({}, 1), GATE_TP, GATE_N, 2,
-                              grid_size=8, K=2, map_eval=map_eval)
+                              grid_size=8, K=2, _orbit=orbit)
 
     def test_h_above_one_half(self):
         # |p_n| = 0.06 stays inside the validated region, but h = 0.6
@@ -546,11 +552,10 @@ def picard_curve(fam, tp, n, j, w):
     it made."""
     _, zeta0 = _beta_window(tp, n)
     target = complex(np.exp(1j * j * math.pi / tp.s)) * zeta0
-    map_eval = make_varphi(fam, tp)
     bound = _step_bound(zeta0, tp.s)
     zeta = np.full(w.shape, target)
     for steps in range(1, 201):
-        h = h_eval(zeta, w, fam, tp, n, map_eval)
+        h = h_eval(zeta, w, fam, tp, n)
         znew = target * np.exp(-np.log(1.0 + h) / (2 * tp.s))
         step = np.abs(znew - zeta).max()
         zeta = znew
@@ -647,33 +652,35 @@ class TestSecantStep:
 class TestPeriodicCurve:
     def test_return_test_reads_the_last_orbit(self, monkeypatch):
         # Every map step belongs to the orbit of one h evaluation: the n-step
-        # return test reuses the orbit of the final one.
+        # return test reuses the orbit of the final one.  The map is varphi
+        # in the orbit kernel's step contract, counted.
         from revtwist import twist
 
         n = 7
         tp = TwistParams(alpha=resonant_alpha(n, 1, -0.08), s=1)
         fam = CoefficientFamily({(7, 0): 0.05, (3, 0): 0.02 + 0.01j, (1, 3): -0.03j}, 1)
-        counts = {"steps": 0, "h": 0, "iterate": 0}
-        step, h_orbit, iterate_ = make_varphi(fam, tp), twist._h_orbit, twist.iterate
+        counts = {"steps": 0, "h": 0, "orbits": 0}
+        orbit, h_orbit = twist._varphi_orbit(fam, tp), twist._h_orbit
 
-        def counted_step(xi, eta):
-            counts["steps"] += 1
-            return step(xi, eta)
+        def counted_orbit(t):
+            counts["orbits"] += 1
+            step = orbit(t)
+
+            def counted_step(xi, eta):
+                counts["steps"] += 1
+                return step(xi, eta)
+
+            return counted_step
 
         def counted_h(*args):
             counts["h"] += 1
             return h_orbit(*args)
 
-        def counted_iterate(*args):
-            counts["iterate"] += 1
-            return iterate_(*args)
-
         monkeypatch.setattr(twist, "_h_orbit", counted_h)
-        monkeypatch.setattr(twist, "iterate", counted_iterate)
-        crv = periodic_curve(fam, tp, n, 2, grid_size=32, K=8, map_eval=counted_step)
+        crv = periodic_curve(fam, tp, n, 2, grid_size=32, K=8, _orbit=counted_orbit)
         assert crv.residual <= 1e-10
         assert counts["h"] == 4  # three secant-loop steps and the final evaluation
-        assert counts["iterate"] == counts["h"]
+        assert counts["orbits"] == counts["h"]
         assert counts["steps"] == n * counts["h"]
 
     def test_every_default_band_is_curve_band(self, tmp_path, monkeypatch, capsys):
