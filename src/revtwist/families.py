@@ -3,7 +3,9 @@
 A family collects the nonzero coefficients a_{i,j} of the perturbation
 generator atilde(xi, eta) = sum a_{i,j} xi^i eta^j with i+j > 2s.  The
 optional Hermitian flag enforces a_{j,i} = conj(a_{i,j}), which is exactly
-the condition making atilde real on the slice eta = conj(xi).
+the condition making atilde real on the slice eta = conj(xi).  Every value
+of a family is read one way: as the Laurent sum of its bands on the level
+set xi*eta = t (`CoefficientFamily._bands`, `_laurent`).
 """
 
 from __future__ import annotations
@@ -93,11 +95,13 @@ class CoefficientFamily:
                 if abs(v) > 1.0 + 1e-12:
                     raise ValueError(f"entry ({i},{j}) has modulus {abs(v)} > 1")
         object.__setattr__(self, "entries", ent)
-        # The exponent sets of the power tables every evaluation reads.
-        object.__setattr__(self, "_xi_powers", frozenset(i for i, _ in ent))
-        object.__setattr__(self, "_eta_powers", frozenset(j for _, j in ent))
+        # The exponent sets of the power tables every evaluation reads: of t
+        # in the bands, of a phase factor u in the modes, and of xi (modes
+        # k >= 0) and eta (modes k < 0, as -k) in the Laurent sum.
         object.__setattr__(self, "_mode_powers", frozenset(i - j for i, j in ent))
         object.__setattr__(self, "_band_powers", frozenset(min(i, j) for i, j in ent))
+        object.__setattr__(self, "_laurent_powers", (frozenset(i - j for i, j in ent if i >= j),
+                                                     frozenset(j - i for i, j in ent if i < j)))
 
     @staticmethod
     def empty(s: int) -> "CoefficientFamily":
@@ -118,36 +122,14 @@ class CoefficientFamily:
     def max_modulus(self) -> float:
         return max((abs(v) for v in self.entries.values()), default=0.0)
 
-    def _terms(self, xi, eta):
-        """Pairs (i - j, a_{i,j} xi^i eta^j) over the entries, from one table
-        of the powers of xi and of eta that the entries use."""
-        xp = _power_table(np.asarray(xi, dtype=complex), self._xi_powers)
-        ep = _power_table(np.asarray(eta, dtype=complex), self._eta_powers)
-        for (i, j), v in self.entries.items():
-            term = v
-            if i:
-                term = term * xp[i]
-            if j:
-                term = term * ep[j]
-            yield i - j, term
-
     def eval(self, xi, eta):
-        """atilde(xi, eta); accepts scalars or numpy arrays."""
-        out = np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape, dtype=complex)
-        for _, term in self._terms(xi, eta):
-            out = out + term
-        return out
-
-    def phase_modes(self, xi, eta) -> dict[int, np.ndarray]:
-        """Modes {k: m_k}, m_k = sum over i - j = k of a_{i,j} xi^i eta^j.
-
-        A phase change keeps xi*eta fixed: atilde(u xi, eta/u) is the
-        Laurent sum of m_k u^k, so one set of modes serves every phase.
-        """
-        modes: dict[int, np.ndarray] = {}
-        for k, term in self._terms(xi, eta):
-            modes[k] = modes[k] + term if k in modes else term
-        return modes
+        """atilde(xi, eta); accepts scalars or numpy arrays.  It is the
+        Laurent sum of the bands on the level set t = xi*eta (`_laurent`),
+        the one form in which the package evaluates a family."""
+        xi = np.asarray(xi, dtype=complex)
+        eta = np.asarray(eta, dtype=complex)
+        out = np.zeros(np.broadcast(xi, eta).shape, dtype=complex)
+        return out + _laurent(self, self._bands(xi * eta), xi, eta)
 
     def _bands(self, t) -> dict:
         """Band coefficients {k: B_k(t)} of atilde on the level set xi*eta = t.
@@ -168,6 +150,23 @@ class CoefficientFamily:
     def to_jet(self, order: int) -> Jet:
         ent = {k: v for k, v in self.entries.items() if k[0] + k[1] <= order}
         return Jet.from_entries(ent, order)
+
+
+def _band_terms(fam: CoefficientFamily, bands: dict, x, y) -> dict:
+    """The modes {k: B_k x^k for k >= 0, B_k y^{-k} for k < 0} of fam on its
+    level set x*y = t, bands = fam._bands(t), from one power table of x and
+    one of y: no power of 1/x or 1/y.  A phase change (u x, y/u) keeps t and
+    turns mode k by u^k."""
+    xs, ys = fam._laurent_powers
+    xp, yp = _power_table(x, xs), _power_table(y, ys)
+    return {k: b * (xp[k] if k >= 0 else yp[-k]) for k, b in bands.items()}
+
+
+def _laurent(fam: CoefficientFamily, bands: dict, x, y):
+    """fam's value at (x, y) on its level set: the sum of its `_band_terms`
+    (0 if none)."""
+    terms = list(_band_terms(fam, bands, x, y).values())
+    return sum(terms[1:], terms[0]) if terms else 0.0
 
 
 def _read_entries(path: str | Path, tags: tuple = (), check=None) -> dict:

@@ -110,8 +110,8 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
     """tau1, tau2 and phi = tau1 . tau2 in the orbit kernel's step contract.
 
     On the level set xi*eta = t, each tau's orbit(t) fixes its half turn
-    e^{+-i omega(t)/2} and the bands of its family (a for tau1, b = -abar
-    for tau2) and returns one `_phase_factor` with a half-turn swap, whose
+    e^{+-i omega(t)/2} and returns one `_phase_factor` of its family (a for
+    tau1, b = -abar for tau2) with a half-turn swap, whose
     phase c + f is counted from the coordinate it swaps in.  phi's swaps
     flip the sign of what tau2 added: xi' = xi e^{i (omega + (f_a + c_1)
     - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).
@@ -120,8 +120,7 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
 
     def tau(fam: CoefficientFamily, half: complex, what: str):
         def orbit(t):
-            bands = fam._bands(t)
-            return _phase_factor(bands, bands, np.exp(half * tp.omega(t)), True, what)
+            return _phase_factor(fam, fam, t, np.exp(half * tp.omega(t)), True, what)
 
         return orbit
 

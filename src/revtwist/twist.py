@@ -20,7 +20,7 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .families import CoefficientFamily, _power_table
+from .families import CoefficientFamily, _band_terms, _laurent, _power_table
 from .series import _check_int
 
 
@@ -208,61 +208,45 @@ def _exponent_newton(modes: dict, ks, shape, sign: int, what: str):
 
 def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
     """Solve c = fam(e^{i sign c} xi, e^{-i sign c} eta) at the point (xi, eta):
-    `_exponent_newton` on the phase modes of fam there.  The orbit kernel
-    forms the same modes from the bands of its level set instead."""
-    shape = np.broadcast(np.asarray(xi), np.asarray(eta)).shape
-    return _exponent_newton(fam.phase_modes(xi, eta), fam._mode_powers, shape, sign, what)
+    `_exponent_newton` on the band modes of fam there (`_band_terms`).  The
+    orbit kernel solves in `_phase_factor` and does not call it; it stays
+    because `bench/tracer.py` wraps it by name and the exponent tests call it."""
+    xi = np.asarray(xi, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
+    return _exponent_newton(modes, fam._mode_powers, np.broadcast(xi, eta).shape, sign, what)
 
 
-def _band_keys(bands: dict) -> tuple:
-    """The exponents a Laurent sum over the bands reads: of x for k >= 0
-    and of y for the modes k < 0 (-k)."""
-    return frozenset(k for k in bands if k >= 0), frozenset(-k for k in bands if k < 0)
-
-
-def _band_terms(bands: dict, keys: tuple, x, y) -> dict:
-    """The modes {k: B_k x^k for k >= 0, B_k y^{-k} for k < 0} of a family
-    on its level set (`CoefficientFamily._bands`), from one power table of
-    x and one of y (keys from `_band_keys`): no power of 1/x or 1/y."""
-    xp, yp = _power_table(x, keys[0]), _power_table(y, keys[1])
-    return {k: b * (xp[k] if k >= 0 else yp[-k]) for k, b in bands.items()}
-
-
-def _laurent(bands: dict, keys: tuple, x, y):
-    """The family's value at (x, y) on its level set: the sum of its
-    `_band_terms` (0 if none)."""
-    terms = list(_band_terms(bands, keys, x, y).values())
-    return sum(terms[1:], terms[0]) if terms else 0.0
-
-
-def _phase_factor(f: dict, g: dict, turn, swap: bool, what: str):
+def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: bool, what: str):
     """One phase conjugation phi_f . model . phi_g^{-1} on a level set xi*eta = t.
 
-    f and g are the bands of the two families at t (`CoefficientFamily._bands`)
-    and turn the model's unit factor there: the model multiplies (xi, eta)
-    by (turn, 1/turn), or with swap=True is the half-turn swap
-    (xi, eta) -> (turn eta, xi / turn).  Returns step(x, y) -> (x', y', phase).
-    The inverse of phi_g solves c = g(e^{-ic} x, e^{ic} y) by Newton on the
-    modes of g at (x, y) (`_band_terms`, `_exponent_newton`); phi_f then
-    multiplies by e^{+-i f} at the model's image, f its Laurent sum.  x' is
+    It forms the bands of the families f and g at t once, of one family
+    when g is f (`CoefficientFamily._bands`).  turn is the model's unit factor there:
+    the model multiplies (xi, eta) by (turn, 1/turn), or with swap=True is
+    the half-turn swap (xi, eta) -> (turn eta, xi / turn).  Returns
+    step(x, y) -> (x', y', phase).  The inverse of phi_g solves
+    c = g(e^{-ic} x, e^{ic} y) by Newton on the modes of g at (x, y)
+    (`_band_terms`, `_exponent_newton`); phi_f then multiplies by
+    e^{+-i f} at the model's image, f its Laurent sum (`_laurent`).  x' is
     the source coordinate (x, or y when swapping) times turn e^{i phase},
     phase = f - c, or f + c when swapping.  The output must stay inside the
     unit polydisk.
     """
-    fk, gk, gmodes = _band_keys(f), _band_keys(g), frozenset(g)
+    fb = f._bands(t)
+    gb = fb if g is f else g._bands(t)
     inverse, output = f"{what} inverse", f"{what} output"
 
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
     def step(x, y):
-        c = _exponent_newton(_band_terms(g, gk, x, y), gmodes, np.shape(x), -1, inverse)
+        c = _exponent_newton(_band_terms(g, gb, x, y), g._mode_powers, np.shape(x), -1, inverse)
         if swap:
             q = turn * np.exp(1j * c)
             x, y = q * y, x / q
         else:
             q = turn * np.exp(-1j * c)
             x, y = q * x, y / q
-        fv = _laurent(f, fk, x, y)
+        fv = _laurent(f, fb, x, y)
         e = np.exp(1j * fv)
         x, y = e * x, y / e
         _guard_inside(x, y, output)
@@ -273,14 +257,13 @@ def _phase_factor(f: dict, g: dict, turn, swap: bool, what: str):
 
 def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
     """varphi = phi_a . T . phibar_a^{-1} in the orbit kernel's step contract:
-    orbit(t) fixes e^{i omega(t)} and the bands of a and of g = -abar (phibar_a
-    is the coefficient-conjugate of phi_a, which is phi_g) on the level set
-    xi*eta = t, and returns the step of `_phase_factor`, whose phase is
-    f - c."""
+    orbit(t) fixes e^{i omega(t)} on the level set xi*eta = t and returns
+    the step of `_phase_factor` for a and g = -abar (phibar_a is the
+    coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c."""
     g = a.conjugated().scaled(-1.0)
 
     def orbit(t):
-        return _phase_factor(a._bands(t), g._bands(t), np.exp(1j * tp.omega(t)), False, "varphi")
+        return _phase_factor(a, g, t, np.exp(1j * tp.omega(t)), False, "varphi")
 
     return orbit
 
@@ -574,7 +557,7 @@ def measurable_ring(s: int) -> float:
     from the end point of its orbit, stays two decades under the 1/4
     threshold for |h|.  The orbit kernel reads h as a phase sum, whose
     rounding is far below that floor, so the ring is conservative."""
-    return (400.0 * np.finfo(float).eps) ** (1.0 / (2 * s))
+    return (400.0 * np.finfo(float).eps) ** (1.0 / (2 * _check_int(s, "s")))
 
 
 def _calibrate_c2(tp: TwistParams, n: int, c1: float) -> float:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from revtwist.families import CoefficientFamily, _power_table, load_family, save_family
+from revtwist.families import (
+    CoefficientFamily,
+    _band_terms,
+    _power_table,
+    load_family,
+    save_family,
+)
 
 
 def test_validation_rules():
@@ -62,10 +68,10 @@ def _direct_terms(fam, xi, eta):
 @pytest.mark.parametrize("shape", [(), (7,), "broadcast"])
 @pytest.mark.parametrize("empty", [False, True])
 def test_shared_power_table_matches_direct_powers(shape, empty):
-    # eval and phase_modes raise xi and eta to every power the entries use
-    # from one table built by squaring; each power may differ from numpy's
-    # x**k by rounding only, so both agree with the direct sum within a few
-    # ulp of sum |terms|.
+    # eval and the band terms raise t = xi*eta, xi and eta to every power
+    # the bands use from tables built by squaring; each power may differ
+    # from numpy's x**k by rounding only, so both agree with the direct sum
+    # within a few ulp of sum |terms|.
     rng = np.random.default_rng(40)
     keys = {(int(i), int(d - i)) for d in rng.integers(3, 41, 60)
             for i in [rng.integers(0, d + 1)]}
@@ -87,7 +93,7 @@ def test_shared_power_table_matches_direct_powers(shape, empty):
     got = fam.eval(xi, eta)
     assert got.shape == np.broadcast(xi, eta).shape
     assert np.all(np.abs(got - sum(t for _, t in terms)) <= tol)
-    modes = fam.phase_modes(xi, eta)
+    modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
     assert set(modes) == {k for k, _ in terms}
     for k, mk in modes.items():
         assert np.all(np.abs(mk - sum(t for q, t in terms if q == k)) <= tol)

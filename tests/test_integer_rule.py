@@ -23,6 +23,7 @@ from revtwist import (
     is_exceptional,
     iterate,
     majorant_sequence,
+    measurable_ring,
     normal_form_map,
     periodic_curve,
     q_zeta_check,
@@ -71,6 +72,7 @@ SITES = [
     ("compute_constants", "n", lambda v: compute_constants(TP, v), 10, 0),
     ("majorant_sequence n", "n", lambda v: majorant_sequence(TP, v), 10, 0),
     ("majorant_sequence K", "K", lambda v: majorant_sequence(TP, 10, K=v), 5, 11),
+    ("measurable_ring", "s", lambda v: measurable_ring(v), 2, 0),
     ("solve_branch j", "branch index", lambda v: solve_branch(FAM, TP, N, v, 1.0), 2, 3),
     ("periodic_curve j", "branch index", lambda v: curve(j=v), 2, 0),
     ("periodic_curve grid_size", "grid_size", lambda v: curve(grid_size=v), 16, 0),

@@ -180,17 +180,26 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
         assert float(np.abs(h - direct).max()) <= bound
 
 
+def direct_sum(fam, xi, eta):
+    """fam at (xi, eta) as the direct sum of a_ij xi**i eta**j, apart from
+    the band form of `CoefficientFamily.eval` and the kernel."""
+    out = np.zeros(np.broadcast(np.asarray(xi), np.asarray(eta)).shape, dtype=complex)
+    for (i, j), v in fam.entries.items():
+        out = out + v * xi**i * eta**j
+    return out
+
+
 def conjugated_reference(f, model, g):
-    """phi_f . model . phi_g^{-1} at one point from `CoefficientFamily.eval`:
-    c = g(e^{-ic} xi, e^{ic} eta) by plain iteration, which contracts for
+    """phi_f . model . phi_g^{-1} at one point from the direct sums of f and
+    g: c = g(e^{-ic} xi, e^{ic} eta) by plain iteration, which contracts for
     these small families."""
 
     def evaluate(xi, eta):
         c = 0j
         for _ in range(100):
-            c = complex(g.eval(np.exp(-1j * c) * xi, np.exp(1j * c) * eta))
+            c = complex(direct_sum(g, np.exp(-1j * c) * xi, np.exp(1j * c) * eta))
         x, y = model(np.exp(-1j * c) * xi, np.exp(1j * c) * eta)
-        fv = complex(f.eval(x, y))
+        fv = complex(direct_sum(f, x, y))
         return np.exp(1j * fv) * x, np.exp(-1j * fv) * y
 
     return evaluate
@@ -228,6 +237,16 @@ def test_pointwise_maps_on_and_near_the_axes(point):
         assert abs(x - rx) <= 1e-15 and abs(y - ry) <= 1e-15
         if point == (0j, 0j):
             assert (x, y) == (0, 0)
+    # eval is the kernel's Laurent sum of the bands of t = xi*eta, at the
+    # point and at its turns (u xi, eta/u) on the same level set; the direct
+    # sum agrees within a few ulp of sum |terms|.
+    turns = np.exp(2j * np.pi * np.arange(5) / 5)
+    xi, eta = point[0] * turns, point[1] / turns
+    for fam in (AXIS_A, AXIS_ABAR):
+        got = fam.eval(xi, eta)
+        assert np.array_equal(got, twist._laurent(fam, fam._bands(xi * eta), xi, eta))
+        scale = sum(np.abs(v * xi**i * eta**j) for (i, j), v in fam.entries.items())
+        assert np.all(np.abs(got - direct_sum(fam, xi, eta)) <= 8 * np.finfo(float).eps * scale)
 
 
 def test_rotation_that_absorbs_the_twist_is_a_hypothesis_violation():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from revtwist.families import CoefficientFamily
+from revtwist.families import CoefficientFamily, _band_terms
 from revtwist.normal_form import full_normalize
 from revtwist.surface import (
     Hn_obstruction,
@@ -507,13 +507,13 @@ class TestStackedProbes:
         stacked = CoefficientFamily({k: np.repeat(v, m) for k, v in values.items()}, 1,
                                     False, _validate=False)
         got_eval = stacked.eval(xi, eta)
-        got_modes = stacked.phase_modes(xi, eta)
+        got_modes = _band_terms(stacked, stacked._bands(xi * eta), xi, eta)
         for p in range(3):
             seg = slice(p * m, (p + 1) * m)
             fam = CoefficientFamily({k: v[p] for k, v in values.items()}, 1,
                                     False, _validate=False)
             assert np.array_equal(got_eval[seg], fam.eval(xi[seg], eta[seg]))
-            modes = fam.phase_modes(xi[seg], eta[seg])
+            modes = _band_terms(fam, fam._bands(xi[seg] * eta[seg]), xi[seg], eta[seg])
             # A zero scalar entry is dropped; its array column is zero there.
             for k, mk in got_modes.items():
                 want = modes.get(k, np.zeros(m, dtype=complex))
