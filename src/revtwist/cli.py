@@ -116,9 +116,8 @@ def _curve_artifact(args: argparse.Namespace, crv, note: str | None = None,
 
 def cmd_curve(args: argparse.Namespace) -> tuple[list[str], int]:
     fam = load_family(args.family, args.s, hermitian=args.hermitian)
-    crv = periodic_curve(fam, _twist_from_args(args), args.n, args.j,
-                         grid_size=args.grid, K=args.K)
-    return _curve_artifact(args, crv, effective_K=max(crv.laurent))
+    crv = periodic_curve(fam, _twist_from_args(args), args.n, args.j, grid_size=args.grid)
+    return _curve_artifact(args, crv)
 
 
 def cmd_constants(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="period")
     p.add_argument("--j", type=int, required=True, help="branch index")
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--K", type=int, default=None, help="Laurent band half-width")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("constants", parents=[twist, out],

@@ -57,7 +57,7 @@ def select_resonant_n(alpha: float, delta: float, count: int, n_max: int):
     A float64 prefilter walks the line n*alpha mod 2pi in chunks; every
     candidate is then confirmed through the extended-precision reduction, so
     large-n rounding in the prefilter cannot leak a wrong period in (a
-    margin around the window absorbs it), and a period whose float64
+    margin around the window covers it), and a period whose float64
     n*alpha overflows is a candidate.  Fewer than `count` hits below
     n_max returns the partial list with a warning: existence of infinitely
     many resonant periods is only guaranteed asymptotically.
@@ -96,12 +96,12 @@ def predicted_linear_zeta(a: CoefficientFamily, tp: TwistParams, n: int, w):
 
     zeta = zeta0 (1+h)^{-1/(2s)} gives d zeta = -zeta0 dh/(2s), so the value
     is -(zeta0/(2 s n zeta0^{2s})) sum_j [a(zeta0 w u^{j+1}, zeta0 w^{-1} ubar^{j+1})
-    + abar(zeta0 w u^j, zeta0 w^{-1} ubar^j)], u = e^{i omega(zeta0^2)}, abar
+    + abar(zeta0 w u^j, zeta0 w^{-1} ubar^j)], u = tp.turn(zeta0^2), abar
     phibar_a's conjugated family; u^n = 1, so each diagonal mode cancels over
     the orbit sum or survives in full when its index gap is a multiple of n.
     """
     _, zeta0 = _beta_window(tp, n)
-    u = complex(np.exp(1j * (tp.alpha + zeta0 ** (2 * tp.s))))
+    u = complex(tp.turn(zeta0**2))
     w = np.asarray(w, dtype=complex)
     ub = np.conj(u)
     abar = a.conjugated()

@@ -110,7 +110,7 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
     """tau1, tau2 and phi = tau1 . tau2 in the orbit kernel's step contract.
 
     On the level set xi*eta = t, each tau's orbit(t) fixes its half turn
-    e^{+-i omega(t)/2} and returns one `_phase_factor` of its family (a for
+    tp.turn(t, +-1/2) and returns one `_phase_factor` of its family (a for
     tau1, b = -abar for tau2) with a half-turn swap, whose
     phase c + f is counted from the coordinate it swaps in.  phi's swaps
     flip the sign of what tau2 added: xi' = xi e^{i (omega + (f_a + c_1)
@@ -118,13 +118,13 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
     """
     b = (a.conjugated() if abar is None else abar).scaled(-1.0)
 
-    def tau(fam: CoefficientFamily, half: complex, what: str):
+    def tau(fam: CoefficientFamily, half: float, what: str):
         def orbit(t):
-            return _phase_factor(fam, fam, t, np.exp(half * tp.omega(t)), True, what)
+            return _phase_factor(fam, fam, t, tp.turn(t, half), True, what)
 
         return orbit
 
-    tau1, tau2 = tau(a, 0.5j, "tau1"), tau(b, -0.5j, "tau2")
+    tau1, tau2 = tau(a, 0.5, "tau1"), tau(b, -0.5, "tau2")
 
     def phi(t):
         step1, step2 = tau1(t), tau2(t)

@@ -13,6 +13,7 @@ the periodic-point equation zeta (1+h)^{1/(2s)} = e^{i j pi/s} (-beta/n)^{1/(2s)
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,9 +59,13 @@ class TwistParams:
         if not 0.0 < self.m0 < math.inf:
             raise ValueError(f"m0 must be positive and finite, got {self.m0}")
 
-    def omega(self, t):
-        """Rotation number alpha + t^s at radial value t = xi*eta."""
-        return self.alpha + np.asarray(t, dtype=complex) ** self.s
+    def turn(self, t, r=1):
+        """The model's rotation e^{i r omega(t)}, omega(t) = alpha + t^s, at
+        t = xi*eta, rounded as e^{i r alpha} e^{i r t^s} as the jets round it
+        (`surface.involution_jets`): alpha is never added to t^s, so any
+        finite alpha keeps the twist t^s to rounding."""
+        t = np.asarray(t, dtype=complex)
+        return cmath.exp(1j * r * self.alpha) * np.exp(1j * r * t**self.s)
 
 
 @dataclass(frozen=True)
@@ -157,8 +162,8 @@ def _guard_inside(xi, eta, what: str):
 
 
 def twist_eval(tp: TwistParams, xi, eta):
-    """The unperturbed twist: multiply by e^{+-i omega(xi eta)}."""
-    ph = np.exp(1j * tp.omega(np.asarray(xi, dtype=complex) * eta))
+    """The unperturbed twist: multiply by e^{+-i omega(xi eta)} (`TwistParams.turn`)."""
+    ph = tp.turn(np.asarray(xi, dtype=complex) * eta)
     return ph * xi, eta / ph
 
 
@@ -257,13 +262,13 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
 
 def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
     """varphi = phi_a . T . phibar_a^{-1} in the orbit kernel's step contract:
-    orbit(t) fixes e^{i omega(t)} on the level set xi*eta = t and returns
+    orbit(t) fixes tp.turn(t) on the level set xi*eta = t and returns
     the step of `_phase_factor` for a and g = -abar (phibar_a is the
     coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c."""
     g = a.conjugated().scaled(-1.0)
 
     def orbit(t):
-        return _phase_factor(a, g, t, np.exp(1j * tp.omega(t)), False, "varphi")
+        return _phase_factor(a, g, t, tp.turn(t), False, "varphi")
 
     return orbit
 
@@ -361,16 +366,9 @@ def _check_beta(rd: ResonanceData) -> ResonanceData:
 
 def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
     """Resonance data of period n, whose beta must lie in (-pi, 0), and the
-    radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi.
-    An alpha so large that float64 alpha + zeta0^{2s} rounds to alpha has
-    no twist left at the curve's radius, and is refused."""
+    radius zeta0 = (-beta/n)^{1/(2s)}.  beta_reduce keeps beta above -pi."""
     rd = _check_beta(beta_reduce(n, tp.alpha))
-    zeta0 = (-rd.beta / n) ** (1.0 / (2 * tp.s))
-    if tp.alpha + zeta0 ** (2 * tp.s) == tp.alpha:
-        raise HypothesisViolation(
-            f"alpha = {tp.alpha:.6e} absorbs zeta0^{2 * tp.s} = {zeta0 ** (2 * tp.s):.6e} "
-            f"in float64: the rotation leaves no twist at period {n}")
-    return rd, zeta0
+    return rd, (-rd.beta / n) ** (1.0 / (2 * tp.s))
 
 
 def _default_grid(n: int) -> int:

@@ -14,6 +14,7 @@ from revtwist.obstruction import ObstructionRow, divergence_witness, select_reso
 from revtwist.series import DEFAULT_ORDER
 from revtwist.surface import involution_jets
 from revtwist.twist import TwistParams, compute_constants
+from test_orbit_kernel import reduced_twin
 
 ALPHA_RES = (4 * math.pi - 2.0) / 4  # n = 4 resonance with beta = -2, g = 2
 # The map file of the README's normalize example.
@@ -113,14 +114,20 @@ class TestExitCodes:
         assert abs(float(vals["lambda_re"]) * 1e200 - 0.5) < 1e-15
         assert float(vals["modulus_residual"]) == 0.0
 
-    def test_curve_huge_alpha_exits_two(self, tmp_path, capsys):
-        # n * alpha overflows float64; the reduction still runs.
+    def test_curve_huge_alpha_is_its_reduced_twin(self, tmp_path, capsys):
+        # n * alpha overflows float64; the reduction still runs, and the
+        # model keeps its twist: the samples are those of alpha mod 2 pi.
         fam = write(tmp_path / "f.txt", "4 0 0.05 0\n")
-        rc = main(["curve", "--alpha", "1e308", "--s", "1", "--n", "4",
-                   "--j", "2", "--family", fam])
-        assert rc == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("hypothesis violation: ")
+        zetas = []
+        for alpha in ("1e308", repr(reduced_twin(1e308))):
+            capsys.readouterr()
+            assert main(["curve", "--alpha", alpha, "--s", "1", "--n", "4", "--j", "2",
+                         "--family", fam, "--grid", "64"]) == 0
+            rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                    if not ln.startswith("#")][1:]
+            zetas.append(np.array([complex(float(r[2]), float(r[3])) for r in rows]))
+        assert zetas[0].shape == (64,)
+        assert float(np.abs(zetas[0] - zetas[1]).max()) <= 1e-12
 
     def test_curve_beta_positive_exits_two(self, tmp_path, capsys):
         fam = write(tmp_path / "f.txt", "3 0 0.05 0\n")
@@ -229,8 +236,7 @@ class TestExitCodes:
           "--family", "FAMILY", "--grid", "0"], "grid_size must"),
         (["surface", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
           "--family", "FAMILY", "--grid", "0"], "grid_size must"),
-        (["curve", "--alpha", str(ALPHA_RES), "--s", "1", "--n", "4", "--j", "2",
-          "--family", "FAMILY", "--K", "-3"], "K must"),
+        (["majorant", "--alpha", "1", "--s", "1", "--n", "10", "--K", "11"], "K must"),
         (["obstruct", "--alpha", "1.41421356", "--s", "1", "--schedule-count", "3",
           "--n-max", "0", "--family", "FAMILY"], "n_max must"),
         (["normalize", "--map", "INF_MAP", "--order", "6"], "line 1: entry (inf+0j) is not finite"),
@@ -439,7 +445,6 @@ class TestOptions:
                 "--n": (None, True, "int", None),
                 "--j": (None, True, "int", None),
                 "--grid": (256, False, "int", None),
-                "--K": (None, False, "int", None),
                 "--family": (None, True, None, None),
                 "--hermitian": (False, False, None, None),
                 "--out": ("-", False, None, None),

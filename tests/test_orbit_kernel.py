@@ -2,6 +2,7 @@
 as the orbit's phase sum over n zeta^{2s}."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -12,12 +13,13 @@ from revtwist.families import CoefficientFamily
 from revtwist.obstruction import divergence_witness, select_resonant_n
 from revtwist.surface import build_involution_maps
 from revtwist.twist import (
-    HypothesisViolation,
+    DomainError,
     TwistParams,
     _beta_window,
     beta_reduce,
     h_eval,
     iterate,
+    periodic_curve,
     solve_branch,
 )
 
@@ -71,11 +73,12 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
 def phase_sum_bound(a, tp, n, zeta, S, abs_t):
     """First-order rounding bound on h from the accumulated S.
 
-    Per step the kernel turns xi by three rounded unit factors (e^{i omega},
-    e^{-ic}, e^{if}; omega itself off by u (|alpha| + |t|^s) and by the
-    rounding of t, s sqrt5 u |t|^s) through three products, so after k
-    steps the point's phase is off by at most k rho u,
-    rho = |alpha| + (1 + 2 s sqrt5)|t|^s + 3 EXP + 3 sqrt5.  A phase error e
+    Per step the kernel turns xi by four rounded unit factors (e^{i alpha}
+    and e^{i t^s}, whose product it forms once per orbit, e^{-ic} and
+    e^{if}; t^s itself off by 2 s sqrt5 u |t|^s through the rounding of t
+    and of the power) through four products, so after k steps the point's
+    phase is off by at most k rho u, rho = 2 s sqrt5 |t|^s + 4 EXP + 4 sqrt5.
+    Since alpha never meets t^s in a sum, no term grows with |alpha|.  A phase error e
     moves f by at most d e |f| (d the largest mode |i - j|) and c by at most
     2 d e |c| while d |c| <= 1/2: at most 2 n d rho u S over the orbit.
     (eta, advanced by the reciprocal factors, carries the same phase error
@@ -90,7 +93,7 @@ def phase_sum_bound(a, tp, n, zeta, S, abs_t):
     D = max(i + j for i, j in a.entries)
     m = len(a.entries)
     s = tp.s
-    rho = abs(tp.alpha) + (1 + 2 * s * SQRT5) * abs_t**s + 3 * EXP + 3 * SQRT5
+    rho = 2 * s * SQRT5 * abs_t**s + 4 * EXP + 4 * SQRT5
     local = SQRT5 * (2 * D + 1) + m + 4
     C = 2 * n * d * rho + (n + 1) + 2 * local + 2 * s + 8
     return C * U * S / (n * abs(zeta) ** (2 * s))
@@ -155,10 +158,10 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
     # from n steps of the pointwise phi: p_n = xi_n e^{-i (beta + n t^s)} /
     # xi - 1, h = log(1 + p_n) / (i n zeta^{2s}).  Per phi step the
     # pointwise maps round the point's phase through two half turns
-    # (omega off by u |alpha| + (1 + s sqrt5) u |t|^s in all), six exps
-    # and six products or quotients; the end point adds beta, n t^s, one
-    # exp, one product, one quotient and the log, and log(1 + p) at most
-    # doubles an error in p for |p| <= 1/2.  The phase sum's own error is
+    # e^{+-i alpha/2} e^{+-i t^s/2} (t^s off by s sqrt5 u |t|^s in all),
+    # eight exps and eight products or quotients; the end point adds beta,
+    # n t^s, one exp, one product, one quotient and the log, and log(1 + p)
+    # at most doubles an error in p for |p| <= 1/2.  The phase sum's own error is
     # far below that.
     zeta0 = _beta_window(tp, n)[1]
     w = np.exp(2j * np.pi * (0.05 + np.arange(16) / 16))
@@ -173,7 +176,7 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
         p = xin / (xi * np.exp(1j * (beta + n * t**tp.s))) - 1.0
         direct = np.log(1.0 + p) / (1j * n * zeta ** (2 * tp.s))
         abs_t = float(np.abs(t).max())
-        rho = abs(tp.alpha) + (1 + tp.s * SQRT5) * abs_t**tp.s + 6 * EXP + 6 * PRODUCT
+        rho = tp.s * SQRT5 * abs_t**tp.s + 8 * EXP + 8 * PRODUCT
         end = abs(beta) + n * (1 + tp.s * SQRT5) * abs_t**tp.s + EXP + 3 * PRODUCT
         bound = 2 * (n * rho + end) * U / (n * abs(zeta) ** (2 * tp.s))
         assert float(np.abs(p).max()) <= 0.5
@@ -218,7 +221,7 @@ def reference_maps(a, tp, abar):
     """varphi, tau1, tau2 and phi = tau1 tau2 of `conjugated_reference`."""
 
     def half(xi, eta):
-        return np.exp(0.5j * tp.omega(xi * eta))
+        return np.exp(0.5j * (tp.alpha + (xi * eta) ** tp.s))
 
     b = abar.scaled(-1.0)
     tau1 = conjugated_reference(a, lambda x, y: (half(x, y) * y, x / half(x, y)), a)
@@ -249,14 +252,48 @@ def test_pointwise_maps_on_and_near_the_axes(point):
         assert np.all(np.abs(got - direct_sum(fam, xi, eta)) <= 8 * np.finfo(float).eps * scale)
 
 
-def test_rotation_that_absorbs_the_twist_is_a_hypothesis_violation():
-    # alpha = 1e308 leaves beta(4) in (-pi, 0), but alpha + zeta0^2 rounds
-    # to alpha: no twist is left for the curve to balance.
-    tp = TwistParams(alpha=1e308, s=1)
-    rd = beta_reduce(4, tp.alpha)
-    assert -math.pi < rd.beta < 0
-    zeta0_2s = -rd.beta / 4
-    with pytest.raises(HypothesisViolation,
-                       match=rf"^alpha = 1\.000000e\+308 absorbs zeta0\^2 = "
-                             rf"{zeta0_2s:.6e} in float64"):
-        _beta_window(tp, 4)
+def huge_alpha(e):
+    """alpha = (2 pi g - 2)/4 in float64, g = round(4 10^e / 2 pi): 4 alpha
+    is -2 mod 2 pi up to the rounding of alpha."""
+    g = round(4 * 10**e / (2 * math.pi))
+    return (2 * math.pi * g - 2) / 4
+
+
+def reduced_twin(alpha):
+    """float(alpha mod 2 pi), the reduction taken in extended precision."""
+    with mpmath.workdps(340):
+        return float(mpmath.fmod(mpmath.mpf(alpha), 2 * mpmath.pi))
+
+
+HUGE_FAMILY = CoefficientFamily({(4, 0): 0.05}, 1)
+# Through e = 12 beta(4) stays within 1e-3 of -2.  Past it the rounding
+# of alpha sets beta(4): near -pi at e = 20, 150 and 200, where an orbit
+# leaves the polydisk.
+HUGE_ALPHAS = {f"e={e}": huge_alpha(e) for e in (4, 5, 6, 7, 8, 9, 10, 11, 12, 20, 50, 100,
+                                                  150, 200, 300, 307)}
+HUGE_ALPHAS["alpha=1e308"] = 1e308
+ESCAPES = ("e=20", "e=150", "e=200")
+ESCAPE = re.compile(r"^varphi output: point modulus (\S+) escaped the unit polydisk$")
+
+
+@pytest.mark.parametrize("key", HUGE_ALPHAS)
+def test_huge_alpha_curve_is_its_reduced_twin(key):
+    # The model turns by e^{i alpha} e^{i t^s}, so a huge alpha keeps its
+    # twist: the curve is the one of alpha mod 2 pi, to rounding, in as
+    # many steps, or both refuse with the same line.
+    alpha = HUGE_ALPHAS[key]
+    assert -math.pi < beta_reduce(4, alpha).beta < 0
+    runs = []
+    for a in (alpha, reduced_twin(alpha)):
+        try:
+            runs.append(periodic_curve(HUGE_FAMILY, TwistParams(alpha=a, s=1), 4, 2, grid_size=64))
+        except DomainError as exc:
+            runs.append(exc)
+    got, twin = runs
+    if key in ESCAPES:
+        # The same line, up to the rounding of the modulus it prints.
+        m, mt = ESCAPE.match(str(got)), ESCAPE.match(str(twin))
+        assert m and mt and abs(float(m[1]) - float(mt[1])) <= 1e-12
+        return
+    assert got.steps == twin.steps
+    assert max(abs(z - zt) for (_, z), (_, zt) in zip(got.samples, twin.samples)) <= 1e-12

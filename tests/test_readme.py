@@ -36,20 +36,23 @@ def shell_commands():
     return commands
 
 
-def assert_pinned(subcommand: str, got: bytes) -> None:
-    """got equals the pinned artifact of the subcommand, or the test fails
-    at the first line that differs."""
+def first_difference(subcommand: str, got: bytes) -> str | None:
+    """None when got equals the pinned artifact of the subcommand, else the
+    file's name and its first differing line."""
     name = f"{subcommand}.{SUFFIX.get(subcommand, 'txt')}"
     want = (ARTIFACTS / name).read_bytes()
-    if got != want:
-        pairs = zip_longest(got.splitlines(True), want.splitlines(True), fillvalue=b"")
-        k, (g, w) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
-        pytest.fail(f"{name} line {k}: got {g!r}, pinned {w!r}")
+    if got == want:
+        return None
+    pairs = zip_longest(got.splitlines(True), want.splitlines(True), fillvalue=b"")
+    k, (g, w) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+    return f"{name} line {k}: got {g!r}, pinned {w!r}"
 
 
 def test_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # Every artifact is compared before the test fails, so one run names
+    # each stale file.
     monkeypatch.chdir(tmp_path)
-    ran = []
+    ran, stale = [], []
     for command in shell_commands():
         argv = shlex.split(command)
         if argv[0] == "printf":
@@ -61,10 +64,13 @@ def test_cli_examples_run(tmp_path, monkeypatch, capsys):
             capsys.readouterr()
             assert main(argv[1:]) == 0, command
             out = argv[argv.index("--out") + 1] if "--out" in argv else None
-            assert_pinned(argv[1], Path(out).read_bytes() if out else
-                          capsys.readouterr().out.encode())
+            stale.append(first_difference(argv[1], Path(out).read_bytes() if out else
+                                          capsys.readouterr().out.encode()))
             ran.append(argv[1])
     assert ran == ["curve", "majorant", "obstruct", "bishop", "surface", "normalize"]
     capsys.readouterr()
     assert main(["constants", "--alpha", "1", "--s", "1", "--n", "10"]) == 0
-    assert_pinned("constants", capsys.readouterr().out.encode())
+    stale.append(first_difference("constants", capsys.readouterr().out.encode()))
+    stale = [line for line in stale if line is not None]
+    if stale:
+        pytest.fail("\n".join(stale))

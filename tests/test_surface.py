@@ -194,7 +194,7 @@ class TestInvolutionMaps:
         _, _, phi = build_involution_maps(CoefficientFamily.empty(1), TP)
         xi, eta = sample_points(rng, 50)
         fx, fe = phi(xi, eta)
-        ph = np.exp(1j * TP.omega(xi * eta))
+        ph = np.exp(1j * (TP.alpha + (xi * eta) ** TP.s))
         assert np.max(np.abs(fx - ph * xi)) < 1e-14
         assert np.max(np.abs(fe - eta / ph)) < 1e-14
 

@@ -149,9 +149,21 @@ class TestTwistParams:
             with pytest.raises(ValueError, match="m0"):
                 TwistParams(alpha=0.1, s=1, m0=bad)
 
-    def test_omega(self):
-        tp = TwistParams(alpha=0.3, s=2)
-        assert abs(complex(tp.omega(0.01)) - (0.3 + 1e-4)) < 1e-18
+    @pytest.mark.parametrize("alpha", [0.3, -2.9, 1e4, 1e308])
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_turn(self, alpha, s):
+        # For real t the turn is a unit factor, its half turn squares to it
+        # and its inverse turn cancels it, each within a few ulp, whatever
+        # the size of alpha.
+        tp = TwistParams(alpha=alpha, s=s)
+        t = np.linspace(-0.9, 0.9, 13)
+        eps = np.finfo(float).eps
+        one = tp.turn(t)
+        assert np.all(np.abs(np.abs(one) - 1.0) <= 4 * eps)
+        assert np.all(np.abs(tp.turn(t, 0.5) ** 2 - one) <= 8 * eps)
+        assert np.all(np.abs(one * tp.turn(t, -1) - 1.0) <= 8 * eps)
+        if alpha == 0.3:
+            assert abs(complex(tp.turn(0.01)) - cmath.exp(1j * (0.3 + 0.01**s))) <= 4 * eps
 
 
 class TestVarphi:
@@ -198,7 +210,7 @@ class TestVarphi:
             1, hermitian=True,
         )
         xi, eta = 0.11 + 0.03j, 0.07 - 0.02j
-        om = complex(tp.omega(xi * eta))
+        om = tp.alpha + (xi * eta) ** tp.s
 
         def p_of(t):
             x2, _ = make_varphi(fam.scaled(t), tp)(xi, eta)
@@ -233,7 +245,7 @@ class TestIterate:
         xi, eta = 0.21 + 0.02j, 0.18 - 0.05j
         n = 137
         xin, etan = iterate(lambda x, e: twist_eval(tp, x, e), n, (xi, eta))
-        om = complex(tp.omega(xi * eta))
+        om = tp.alpha + (xi * eta) ** tp.s
         assert abs(complex(xin) - xi * np.exp(1j * n * om)) < 1e-12
         assert abs(complex(etan) - eta * np.exp(-1j * n * om)) < 1e-12
 
@@ -370,11 +382,11 @@ class TestHEval:
         eps = 1e-5
         fd = (h_of(eps) - h_of(-eps)) / (2 * eps)
         xi, eta = z * w, z / w
-        u = np.exp(1j * complex(tp.omega(xi * eta)))
+        u = np.exp(1j * (tp.alpha + (xi * eta) ** tp.s))
         acc = 0.0
         for k in range(n):
             xk, ek = xi * u**k, eta * u ** (-k)
-            omk = complex(tp.omega(xk * ek))
+            omk = tp.alpha + (xk * ek) ** tp.s
             acc += 1j * (
                 complex(fam.eval(xk * np.exp(1j * omk), ek * np.exp(-1j * omk)))
                 + complex(ab.eval(xk, ek))
@@ -496,7 +508,7 @@ def twist_with_h(H, eta_turn=0.0):
 
     def orbit(t):
         phase = t * H(t)
-        ph = np.exp(1j * (GATE_TP.omega(t) + phase))
+        ph = np.exp(1j * (GATE_TP.alpha + t**GATE_TP.s + phase))
 
         def step(xi, eta):
             return ph * xi, eta / ph * np.exp(1j * eta_turn), phase
@@ -683,18 +695,16 @@ class TestPeriodicCurve:
         assert counts["orbits"] == counts["h"]
         assert counts["steps"] == n * counts["h"]
 
-    def test_every_default_band_is_curve_band(self, tmp_path, monkeypatch, capsys):
+    def test_every_default_band_is_curve_band(self, monkeypatch):
         # Wherever K is left out, one rule sets the Laurent band: the
-        # library default, the surface curve, the witness curve on 4n
-        # points and the `curve` command's effective_K, on 16 points, which
-        # cap the band, and on 64, which do not.
+        # library default, the surface curve and the witness curve on 4n
+        # points.  16 points cap the band, 64 do not.
         from revtwist import obstruction
-        from revtwist.cli import main
         from revtwist.surface import surface_curves
         from revtwist.twist import _default_grid, curve_band
 
-        n, alpha = 4, "2.8915926535897931"
-        tp = TwistParams(alpha=float(alpha), s=1)
+        n = 4
+        tp = TwistParams(alpha=2.8915926535897931, s=1)
         fam = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
         assert max(periodic_curve(fam, tp, n, 2).laurent) == curve_band(n, 128)
         crv = surface_curves(fam, tp, n, 2, intersect=False)
@@ -708,13 +718,6 @@ class TestPeriodicCurve:
         monkeypatch.setattr(obstruction, "periodic_curve", spy)
         assert obstruction.Hk_estimate(fam, tp, n)[0] == witness[0].laurent[n]
         assert max(witness[0].laurent) == curve_band(n, 4 * n) == 2 * n - 1
-        (tmp_path / "f.txt").write_text("4 0 0.05 0.02\n")
-        for grid in (16, 64):
-            capsys.readouterr()
-            assert main(["curve", "--alpha", alpha, "--s", "1", "--n", str(n), "--j", "2",
-                         "--family", str(tmp_path / "f.txt"), "--grid", str(grid)]) == 0
-            lines = capsys.readouterr().out.splitlines()
-            assert f"# effective_K = {curve_band(n, grid)}" in lines
         assert (curve_band(n, 16), curve_band(n, 64)) == (7, 16)
 
     def test_a_zero_circle(self):
