@@ -41,6 +41,7 @@ from .twist import (
     TwistParams,
     _beta_window,
     _default_grid,
+    _GuardRecord,
     _one_step,
     _phase_factor,
     _solve_branch,
@@ -114,20 +115,25 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
     tau1, b = -abar for tau2) with a half-turn swap, whose
     phase c + f is counted from the coordinate it swaps in.  phi's swaps
     flip the sign of what tau2 added: xi' = xi e^{i (omega + (f_a + c_1)
-    - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).
+    - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).  Each
+    factor of phi takes the other's output, so the two share one guard
+    record (`_GuardRecord`), whose radii bound their exponent solves; a
+    tau orbit alone takes a record of its own.
     """
     b = (a.conjugated() if abar is None else abar).scaled(-1.0)
 
     def tau(fam: CoefficientFamily, half: float, what: str):
-        def orbit(t):
-            return _phase_factor(fam, fam, t, tp.turn(t, half), True, what)
+        def orbit(t, guard=None):
+            return _phase_factor(fam, fam, t, tp.turn(t, half), True, what,
+                                 _GuardRecord() if guard is None else guard)
 
         return orbit
 
     tau1, tau2 = tau(a, 0.5, "tau1"), tau(b, -0.5, "tau2")
 
     def phi(t):
-        step1, step2 = tau1(t), tau2(t)
+        guard = _GuardRecord()
+        step1, step2 = tau1(t, guard), tau2(t, guard)
 
         def step(x, y):
             x, y, p2 = step2(x, y)
@@ -253,18 +259,20 @@ def _laurent_eval(curve: PeriodicCurve):
     return at
 
 
-def _bisect_zero(f, lo: float, hi: float) -> float:
-    flo = f(lo)
+def _bisect_zeros(f, lo, hi, flo):
+    """Bisect every bracket [lo_k, hi_k] of f (a vector function, f(lo) = flo)
+    at once: one evaluation of f per pass, 60 passes.  A bracket stops at a
+    midpoint where f is exactly zero; otherwise its zero is the midpoint
+    of its last bracket."""
+    zeros = np.full(lo.shape, np.nan)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        hit = (fm == 0.0) & np.isnan(zeros)
+        zeros[hit] = mid[hit]
+        left = (flo < 0) == (fm < 0)
+        lo, flo, hi = np.where(left, mid, lo), np.where(left, fm, flo), np.where(left, hi, mid)
+    return np.where(np.isnan(zeros), 0.5 * (lo + hi), zeros)
 
 
 def real_intersection(curve: PeriodicCurve, samples: int = 512):
@@ -273,7 +281,8 @@ def real_intersection(curve: PeriodicCurve, samples: int = 512):
     A point (zeta w, zeta / w) is real only when zeta and w are both real
     or both pure imaginary, so the search runs along the four axis
     segments of the annulus: the defect is Im(zeta) over real w and
-    Re(zeta) over imaginary w.  Sign changes are refined by bisection; a
+    Re(zeta) over imaginary w.  Sign changes are refined by bisection, all
+    brackets of a segment together (`_bisect_zeros`); a
     segment whose defect stays below 1e-9 everywhere is a continuum of
     real points and is reported as the string "continuum".  Each segment
     is sampled at ``samples`` points (at least 2) by one Laurent evaluation.
@@ -284,16 +293,16 @@ def real_intersection(curve: PeriodicCurve, samples: int = 512):
     hits = []
     for axis in (1.0, -1.0, 1j, -1j):
         def defect(v, axis=axis):
-            z = at(axis * np.atleast_1d(v))
+            z = at(axis * v)
             return z.imag if axis.imag == 0 else z.real
 
         g = defect(vs)
         if np.abs(g).max() < 1e-9:
             return "continuum"
         sign = np.sign(g)
-        for k in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-            v = _bisect_zero(lambda x: defect(x)[0], vs[k], vs[k + 1])
-            hits.append(complex(axis * v))
+        k = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+        if k.size:
+            hits += [complex(axis * v) for v in _bisect_zeros(defect, vs[k], vs[k + 1], g[k])]
     return tuple(hits)
 
 

@@ -153,12 +153,40 @@ def beta_reduce(n: int, alpha: float) -> ResonanceData:
     return ResonanceData(n=n, g=g, beta=beta_f)
 
 
-def _guard_inside(xi, eta, what: str):
+def _guard_inside(xi, eta, what: str) -> tuple[float, float]:
+    """The polydisk guard: the radii (max|xi|, max|eta|) of the points, each
+    below 1, else DomainError."""
+    radii = (float(np.abs(xi).max()), float(np.abs(eta).max()))
     # Each modulus is tested on its own: a nan fails its test, where
     # max(m_xi, nan) would let it pass.
-    for m in (float(np.abs(xi).max()), float(np.abs(eta).max())):
+    for m in radii:
         if not m < 1.0:
             raise DomainError(f"{what}: point modulus {m} escaped the unit polydisk")
+    return radii
+
+
+class _GuardRecord:
+    """The guard of one orbit's steps, shared by every factor of a step, and
+    the radii of the points it last passed.
+
+    A step's input points are the output of the step before, which passed
+    this guard, so their radii bound the modes of the next exponent solve
+    at no cost per point.  The radii apply to the very arrays the guard
+    passed; any other points (the first step of an orbit) get (1, 1),
+    which every point inside the unit polydisk satisfies.  The factors
+    tau1, tau2 of phi share one record, since each takes the other's
+    output.
+    """
+
+    def __init__(self):
+        self.points, self.radii = None, (1.0, 1.0)
+
+    def __call__(self, x, y, what: str):
+        self.radii, self.points = _guard_inside(x, y, what), (x, y)
+
+    def radii_of(self, x, y) -> tuple[float, float]:
+        p = self.points
+        return self.radii if p is not None and p[0] is x and p[1] is y else (1.0, 1.0)
 
 
 def twist_eval(tp: TwistParams, xi, eta):
@@ -167,18 +195,88 @@ def twist_eval(tp: TwistParams, xi, eta):
     return ph * xi, eta / ph
 
 
-def _exponent_newton(modes: dict, ks, shape, sign: int, what: str):
+# The Newton exit: unit roundoff u of float64 and the factor kappa of the
+# certified truncation kappa u A0 (`_newton_certified`).
+UNIT_ROUNDOFF = 2.0**-53
+KAPPA = 2.0
+
+
+def _mode_bounds(bands: dict):
+    """radii -> (K, A0, A1, A2) for the modes of a family on one level set.
+
+    The modes of `_band_terms` are B_k x^k (k >= 0) and B_k y^{-k} (k < 0).
+    The band maxima max|B_k| are taken here, once; given radii (rx, ry) of
+    the points x, y, A_p = sum_k |k|^p max|B_k| r^{|k|} (r = rx for k >= 0,
+    ry for k < 0) bounds sum_k |k|^p |m_k| at every point, and K is the
+    largest |k|.
+    """
+    terms = [(abs(k), k >= 0, float(np.abs(b).max())) for k, b in bands.items()]
+    K = max((k for k, _, _ in terms), default=0)
+
+    def bounds(radii):
+        rx, ry = radii
+        a0 = a1 = a2 = 0.0
+        for k, on_x, b in terms:
+            a = b * (rx if on_x else ry) ** k
+            a0, a1, a2 = a0 + a, a1 + k * a, a2 + k * k * a
+        return K, a0, a1, a2
+
+    return bounds
+
+
+def _newton_certified(bounds, cmax: float, dmax: float) -> bool:
+    """Whether the Newton iterate c, after a step delta, is certified within
+    kappa u A0 of the root (the derivation is in `_exponent_newton`):
+    rho = e^{K (max|c| + 2 max|delta|)}, L = rho A1 < 1 and
+    rho A2 max|delta|^2 / 2 <= (1 - L) min(kappa u A0, 2 max|delta|)."""
+    K, a0, a1, a2 = bounds
+    x = K * (cmax + 2.0 * dmax)
+    if not x < 709.0:  # rho past the float64 range: nothing to certify
+        return False
+    rho = math.exp(x)
+    lip = rho * a1
+    return lip < 1.0 and 0.5 * rho * a2 * dmax * dmax <= (1.0 - lip) * min(
+        KAPPA * UNIT_ROUNDOFF * a0, 2.0 * dmax)
+
+
+def _exponent_newton(modes: dict, ks, shape, sign: int, what: str, bounds):
     """Solve c = g(c) = sum_k m_k u^k, u = e^{i sign c}, by Newton's method.
 
     The modes m_k are those of a family at a point, whose phase change by u
-    keeps xi*eta fixed; ks is their key set.  Newton on c - g(c) starts at
-    c = 0, where u = 1 and the first step is closed form; each later step
-    costs one exp.  It stops at a step of at most 4e-16 (1 + max|c|),
-    within 80 steps.  A root reached after the first step is accepted only
-    where the plain iteration c <- g(c) contracts, max|g'(c)| < 1, which
-    keeps the solve on the branch that iteration converges to; otherwise
-    SolverError.  No modes (an empty family) give the root c = 0 of the
-    given shape, returned without a step.
+    keeps xi*eta fixed; ks is their key set and bounds = (K, A0, A1, A2)
+    bounds them: A_p >= sum_k |k|^p |m_k| at every point, K >= every |k|
+    (`_mode_bounds`).  g'(c) = i sign sum_k k m_k u^k.  Newton on
+    c - g(c) takes its first step in closed form, c = g/(1 - g') at u = 1;
+    each later step delta, c <- c - delta, costs one exp.
+
+    Exit, in contraction-mapping form.  After a step delta to c, let
+    M = max|c| + 2 max|delta| and rho = e^{K M}.  On the disk |z| <= M
+    every |e^{i sign k z}| <= e^{|k| |z|} <= rho, so |g'| <= L = rho A1 and
+    |g''| <= rho A2 there.  The segment from the previous iterate to c lies
+    in it, and Newton's step makes c - g(c) the remainder of g's linear
+    Taylor expansion along it: |c - g(c)| <= E = rho A2 max|delta|^2 / 2.
+    If L < 1, g maps the disk D = {|z - c| <= r}, r = E / (1 - L), into
+    itself (|g(z) - c| <= L r + E = r), and D lies in |z| <= M while
+    r <= 2 max|delta|.  So D holds a root, the only one with |z| <= M, at
+    most r from c, and |g'| <= L < 1 there: the branch the plain iteration
+    c <- g(c) converges to.  The solve returns c once
+    r <= min(kappa u A0, 2 max|delta|) (`_newton_certified`), with u = 2^-53
+    the unit roundoff and kappa = 2 < sqrt5: the truncation left is below
+    the sqrt5 u sum_k |m_k u^k| to which the complex products of the sum g
+    alone are rounded, a sum that reaches A0 at |u| = 1.  The bound uses
+    the computed step, so c carries the rounding of that step besides.
+
+    Fallback, where the bound cannot fire (L >= 1, or rounding keeps E
+    above kappa u A0): the solve stops at a step of at most
+    4e-16 (1 + max|c|), the first step included, within 80 steps, and
+    accepts a root reached after the first step only where max|g'| < 1 at
+    the start of that step.  An iterate the bound accepts passes that
+    branch check too (|g'| <= L < 1 on the disk).  Otherwise SolverError,
+    "exponent iteration did not converge", names the exit: a non-finite
+    iterate, 80 steps without either stop (with the last step size), or a
+    root outside the contraction region (max|g'| >= 1).  No modes (an
+    empty family) give the root c = 0 of the given shape, returned without
+    a step.
     """
     if not modes:
         return np.zeros(shape, dtype=complex)
@@ -192,59 +290,77 @@ def _exponent_newton(modes: dict, ks, shape, sign: int, what: str):
             g, dg = (t, k * t) if g is None else (g + t, dg + k * t)
         return g, dg
 
-    c = np.zeros(shape, dtype=complex)
+    fail = f"{what}: exponent iteration did not converge"
     # Off the solver disk the steps can overflow or divide by zero; such a
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
+        g, dg = sums(None)
+        c = g / (1.0 - isign * dg)
         for n in range(80):
-            g, dg = sums(_power_table(np.exp(isign * c), ks) if n else None)
-            step = (c - g) / (1.0 - isign * dg)
-            c = c - step
-            cmax = np.abs(c).max()
+            if n:
+                g, dg = sums(_power_table(np.exp(isign * c), ks))
+                step = (c - g) / (1.0 - isign * dg)
+                c = c - step
+            cmax = float(np.abs(c).max())
             if not cmax < math.inf:
-                break
-            # From c = 0 the first step is -c, of the same modulus.
-            if (cmax if n == 0 else np.abs(step).max()) <= 4e-16 * (1.0 + cmax):
-                if n == 0 or np.abs(dg).max() < 1.0:
+                raise SolverError(f"{fail}: non-finite iterate at step {n + 1}")
+            # The first step, from c = 0, has the modulus of c.
+            dmax = float(np.abs(step).max()) if n else cmax
+            if _newton_certified(bounds, cmax, dmax):
+                return c
+            if dmax <= 4e-16 * (1.0 + cmax):
+                gmax = float(np.abs(dg).max())
+                if n == 0 or gmax < 1.0:
                     return c
-                break
-    raise SolverError(f"{what}: exponent iteration did not converge")
+                raise SolverError(f"{fail}: the root lies outside the contraction "
+                                  f"region, max|g'| = {gmax:.3g} >= 1")
+    raise SolverError(f"{fail}: 80 steps without a certified root, last step {dmax:.3e}")
 
 
 def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
     """Solve c = fam(e^{i sign c} xi, e^{-i sign c} eta) at the point (xi, eta):
-    `_exponent_newton` on the band modes of fam there (`_band_terms`).  The
-    orbit kernel solves in `_phase_factor` and does not call it; it stays
-    because `bench/tracer.py` wraps it by name and the exponent tests call it."""
+    `_exponent_newton` on the band modes of fam there (`_band_terms`), bounded
+    at the radii (max|xi|, max|eta|) of the points.  The orbit kernel solves
+    in `_phase_factor` and does not call it; it stays because
+    `bench/tracer.py` wraps it by name and the exponent tests call it."""
     xi = np.asarray(xi, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
-    return _exponent_newton(modes, fam._mode_powers, np.broadcast(xi, eta).shape, sign, what)
+    bands = fam._bands(xi * eta)
+    radii = (float(np.abs(xi).max()), float(np.abs(eta).max()))
+    return _exponent_newton(_band_terms(fam, bands, xi, eta), fam._mode_powers,
+                            np.broadcast(xi, eta).shape, sign, what, _mode_bounds(bands)(radii))
 
 
-def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: bool, what: str):
+def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: bool, what: str,
+                  guard: _GuardRecord):
     """One phase conjugation phi_f . model . phi_g^{-1} on a level set xi*eta = t.
 
     It forms the bands of the families f and g at t once, of one family
-    when g is f (`CoefficientFamily._bands`).  turn is the model's unit factor there:
+    when g is f (`CoefficientFamily._bands`), and the band maxima of g
+    (`_mode_bounds`).  turn is the model's unit factor there:
     the model multiplies (xi, eta) by (turn, 1/turn), or with swap=True is
     the half-turn swap (xi, eta) -> (turn eta, xi / turn).  Returns
     step(x, y) -> (x', y', phase).  The inverse of phi_g solves
     c = g(e^{-ic} x, e^{ic} y) by Newton on the modes of g at (x, y)
-    (`_band_terms`, `_exponent_newton`); phi_f then multiplies by
-    e^{+-i f} at the model's image, f its Laurent sum (`_laurent`).  x' is
-    the source coordinate (x, or y when swapping) times turn e^{i phase},
-    phase = f - c, or f + c when swapping.  The output must stay inside the
-    unit polydisk.
+    (`_band_terms`, `_exponent_newton`), bounded at the radii of (x, y)
+    that the guard record measured when it passed them, and exits once
+    its error is certified below kappa u A0, or by the step-size fallback;
+    phi_f then multiplies by e^{+-i f} at the model's image, f its Laurent
+    sum (`_laurent`).  x' is the source coordinate (x, or y when swapping)
+    times turn e^{i phase}, phase = f - c, or f + c when swapping.  The
+    output must pass the guard (`_GuardRecord`): it stays inside the unit
+    polydisk.
     """
     fb = f._bands(t)
     gb = fb if g is f else g._bands(t)
+    bounds = _mode_bounds(gb)
     inverse, output = f"{what} inverse", f"{what} output"
 
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
     def step(x, y):
-        c = _exponent_newton(_band_terms(g, gb, x, y), g._mode_powers, np.shape(x), -1, inverse)
+        c = _exponent_newton(_band_terms(g, gb, x, y), g._mode_powers, np.shape(x), -1, inverse,
+                             bounds(guard.radii_of(x, y)))
         if swap:
             q = turn * np.exp(1j * c)
             x, y = q * y, x / q
@@ -254,7 +370,7 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
         fv = _laurent(f, fb, x, y)
         e = np.exp(1j * fv)
         x, y = e * x, y / e
-        _guard_inside(x, y, output)
+        guard(x, y, output)
         return x, y, fv + c if swap else fv - c
 
     return step
@@ -264,11 +380,12 @@ def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
     """varphi = phi_a . T . phibar_a^{-1} in the orbit kernel's step contract:
     orbit(t) fixes tp.turn(t) on the level set xi*eta = t and returns
     the step of `_phase_factor` for a and g = -abar (phibar_a is the
-    coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c."""
+    coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c,
+    with a guard record of its own (`_GuardRecord`)."""
     g = a.conjugated().scaled(-1.0)
 
     def orbit(t):
-        return _phase_factor(a, g, t, tp.turn(t), False, "varphi")
+        return _phase_factor(a, g, t, tp.turn(t), False, "varphi", _GuardRecord())
 
     return orbit
 

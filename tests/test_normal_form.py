@@ -5,6 +5,7 @@ to an exactly-solvable model pair), run the pipeline, and demand the plant
 back.  Invariants are checked against hand-computed model maps.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -697,18 +698,11 @@ def test_full_normalize_operation_counts(monkeypatch):
     assert counts == {"jet_mul": 473, "map_compose": 9, "passes": 0, "map_inverse": 1}
 
 
-def test_surface_exponent_solve_operation_counts(monkeypatch):
-    # Machine-independent cost of one small involution-pair curve: each
-    # tau step of the orbit kernel inverts one phase change by an exponent
-    # solve on the modes of its bands, which takes its first Newton step
-    # in closed form, so it pays one exp per later step (its passes) and
-    # no Laurent sum; only the forward phases sum the family's bands.
-    # The return test reads the orbit of the last h evaluation, so every
-    # n = 4 orbit here (two tau steps per map step) serves an h evaluation.
-    # Any change here is a change of algorithm and should be deliberate.
+def count_exponent_solves(monkeypatch):
+    """Counts of the orbit kernel's exponent solves, of its forward Laurent
+    sums, and of the exps made inside the solves (one per Newton step after
+    the closed-form first)."""
     from revtwist import twist
-    from revtwist.families import CoefficientFamily
-    from revtwist.surface import surface_curves
 
     counts = {"solves": 0, "eval": 0, "passes": 0}
     solving = []
@@ -734,8 +728,47 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
     monkeypatch.setattr(twist, "_exponent_newton", counted_solve)
     monkeypatch.setattr(twist, "_laurent", counted_eval)
     monkeypatch.setattr(np, "exp", counted_exp)
+    return counts
+
+
+def test_surface_exponent_solve_operation_counts(monkeypatch):
+    # Machine-independent cost of one small involution-pair curve: each
+    # tau step of the orbit kernel inverts one phase change by an exponent
+    # solve on the modes of its bands, which takes its first Newton step
+    # in closed form, so it pays one exp per later step (its passes) and
+    # no Laurent sum; only the forward phases sum the family's bands.
+    # Each solve exits once its error is certified below kappa u A0
+    # (`twist._exponent_newton`): two passes per solve here, where the
+    # step-size rule alone took three (192).
+    # The return test reads the orbit of the last h evaluation, so every
+    # n = 4 orbit here (two tau steps per map step) serves an h evaluation.
+    # Any change here is a change of algorithm and should be deliberate.
+    from revtwist import twist
+    from revtwist.families import CoefficientFamily
+    from revtwist.surface import surface_curves
+
+    counts = count_exponent_solves(monkeypatch)
     tp = twist.TwistParams(alpha=(4 * math.pi - 2) / 4, s=1)
     crv = surface_curves(CoefficientFamily({(4, 0): 0.05}, 1), tp, 4, 2,
                          grid_size=64, intersect=False)
     assert crv.residual <= 1e-10
-    assert counts == {"solves": 64, "eval": 64, "passes": 192}
+    assert counts == {"solves": 64, "eval": 64, "passes": 128}
+
+
+def test_witness_exponent_solve_operation_counts(monkeypatch):
+    # A witness-sized varphi curve: a generic Hermitian family of modes
+    # +-1 and +-2 at n = 150 on 4n points, zeta0 = 7.7e-3.  Every solve
+    # is certified after its closed-form first step, with no exp, except
+    # the first step of each orbit, whose radii are (1, 1) until the
+    # guard has measured them; the step-size rule alone paid one exp per
+    # solve (300).  Any change here is a change of algorithm.
+    from revtwist import twist
+
+    counts = count_exponent_solves(monkeypatch)
+    fam = CoefficientFamily({(2, 1): 0.02 * cmath.exp(0.7j), (3, 1): 0.02 * cmath.exp(2.1j)}, 1,
+                            hermitian=True)
+    n = 150
+    tp = TwistParams(alpha=(2 * math.pi * 47 - 0.009) / n, s=1)
+    crv = twist.periodic_curve(fam, tp, n, 2, grid_size=4 * n)
+    assert crv.residual <= 1e-10 and crv.steps == 1
+    assert counts == {"solves": 300, "eval": 300, "passes": 2}

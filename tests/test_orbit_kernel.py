@@ -29,13 +29,15 @@ SQRT5 = math.sqrt(5.0)
 # relative (sqrt(5) u for the product), and a complex exp within 6u: two
 # ulps in each part.
 PRODUCT, EXP = 4.0, 6.0
+KAPPA = 2.0  # an exponent solve's certified truncation is KAPPA U A0
 
 
 def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
     """The exact orbit of the kernel's start point (the float products
-    zeta w and zeta / w), at dps digits: h = Sigma / (n zeta^{2s}), and S,
-    the sum over the steps of |f_k| + |c_k| taken term by term, and the
-    largest d sum |g-terms| of the inverse exponent (d the largest mode)."""
+    zeta w and zeta / w), at dps digits: h = Sigma / (n zeta^{2s}); S,
+    the sum over the steps of |f_k| + |c_k| taken term by term; the
+    largest d sum |g-terms| of the inverse exponent (d the largest mode);
+    |t|; and the largest |xi_k| and |eta_k| of the orbit."""
     z = np.asarray(zeta, dtype=complex)
     xis, etas = z * w, z / w
     g = {k: -np.conj(v) for k, v in a.entries.items()}
@@ -46,8 +48,9 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
             x, t = mpmath.mpc(complex(xi0)), mpmath.mpc(complex(xi0)) * mpmath.mpc(complex(eta0))
             turn = mpmath.expj(mpmath.mpf(tp.alpha) + t**tp.s)
             total = S = 0
-            worst = 0
+            worst = rx = ry = 0
             for _ in range(n):
+                rx, ry = max(rx, abs(x)), max(ry, abs(t / x))
                 c = mpmath.mpc(0)
                 for _ in range(200):
                     u = mpmath.expj(-c)
@@ -66,11 +69,26 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
                 x = mpmath.expj(f) * x
                 total += f - c
             h = total / (n * mpmath.mpc(complex(z)) ** (2 * tp.s))
-            out.append((complex(h), float(S), float(worst), float(abs(t))))
+            out.append((complex(h), float(S), float(worst), float(abs(t)), float(rx), float(ry)))
     return out
 
 
-def phase_sum_bound(a, tp, n, zeta, S, abs_t):
+def solve_truncation(a, n, abs_t, rx, ry):
+    """What the exits of an orbit's n inverse-exponent solves may leave in
+    Sigma: each c is certified within KAPPA u A0 of its root
+    (`_exponent_newton`), A0 = sum_k max|B_k| r^{|k|} over the modes of
+    g = -abar, at the radii (1, 1) on the orbit's first step and at the
+    radii (rx, ry) of the points after it (r = rx for k >= 0, ry for k < 0),
+    each within 1e-12 relative of the oracle's."""
+    bands = {}
+    for (i, j), v in a.entries.items():
+        bands[i - j] = bands.get(i - j, 0) + abs(v) * abs_t ** min(i, j)
+    radii = {True: rx * (1 + 1e-12), False: ry * (1 + 1e-12)}
+    later = sum(b * radii[k >= 0] ** abs(k) for k, b in bands.items())
+    return KAPPA * U * (sum(bands.values()) + (n - 1) * later)
+
+
+def phase_sum_bound(a, tp, n, zeta, S, abs_t, T):
     """First-order rounding bound on h from the accumulated S.
 
     Per step the kernel turns xi by four rounded unit factors (e^{i alpha}
@@ -87,7 +105,10 @@ def phase_sum_bound(a, tp, n, zeta, S, abs_t):
     (sqrt5 (2D + 1) + m) u of their term sums (D the largest degree i + j),
     and c at most twice that through Newton's solve, plus 4u of its own
     arithmetic.  The n additions of Sigma add (n + 1) u S, and the
-    division by n zeta^{2s} (2s + 8) u |Sigma|.
+    division by n zeta^{2s} (2s + 8) u |Sigma|.  Newton's exit leaves each
+    c within its certified truncation of the root, T over the orbit
+    (`solve_truncation`): T enters Sigma once, and as a phase error of the
+    point moves f and c by at most 2 d T S more.
     """
     d = max(abs(i - j) for i, j in a.entries)
     D = max(i + j for i, j in a.entries)
@@ -96,7 +117,7 @@ def phase_sum_bound(a, tp, n, zeta, S, abs_t):
     rho = 2 * s * SQRT5 * abs_t**s + 4 * EXP + 4 * SQRT5
     local = SQRT5 * (2 * D + 1) + m + 4
     C = 2 * n * d * rho + (n + 1) + 2 * local + 2 * s + 8
-    return C * U * S / (n * abs(zeta) ** (2 * s))
+    return (C * U * S + T * (1 + 2 * d * S)) / (n * abs(zeta) ** (2 * s))
 
 
 # Item 10 of the roadmap: (twist, n, family); each h is taken at zeta0 on
@@ -116,9 +137,13 @@ def test_phase_sum_against_a_40_digit_oracle(tp, n, fam):
     zeta0 = _beta_window(tp, n)[1]
     w = np.exp(2j * np.pi * (0.1 + np.arange(4) / 4))
     h = h_eval(zeta0, w, fam, tp, n)
-    for got, (want, S, worst, abs_t) in zip(h, phase_sum_oracle(fam, tp, n, zeta0, w)):
+    oracle = phase_sum_oracle(fam, tp, n, zeta0, w)
+    # The kernel's radii are the largest over all four points.
+    rx, ry = max(o[4] for o in oracle), max(o[5] for o in oracle)
+    for got, (want, S, worst, abs_t, _, _) in zip(h, oracle):
         assert worst <= 0.5
-        assert abs(got - want) <= phase_sum_bound(fam, tp, n, zeta0, S, abs_t)
+        T = solve_truncation(fam, n, abs_t, rx, ry)
+        assert abs(got - want) <= phase_sum_bound(fam, tp, n, zeta0, S, abs_t, T)
 
 
 def test_empty_family_h_is_exactly_zero():
@@ -181,6 +206,35 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
         bound = 2 * (n * rho + end) * U / (n * abs(zeta) ** (2 * tp.s))
         assert float(np.abs(p).max()) <= 0.5
         assert float(np.abs(h - direct).max()) <= bound
+
+
+@pytest.mark.parametrize("tp, n, a, abar", PAIR_CASES.values(), ids=PAIR_CASES)
+def test_every_solve_is_bounded_at_its_own_input(monkeypatch, tp, n, a, abar):
+    # The mode bounds of each exponent solve come from the radii that the
+    # guard measured, which must be those of the solve's own input: at
+    # every point A_p >= sum_k |k|^p |m_k| (up to the rounding of both
+    # sides).  Off the unit w-circle |xi| != |eta|, and each swap of the
+    # pair trades them, so tau1 and tau2 must read one shared record: a
+    # record of each factor's own last output would hold the radii of the
+    # other coordinate.
+    calls = []
+    solve = twist._exponent_newton
+
+    def checked(modes, ks, shape, sign, what, bounds):
+        for p, bound in enumerate(bounds[1:]):
+            total = sum(abs(k) ** p * np.abs(m) for k, m in modes.items())
+            assert np.all(total <= bound * (1 + 1e-12)), (what, p)
+        calls.append(what)
+        return solve(modes, ks, shape, sign, what, bounds)
+
+    monkeypatch.setattr(twist, "_exponent_newton", checked)
+    zeta0 = _beta_window(tp, n)[1]
+    w = 1.15 * np.exp(2j * np.pi * np.arange(8) / 8)
+    for orbit in (surface._involution_orbits(a, tp, abar)[2], twist._varphi_orbit(a, tp)):
+        for r in (1.0, 1.15**-2):
+            twist._h_orbit(zeta0, r * w, tp, n, orbit)
+    assert calls.count("tau1 inverse") == calls.count("tau2 inverse") == 2 * n
+    assert calls.count("varphi inverse") == 2 * n
 
 
 def direct_sum(fam, xi, eta):

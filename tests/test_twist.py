@@ -33,10 +33,19 @@ from revtwist.twist import (
     _beta_window,
     _d0,
     _exponent_fixed_point,
+    _mode_bounds,
+    _newton_certified,
     _secant_update,
     _solve_branch,
     _step_bound,
 )
+
+
+U = 2.0**-53  # unit roundoff of float64
+KAPPA = 2.0  # the exit's certified truncation is KAPPA U A0
+# A product or quotient of two complex numbers is taken within 4u
+# relative, and a complex exp within 6u: two ulps in each part.
+PRODUCT, EXP = 4.0, 6.0
 
 
 def resonant_alpha(n, g, beta):
@@ -913,23 +922,52 @@ class TestExponentSolve:
         c = _exponent_fixed_point(CoefficientFamily.empty(1), xi, eta, -1, "test")
         assert c.shape == (3, 4) and not np.any(c)
 
+    # Each refusal keeps the prefix and names its exit; the reference solve
+    # as first written refuses each input too.  No numpy warning may escape
+    # (the suite runs with warnings as errors).
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("entries", [{(3, 0): 1.0}, {(4, 0): 1.0}, {(4, 0): -1.0}])
     def test_divergent_input_raises(self, entries, sign):
-        # Far outside the solver disk; no numpy warning may escape either
-        # (the suite runs with warnings as errors).
+        # Far outside the solver disk, Newton converges to a root where the
+        # plain iteration would not: max|g'| >= 1 there.
         fam = CoefficientFamily(entries, 1, _validate=False)
-        for solve in (_exponent_fixed_point, exponent_solve_oracle):
-            with pytest.raises(SolverError, match="exponent iteration did not converge"):
-                solve(fam, np.full(4, 0.99), np.full(4, 0.99), sign, "test")
+        point = np.full(4, 0.99), np.full(4, 0.99)
+        with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
+                           r"the root lies outside the contraction region, max\|g'\| = "
+                           r"\S+ >= 1$"):
+            _exponent_fixed_point(fam, *point, sign, "test")
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            exponent_solve_oracle(fam, *point, sign, "test")
 
     def test_singular_first_step_raises(self):
         # 1 - i sign sum k m_k vanishes at c = 0 for the first point, so the
         # closed-form step is infinite: SolverError, not inf or a warning.
         fam = CoefficientFamily({(1, 0): 1.0}, 1, _validate=False)
-        for solve in (_exponent_fixed_point, exponent_solve_oracle):
-            with pytest.raises(SolverError, match="exponent iteration did not converge"):
-                solve(fam, np.array([-1j, 0.3]), 0.5, 1, "test")
+        point = np.array([-1j, 0.3]), 0.5
+        with pytest.raises(SolverError, match="^test: exponent iteration did not converge: "
+                           "non-finite iterate at step 1$"):
+            _exponent_fixed_point(fam, *point, 1, "test")
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            exponent_solve_oracle(fam, *point, 1, "test")
+
+    def test_growing_iterate_raises(self):
+        # c = 1.5i e^{-ic}: the iterates grow through finite values far
+        # past e^{K |c|} = float64's range, where the bound has nothing to
+        # certify, until one is not finite.
+        fam = CoefficientFamily({(1, 0): 1.5j}, 1, _validate=False)
+        with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
+                           r"non-finite iterate at step \d+$"):
+            _exponent_fixed_point(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+
+    def test_cycling_newton_raises(self):
+        # c = 0.8i e^{-ic}: Newton cycles with steps of order one and meets
+        # neither stop in 80 steps.
+        fam = CoefficientFamily({(1, 0): 0.8j}, 1, _validate=False)
+        with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
+                           r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
+            _exponent_fixed_point(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
 
     @settings(derandomize=True, deadline=None)
     @given(s=st.sampled_from([1, 2]),
@@ -956,12 +994,15 @@ class TestExponentSolve:
 
 
 def exponent_solve_oracle(fam, xi, eta, sign, what):
-    """The exponent solve as first written (sums started from zeros, both
-    stopping maxima taken on every pass), kept as the reference that the
-    leaner solve must match bit for bit.  Its modes are the band terms of
-    fam at the point."""
+    """The exponent solve as first written (Newton from c = 0 with sums
+    started from zeros, both stopping maxima taken on every pass), with the
+    certified exit on the solve's own bounds: the reference that the leaner
+    solve, whose first step is the closed form g / (1 - g'), must match bit
+    for bit.  Its modes are the band terms of fam at the point."""
     xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
-    modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
+    bands = fam._bands(xi * eta)
+    modes = _band_terms(fam, bands, xi, eta)
+    bounds = _mode_bounds(bands)((float(np.abs(xi).max()), float(np.abs(eta).max())))
     shape = np.broadcast(xi, eta).shape
     isign = 1j * sign
 
@@ -981,11 +1022,85 @@ def exponent_solve_oracle(fam, xi, eta, sign, what):
             cmax = np.abs(c).max()
             if not cmax < math.inf:
                 break
+            if _newton_certified(bounds, float(cmax), float(np.abs(step).max())):
+                return c
             if np.abs(step).max() <= 4e-16 * (1.0 + cmax):
                 if n == 0 or np.abs(dg).max() < 1.0:
                     return c
                 break
     raise SolverError(f"{what}: exponent iteration did not converge")
+
+
+def exponent_root(modes, sign, dps=40):
+    """The root c of c = sum_k m_k e^{i sign k c} at each point, at dps
+    digits, with the float64 modes taken exactly: object arrays of c, of
+    the terms {k: m_k e^{i sign k c}} and of g'(c) at each point."""
+    shape = np.broadcast(*modes.values()).shape
+    out = np.empty(shape, dtype=object), np.empty(shape, dtype=object), np.empty(shape, dtype=object)
+    with mpmath.workdps(dps):
+        for idx in np.ndindex(shape):
+            m = {k: mpmath.mpc(complex(np.broadcast_to(v, shape)[idx])) for k, v in modes.items()}
+            c = mpmath.mpc(0)
+            for _ in range(200):
+                terms = {k: v * mpmath.expj(sign * k * c) for k, v in m.items()}
+                dg = 1j * sign * mpmath.fsum(k * t for k, t in terms.items())
+                step = (c - mpmath.fsum(terms.values())) / (1 - dg)
+                c -= step
+                if abs(step) < mpmath.mpf(10) ** (-dps + 2):
+                    break
+            else:
+                raise AssertionError("oracle Newton did not converge")
+            terms = {k: v * mpmath.expj(sign * k * c) for k, v in m.items()}
+            dg = 1j * sign * mpmath.fsum(k * t for k, t in terms.items())
+            out[0][idx], out[1][idx], out[2][idx] = c, terms, dg
+    return out
+
+
+def exponent_solve_bound(fam, xi, eta, terms, dg, c):
+    """First-order bound on |c_solve - c| for the root c of the solve's
+    equation, from `_exponent_newton`'s exit and the rounding of its last
+    Newton step.
+
+    Exit: the solve stops within kappa u A0 of the root of the exact Newton
+    step, A0 = sum_k max|B_k| r^{|k|} at the radii r = max|xi|, max|eta|
+    (B_k the bands at t = xi eta, taken here from the entries), or at a
+    step of 4e-16 (1 + |c|), whose truncation is second order.  At that
+    exit rho A2 |delta|^2 / 2 <= kappa u A0 (rho >= 1), so the last step
+    is at most delta = max(sqrt(2 kappa u A0 / A2), 4e-16 (1 + |c|)).
+
+    Rounding of that step c - (c - g) / (1 - g') from the previous
+    iterate, whose terms t_k = m_k u^k are those at the root to first
+    order: u = e^{i sign c} within EXP u; u^k by at most 2|k| products or
+    quotients of the squaring chain, within |k| (EXP + 2 PRODUCT) u; t_k
+    within one more PRODUCT u; and the m sums of g and of dg within
+    (m - 1) u sum |t|.  So g is off by e_g = u sum_k w_k |t_k|,
+    w_k = |k| (EXP + 2 PRODUCT) + PRODUCT + m - 1, and 1 - g' by
+    e_D = u (sum_k |k| (w_k + 1) |t_k| + 1 + |g'|) (k t_k and the
+    subtraction from 1 once each).  The step moves by
+    (e_g + delta ((2 + PRODUCT) u |D| + e_D)) / |D|, D = 1 - g'(c)
+    (the subtraction c - g, the quotient and e_D's share), and the last
+    subtraction adds u |c|.
+    """
+    t = xi * eta
+    bands = {}
+    for (i, j), v in fam.entries.items():
+        bands[i - j] = bands.get(i - j, 0) + v * t ** min(i, j)
+    radii = {True: float(np.abs(xi).max()), False: float(np.abs(eta).max())}
+    size = {k: float(np.abs(b).max()) * radii[k >= 0] ** abs(k) for k, b in bands.items()}
+    a0 = sum(size.values())
+    a2 = sum(k * k * v for k, v in size.items())
+    cmax = max(float(abs(v)) for v in c.ravel())
+    delta = max(math.sqrt(2 * KAPPA * U * a0 / a2), 4e-16 * (1 + cmax))
+    w = {k: abs(k) * (EXP + 2 * PRODUCT) + PRODUCT + len(bands) - 1 for k in bands}
+    bound = np.empty(np.shape(c))
+    for idx in np.ndindex(np.shape(c)):
+        tk = {k: float(abs(v)) for k, v in terms[idx].items()}
+        e_g = U * sum(w[k] * v for k, v in tk.items())
+        e_d = U * (sum(abs(k) * (w[k] + 1) * v for k, v in tk.items()) + 1 + float(abs(dg[idx])))
+        d = float(abs(1 - dg[idx]))
+        bound[idx] = (KAPPA * U * a0 + (e_g + delta * ((2 + PRODUCT) * U * d + e_d)) / d
+                      + U * float(abs(c[idx])))
+    return bound
 
 
 ORACLE_CASES = {
@@ -1015,3 +1130,25 @@ class TestExponentSolveOracle:
         ref = exponent_solve_oracle(fam, xi, eta, sign, "test")
         assert c.shape == ref.shape and c.dtype == ref.dtype
         assert np.array_equal(c, ref)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_within_the_derived_bound_of_a_40_digit_root(self, case, sign):
+        # The root of the solve's own equation, its float64 modes taken
+        # exactly; the bound is the exit's truncation plus the rounding of
+        # the last step (`exponent_solve_bound`).
+        fam, xi, eta = ORACLE_CASES[case]
+        xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
+        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        if not fam.entries:
+            assert not np.any(c)
+            return
+        modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
+        root, terms, dg = exponent_root(modes, sign)
+        bound = exponent_solve_bound(fam, xi, eta, terms, dg, root)
+        err = np.array([float(abs(mpmath.mpc(complex(v)) - r)) for v, r in
+                        zip(np.broadcast_to(c, root.shape).ravel(), root.ravel())])
+        assert np.all(err <= bound.ravel())
+        # The bound is a few hundred units of roundoff of the root, not a
+        # loose tolerance.
+        assert np.all(bound <= 1e3 * U * (1 + np.abs(root.astype(complex))))
