@@ -41,7 +41,7 @@ from .twist import (
     TwistParams,
     _beta_window,
     _default_grid,
-    _GuardRecord,
+    _guard_inside,
     _one_step,
     _phase_factor,
     _solve_branch,
@@ -115,30 +115,26 @@ def _involution_orbits(a: CoefficientFamily, tp: TwistParams,
     tau1, b = -abar for tau2) with a half-turn swap, whose
     phase c + f is counted from the coordinate it swaps in.  phi's swaps
     flip the sign of what tau2 added: xi' = xi e^{i (omega + (f_a + c_1)
-    - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).  Each
-    factor of phi takes the other's output, so the two share one guard
-    record (`_GuardRecord`), whose radii bound their exponent solves; a
-    tau orbit alone takes a record of its own.
+    - (f_b + c_2))}, so phi's phase is (f_a + c_1) - (f_b + c_2).  phi's
+    step hands tau1 the radii that tau2's output guard measured.
     """
     b = (a.conjugated() if abar is None else abar).scaled(-1.0)
 
     def tau(fam: CoefficientFamily, half: float, what: str):
-        def orbit(t, guard=None):
-            return _phase_factor(fam, fam, t, tp.turn(t, half), True, what,
-                                 _GuardRecord() if guard is None else guard)
+        def orbit(t):
+            return _phase_factor(fam, fam, t, tp.turn(t, half), True, what)
 
         return orbit
 
     tau1, tau2 = tau(a, 0.5, "tau1"), tau(b, -0.5, "tau2")
 
     def phi(t):
-        guard = _GuardRecord()
-        step1, step2 = tau1(t, guard), tau2(t, guard)
+        step1, step2 = tau1(t), tau2(t)
 
-        def step(x, y):
-            x, y, p2 = step2(x, y)
-            x, y, p1 = step1(x, y)
-            return x, y, p1 - p2
+        def step(x, y, radii):
+            x, y, p2, radii = step2(x, y, radii)
+            x, y, p1, radii = step1(x, y, radii)
+            return x, y, p1 - p2, radii
 
         return step
 
@@ -159,14 +155,18 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
     factor code (`_involution_orbits`).
     """
     tau1, tau2, _ = _involution_orbits(a, tp, abar)
-    step2 = _one_step(tau2, "tau2")
 
     def phi(xi, eta):
-        # tau1 at the level set of tau2's output, which tau2 has just tested.
-        x, y = (np.asarray(v) for v in step2(xi, eta))
-        return tau1(x * y)(x, y)[:2]
+        # tau1 at the level set of tau2's output, from the radii tau2's
+        # output guard measured.  That output goes on as arrays, as the
+        # tau1 evaluator would take it: numpy scalars can round a product
+        # differently from 0-d arrays.
+        xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
+        x, y, _, radii = tau2(xi * eta)(xi, eta, _guard_inside(xi, eta, "tau2 input"))
+        x, y = np.asarray(x), np.asarray(y)
+        return tau1(x * y)(x, y, radii)[:2]
 
-    return _one_step(tau1, "tau1"), step2, phi
+    return _one_step(tau1, "tau1"), _one_step(tau2, "tau2"), phi
 
 
 def involution_jets(a: CoefficientFamily, tp: TwistParams,

@@ -155,7 +155,9 @@ def beta_reduce(n: int, alpha: float) -> ResonanceData:
 
 def _guard_inside(xi, eta, what: str) -> tuple[float, float]:
     """The polydisk guard: the radii (max|xi|, max|eta|) of the points, each
-    below 1, else DomainError."""
+    below 1, else DomainError; no points at all are refused."""
+    if not (np.size(xi) and np.size(eta)):
+        raise ValueError(f"{what}: no points to evaluate")
     radii = (float(np.abs(xi).max()), float(np.abs(eta).max()))
     # Each modulus is tested on its own: a nan fails its test, where
     # max(m_xi, nan) would let it pass.
@@ -163,30 +165,6 @@ def _guard_inside(xi, eta, what: str) -> tuple[float, float]:
         if not m < 1.0:
             raise DomainError(f"{what}: point modulus {m} escaped the unit polydisk")
     return radii
-
-
-class _GuardRecord:
-    """The guard of one orbit's steps, shared by every factor of a step, and
-    the radii of the points it last passed.
-
-    A step's input points are the output of the step before, which passed
-    this guard, so their radii bound the modes of the next exponent solve
-    at no cost per point.  The radii apply to the very arrays the guard
-    passed; any other points (the first step of an orbit) get (1, 1),
-    which every point inside the unit polydisk satisfies.  The factors
-    tau1, tau2 of phi share one record, since each takes the other's
-    output.
-    """
-
-    def __init__(self):
-        self.points, self.radii = None, (1.0, 1.0)
-
-    def __call__(self, x, y, what: str):
-        self.radii, self.points = _guard_inside(x, y, what), (x, y)
-
-    def radii_of(self, x, y) -> tuple[float, float]:
-        p = self.points
-        return self.radii if p is not None and p[0] is x and p[1] is y else (1.0, 1.0)
 
 
 def twist_eval(tp: TwistParams, xi, eta):
@@ -226,7 +204,7 @@ def _mode_bounds(bands: dict):
 
 def _newton_certified(bounds, cmax: float, dmax: float) -> bool:
     """Whether the Newton iterate c, after a step delta, is certified within
-    kappa u A0 of the root (the derivation is in `_exponent_newton`):
+    kappa u A0 of the root (the derivation is in `_exponent_fixed_point`):
     rho = e^{K (max|c| + 2 max|delta|)}, L = rho A1 < 1 and
     rho A2 max|delta|^2 / 2 <= (1 - L) min(kappa u A0, 2 max|delta|)."""
     K, a0, a1, a2 = bounds
@@ -239,15 +217,18 @@ def _newton_certified(bounds, cmax: float, dmax: float) -> bool:
         KAPPA * UNIT_ROUNDOFF * a0, 2.0 * dmax)
 
 
-def _exponent_newton(modes: dict, ks, shape, sign: int, what: str, bounds):
-    """Solve c = g(c) = sum_k m_k u^k, u = e^{i sign c}, by Newton's method.
+def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, what: str,
+                          bounds):
+    """Solve c = g(c) = fam(e^{i sign c} x, e^{-i sign c} y) by Newton's method.
 
-    The modes m_k are those of a family at a point, whose phase change by u
-    keeps xi*eta fixed; ks is their key set and bounds = (K, A0, A1, A2)
-    bounds them: A_p >= sum_k |k|^p |m_k| at every point, K >= every |k|
-    (`_mode_bounds`).  g'(c) = i sign sum_k k m_k u^k.  Newton on
-    c - g(c) takes its first step in closed form, c = g/(1 - g') at u = 1;
-    each later step delta, c <- c - delta, costs one exp.
+    The points (x, y) lie on the level set x*y = t of bands =
+    fam._bands(t), which the phase change by u = e^{i sign c} keeps, so
+    g(c) = sum_k m_k u^k on the modes m_k of fam at (x, y) (`_band_terms`),
+    whose keys are fam._mode_powers.  bounds = (K, A0, A1, A2) bounds
+    them: A_p >= sum_k |k|^p |m_k| at every point, K >= every |k|
+    (`_mode_bounds` at the radii of (x, y)).  g'(c) = i sign sum_k k m_k u^k.
+    Newton on c - g(c) takes its first step in closed form, c = g/(1 - g')
+    at u = 1; each later step delta, c <- c - delta, costs one exp.
 
     Exit, in contraction-mapping form.  After a step delta to c, let
     M = max|c| + 2 max|delta| and rho = e^{K M}.  On the disk |z| <= M
@@ -275,11 +256,12 @@ def _exponent_newton(modes: dict, ks, shape, sign: int, what: str, bounds):
     "exponent iteration did not converge", names the exit: a non-finite
     iterate, 80 steps without either stop (with the last step size), or a
     root outside the contraction region (max|g'| >= 1).  No modes (an
-    empty family) give the root c = 0 of the given shape, returned without
+    empty family) give the root c = 0 of the shape of x, returned without
     a step.
     """
+    modes = _band_terms(fam, bands, x, y)
     if not modes:
-        return np.zeros(shape, dtype=complex)
+        return np.zeros(np.shape(x), dtype=complex)
     isign = 1j * sign
 
     def sums(powers):
@@ -298,7 +280,7 @@ def _exponent_newton(modes: dict, ks, shape, sign: int, what: str, bounds):
         c = g / (1.0 - isign * dg)
         for n in range(80):
             if n:
-                g, dg = sums(_power_table(np.exp(isign * c), ks))
+                g, dg = sums(_power_table(np.exp(isign * c), fam._mode_powers))
                 step = (c - g) / (1.0 - isign * dg)
                 c = c - step
             cmax = float(np.abs(c).max())
@@ -317,22 +299,7 @@ def _exponent_newton(modes: dict, ks, shape, sign: int, what: str, bounds):
     raise SolverError(f"{fail}: 80 steps without a certified root, last step {dmax:.3e}")
 
 
-def _exponent_fixed_point(fam: CoefficientFamily, xi, eta, sign: int, what: str):
-    """Solve c = fam(e^{i sign c} xi, e^{-i sign c} eta) at the point (xi, eta):
-    `_exponent_newton` on the band modes of fam there (`_band_terms`), bounded
-    at the radii (max|xi|, max|eta|) of the points.  The orbit kernel solves
-    in `_phase_factor` and does not call it; it stays because
-    `bench/tracer.py` wraps it by name and the exponent tests call it."""
-    xi = np.asarray(xi, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
-    bands = fam._bands(xi * eta)
-    radii = (float(np.abs(xi).max()), float(np.abs(eta).max()))
-    return _exponent_newton(_band_terms(fam, bands, xi, eta), fam._mode_powers,
-                            np.broadcast(xi, eta).shape, sign, what, _mode_bounds(bands)(radii))
-
-
-def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: bool, what: str,
-                  guard: _GuardRecord):
+def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: bool, what: str):
     """One phase conjugation phi_f . model . phi_g^{-1} on a level set xi*eta = t.
 
     It forms the bands of the families f and g at t once, of one family
@@ -340,16 +307,15 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
     (`_mode_bounds`).  turn is the model's unit factor there:
     the model multiplies (xi, eta) by (turn, 1/turn), or with swap=True is
     the half-turn swap (xi, eta) -> (turn eta, xi / turn).  Returns
-    step(x, y) -> (x', y', phase).  The inverse of phi_g solves
-    c = g(e^{-ic} x, e^{ic} y) by Newton on the modes of g at (x, y)
-    (`_band_terms`, `_exponent_newton`), bounded at the radii of (x, y)
-    that the guard record measured when it passed them, and exits once
-    its error is certified below kappa u A0, or by the step-size fallback;
-    phi_f then multiplies by e^{+-i f} at the model's image, f its Laurent
-    sum (`_laurent`).  x' is the source coordinate (x, or y when swapping)
-    times turn e^{i phase}, phase = f - c, or f + c when swapping.  The
-    output must pass the guard (`_GuardRecord`): it stays inside the unit
-    polydisk.
+    step(x, y, radii) -> (x', y', phase, radii'), radii the polydisk radii
+    (max|x|, max|y|) that a guard measured on the input.  The inverse of
+    phi_g solves c = g(e^{-ic} x, e^{ic} y) (`_exponent_fixed_point`),
+    bounded at those radii, and exits once its error is certified below
+    kappa u A0, or by the step-size fallback; phi_f then multiplies by
+    e^{+-i f} at the model's image, f its Laurent sum (`_laurent`).  x' is
+    the source coordinate (x, or y when swapping) times turn e^{i phase},
+    phase = f - c, or f + c when swapping.  The output must pass the
+    polydisk guard, whose radii are radii' (`_guard_inside`).
     """
     fb = f._bands(t)
     gb = fb if g is f else g._bands(t)
@@ -358,9 +324,8 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
 
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
-    def step(x, y):
-        c = _exponent_newton(_band_terms(g, gb, x, y), g._mode_powers, np.shape(x), -1, inverse,
-                             bounds(guard.radii_of(x, y)))
+    def step(x, y, radii):
+        c = _exponent_fixed_point(g, gb, x, y, -1, inverse, bounds(radii))
         if swap:
             q = turn * np.exp(1j * c)
             x, y = q * y, x / q
@@ -370,8 +335,7 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
         fv = _laurent(f, fb, x, y)
         e = np.exp(1j * fv)
         x, y = e * x, y / e
-        guard(x, y, output)
-        return x, y, fv + c if swap else fv - c
+        return x, y, fv + c if swap else fv - c, _guard_inside(x, y, output)
 
     return step
 
@@ -380,12 +344,11 @@ def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
     """varphi = phi_a . T . phibar_a^{-1} in the orbit kernel's step contract:
     orbit(t) fixes tp.turn(t) on the level set xi*eta = t and returns
     the step of `_phase_factor` for a and g = -abar (phibar_a is the
-    coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c,
-    with a guard record of its own (`_GuardRecord`)."""
+    coefficient-conjugate of phi_a, which is phi_g), whose phase is f - c."""
     g = a.conjugated().scaled(-1.0)
 
     def orbit(t):
-        return _phase_factor(a, g, t, tp.turn(t), False, "varphi", _GuardRecord())
+        return _phase_factor(a, g, t, tp.turn(t), False, "varphi")
 
     return orbit
 
@@ -393,14 +356,13 @@ def _varphi_orbit(a: CoefficientFamily, tp: TwistParams):
 def _one_step(orbit, what: str):
     """Pointwise evaluator (xi, eta) -> (xi', eta') of a map given in the
     orbit kernel's step contract: one step on the level set of the point,
-    whose input must lie inside the unit polydisk."""
+    from the radii of its input guard; the input must lie inside the unit
+    polydisk."""
 
     def evaluate(xi, eta):
         xi = np.asarray(xi, dtype=complex)
         eta = np.asarray(eta, dtype=complex)
-        _guard_inside(xi, eta, f"{what} input")
-        x, y, _ = orbit(xi * eta)(xi, eta)
-        return x, y
+        return orbit(xi * eta)(xi, eta, _guard_inside(xi, eta, f"{what} input"))[:2]
 
     return evaluate
 
@@ -433,9 +395,13 @@ def _h_orbit(zeta, w, tp: TwistParams, n: int, orbit):
     Every map here multiplies xi and eta by reciprocal factors or swaps
     them, so t = xi*eta is an exact integral.  `orbit(t)` fixes what t
     determines once per orbit and returns the step
-    (xi, eta) -> (xi', eta', phase) with xi' = xi e^{i (omega(t) + phase)}
-    in exact arithmetic.  The kernel advances both coordinates n times and
-    sums the phases into Sigma.  Since n alpha = beta mod 2 pi and
+    (xi, eta, radii) -> (xi', eta', phase, radii') with
+    xi' = xi e^{i (omega(t) + phase)} in exact arithmetic, radii the
+    polydisk radii (max|xi|, max|eta|) of the step's input and radii' those
+    its output guard measured (`_guard_inside`).  The kernel starts from
+    the radii of its start guard, advances both coordinates n times,
+    handing each step the radii of the one before, and sums the phases
+    into Sigma.  Since n alpha = beta mod 2 pi and
     omega(t) = alpha + t^s, the deviation of xi_n from the model rotation
     is p_n = xi_n e^{-i n omega(t)} / xi - 1 = e^{i Sigma} - 1, and
     h = log(1 + p_n) / (i n zeta^{2s}) = Sigma / (n zeta^{2s}) with Sigma
@@ -447,11 +413,11 @@ def _h_orbit(zeta, w, tp: TwistParams, n: int, orbit):
     if np.any(zeta == 0):
         raise DomainError("h is undefined at zeta = 0")
     xi, eta = zeta * w, zeta / w
-    _guard_inside(xi, eta, "h_eval")
+    radii = _guard_inside(xi, eta, "h_eval")
     step = orbit(xi * eta)
     x, y, total = xi, eta, 0.0
     for _ in range(_check_int(n, "n")):
-        x, y, phase = step(x, y)
+        x, y, phase, radii = step(x, y, radii)
         total = total + phase
     total = total - 2 * math.pi * np.round(total.real / (2 * math.pi))
     pmax = float(np.abs(np.expm1(1j * total)).max())
@@ -466,8 +432,9 @@ def h_eval(zeta, w, a: CoefficientFamily, tp: TwistParams, n: int, *, _orbit=Non
     n zeta^{2s}.
 
     The private _orbit replaces varphi by another map in the kernel's step
-    contract, orbit(t) -> step with step(xi, eta) -> (xi', eta', phase),
-    as the involution pair of ``surface_curves``; no pointwise map enters.
+    contract, orbit(t) -> step with
+    step(xi, eta, radii) -> (xi', eta', phase, radii'), as the involution
+    pair of ``surface_curves``; no pointwise map enters.
     """
     return _h_orbit(zeta, w, tp, n, _varphi_orbit(a, tp) if _orbit is None else _orbit)[0]
 
@@ -626,7 +593,8 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
     alone keeps |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted
     and ignored; the paper's constants come from ``compute_constants``.
     The private ``_orbit`` replaces varphi by another map in the step
-    contract of the orbit kernel (`h_eval`), as ``surface_curves`` does.
+    contract of the orbit kernel, step(xi, eta, radii) ->
+    (xi', eta', phase, radii') (`_h_orbit`), as ``surface_curves`` does.
     """
     grid_size = _check_int(grid_size, "grid_size")
     K = curve_band(_check_int(n, "n"), grid_size) if K is None else _check_int(K, "K", 0)

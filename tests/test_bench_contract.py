@@ -90,16 +90,16 @@ def traced_counts(run):
 
 
 # The pointwise layers the tracer wraps by name; the orbit kernel carries
-# every curve orbit on its level set and calls none of them.
-POINTWISE_SPANS = ("twist.map_eval", "twist.iterate", "twist._exponent_fixed_point",
-                   "families.eval", "surface.tau_eval")
+# every curve orbit on its level set and calls none of them.  Its one
+# traced layer is the exponent solve, one span per factor per step.
+POINTWISE_SPANS = ("twist.map_eval", "twist.iterate", "families.eval", "surface.tau_eval")
 
 
 def test_tracer_counts_curve_layers():
     # One period-7 curve on 32 points takes three solver steps, each one
     # h_eval; the final h evaluation, whose orbit the return test reads,
-    # is the kernel's own and is not traced.  The kernel's orbits run no
-    # traced pointwise layer.
+    # is the kernel's own and is not traced.  Each of the four orbits
+    # makes one exponent solve per step and runs no traced pointwise layer.
     from revtwist.families import CoefficientFamily
     from revtwist.twist import TwistParams, periodic_curve
 
@@ -107,12 +107,14 @@ def test_tracer_counts_curve_layers():
     tp = TwistParams(alpha=(2 * math.pi - 0.08) / n, s=1)
     fam = CoefficientFamily({(7, 0): 0.05, (3, 0): 0.02 + 0.01j, (1, 3): -0.03j}, 1)
     counts = traced_counts(lambda: periodic_curve(fam, tp, n, 2, grid_size=32, K=8))
-    assert counts == {"twist.h_eval": (3, 0)}
+    assert counts == {"twist.h_eval": (3, 0), "twist._exponent_fixed_point": (4 * n, 0)}
 
 
 def test_tracer_counts_surface_layers():
     # The involution product runs as the kernel's map, so neither its steps
-    # nor the pointwise tau evaluators show among the spans.
+    # nor the pointwise tau evaluators show among the spans; each of its
+    # six orbits (five h evaluations and the final one) solves once per
+    # factor per step.
     from revtwist.families import CoefficientFamily
     from revtwist.surface import surface_curves
     from revtwist.twist import TwistParams
@@ -123,6 +125,7 @@ def test_tracer_counts_surface_layers():
     abar = CoefficientFamily({(4, 0): -0.06 + 0.01j}, 1)
     counts = traced_counts(lambda: surface_curves(a, tp, n, 2, grid_size=64, abar=abar))
     assert counts["twist.h_eval"] == (5, 0)
+    assert counts["twist._exponent_fixed_point"] == (6 * n * 2, 0)
     assert counts["surface.real_intersection"] == (1, 0)
     assert not counts.keys() & set(POINTWISE_SPANS)
 
@@ -142,7 +145,8 @@ def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_steps):
     # one batch: one secant loop whose every step is one h evaluation and
     # one n-step orbit over all of them, plus the final evaluation the
     # return test reads.  Each branch takes the steps it takes alone, so
-    # the batch makes the h evaluations of one single-branch curve.
+    # the batch makes the h evaluations of one single-branch curve, and
+    # each of its orbits one exponent solve per factor per step.
     from revtwist.families import CoefficientFamily
     from revtwist.surface import Hn_obstruction, surface_curves
     from revtwist.twist import TwistParams
@@ -153,8 +157,10 @@ def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_steps):
         alone = traced_counts(lambda: surface_curves(a, tp, n, j, intersect=False))
         assert alone["twist.h_eval"] == (steps, 0)
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, include_remainder=True))
-    assert counts == {"twist.h_eval": (steps, 0)}
+    assert counts == {"twist.h_eval": (steps, 0),
+                      "twist._exponent_fixed_point": ((steps + 1) * n * 2, 0)}
     # The default estimator makes one batched solve of the four probe
     # curves (two probe phases, two probe sizes) of every branch.
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, t=1e-2))
-    assert counts == {"twist.h_eval": (default_steps, 0)}
+    assert counts == {"twist.h_eval": (default_steps, 0),
+                      "twist._exponent_fixed_point": ((default_steps + 1) * n * 2, 0)}

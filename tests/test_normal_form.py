@@ -706,7 +706,7 @@ def count_exponent_solves(monkeypatch):
 
     counts = {"solves": 0, "eval": 0, "passes": 0}
     solving = []
-    solve, laurent, exp = twist._exponent_newton, twist._laurent, np.exp
+    solve, laurent, exp = twist._exponent_fixed_point, twist._laurent, np.exp
 
     def counted_solve(*args):
         counts["solves"] += 1
@@ -725,7 +725,7 @@ def count_exponent_solves(monkeypatch):
             counts["passes"] += 1
         return exp(*args, **kwargs)
 
-    monkeypatch.setattr(twist, "_exponent_newton", counted_solve)
+    monkeypatch.setattr(twist, "_exponent_fixed_point", counted_solve)
     monkeypatch.setattr(twist, "_laurent", counted_eval)
     monkeypatch.setattr(np, "exp", counted_exp)
     return counts
@@ -738,7 +738,7 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
     # in closed form, so it pays one exp per later step (its passes) and
     # no Laurent sum; only the forward phases sum the family's bands.
     # Each solve exits once its error is certified below kappa u A0
-    # (`twist._exponent_newton`): two passes per solve here, where the
+    # (`twist._exponent_fixed_point`): two passes per solve here, where the
     # step-size rule alone took three (192).
     # The return test reads the orbit of the last h evaluation, so every
     # n = 4 orbit here (two tau steps per map step) serves an h evaluation.
@@ -757,11 +757,11 @@ def test_surface_exponent_solve_operation_counts(monkeypatch):
 
 def test_witness_exponent_solve_operation_counts(monkeypatch):
     # A witness-sized varphi curve: a generic Hermitian family of modes
-    # +-1 and +-2 at n = 150 on 4n points, zeta0 = 7.7e-3.  Every solve
-    # is certified after its closed-form first step, with no exp, except
-    # the first step of each orbit, whose radii are (1, 1) until the
-    # guard has measured them; the step-size rule alone paid one exp per
-    # solve (300).  Any change here is a change of algorithm.
+    # +-1 and +-2 at n = 150 on 4n points, zeta0 = 7.7e-3.  Every solve,
+    # the first step of each orbit included, is bounded at the radii its
+    # input guard measured and certified after its closed-form first
+    # step, with no exp; the step-size rule alone paid one exp per solve
+    # (300).  Any change here is a change of algorithm.
     from revtwist import twist
 
     counts = count_exponent_solves(monkeypatch)
@@ -771,4 +771,4 @@ def test_witness_exponent_solve_operation_counts(monkeypatch):
     tp = TwistParams(alpha=(2 * math.pi * 47 - 0.009) / n, s=1)
     crv = twist.periodic_curve(fam, tp, n, 2, grid_size=4 * n)
     assert crv.residual <= 1e-10 and crv.steps == 1
-    assert counts == {"solves": 300, "eval": 300, "passes": 2}
+    assert counts == {"solves": 300, "eval": 300, "passes": 0}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from revtwist import surface, twist
-from revtwist.families import CoefficientFamily
+from revtwist.families import CoefficientFamily, _band_terms
 from revtwist.obstruction import divergence_witness, select_resonant_n
 from revtwist.surface import build_involution_maps
 from revtwist.twist import (
@@ -76,16 +76,16 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
 def solve_truncation(a, n, abs_t, rx, ry):
     """What the exits of an orbit's n inverse-exponent solves may leave in
     Sigma: each c is certified within KAPPA u A0 of its root
-    (`_exponent_newton`), A0 = sum_k max|B_k| r^{|k|} over the modes of
-    g = -abar, at the radii (1, 1) on the orbit's first step and at the
-    radii (rx, ry) of the points after it (r = rx for k >= 0, ry for k < 0),
-    each within 1e-12 relative of the oracle's."""
+    (`_exponent_fixed_point`), A0 = sum_k max|B_k| r^{|k|} over the modes
+    of g = -abar at the radii of the step's input, the start points'
+    included, which are at most the radii (rx, ry) of the orbit's points
+    (r = rx for k >= 0, ry for k < 0), each within 1e-12 relative of the
+    oracle's."""
     bands = {}
     for (i, j), v in a.entries.items():
         bands[i - j] = bands.get(i - j, 0) + abs(v) * abs_t ** min(i, j)
     radii = {True: rx * (1 + 1e-12), False: ry * (1 + 1e-12)}
-    later = sum(b * radii[k >= 0] ** abs(k) for k, b in bands.items())
-    return KAPPA * U * (sum(bands.values()) + (n - 1) * later)
+    return KAPPA * U * n * sum(b * radii[k >= 0] ** abs(k) for k, b in bands.items())
 
 
 def phase_sum_bound(a, tp, n, zeta, S, abs_t, T):
@@ -144,6 +144,23 @@ def test_phase_sum_against_a_40_digit_oracle(tp, n, fam):
         assert worst <= 0.5
         T = solve_truncation(fam, n, abs_t, rx, ry)
         assert abs(got - want) <= phase_sum_bound(fam, tp, n, zeta0, S, abs_t, T)
+
+
+@pytest.mark.parametrize("xi", [np.zeros(0, dtype=complex), 0.1], ids=["empty", "scalar"])
+def test_no_points_are_refused_at_the_boundary_guards(xi):
+    # With no points there are no radii to measure: each entry point
+    # refuses in one line, not inside a reduction over an empty array.
+    tp = ORACLE_CASES["readme-curve"][0]
+    empty = np.zeros(0, dtype=complex)
+    tau1, tau2, phi = build_involution_maps(README_FAMILY, tp)
+    entries = [("h_eval", lambda: h_eval(xi, empty, README_FAMILY, tp, 4)),
+               ("varphi input", lambda: twist.make_varphi(README_FAMILY, tp)(xi, empty)),
+               ("tau1 input", lambda: tau1(xi, empty)),
+               ("tau2 input", lambda: tau2(xi, empty)),
+               ("tau2 input", lambda: phi(xi, empty))]
+    for what, call in entries:
+        with pytest.raises(ValueError, match=f"^{what}: no points to evaluate$"):
+            call()
 
 
 def test_empty_family_h_is_exactly_zero():
@@ -210,31 +227,36 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
 
 @pytest.mark.parametrize("tp, n, a, abar", PAIR_CASES.values(), ids=PAIR_CASES)
 def test_every_solve_is_bounded_at_its_own_input(monkeypatch, tp, n, a, abar):
-    # The mode bounds of each exponent solve come from the radii that the
+    # The mode bounds of each exponent solve come from the radii that a
     # guard measured, which must be those of the solve's own input: at
     # every point A_p >= sum_k |k|^p |m_k| (up to the rounding of both
     # sides).  Off the unit w-circle |xi| != |eta|, and each swap of the
-    # pair trades them, so tau1 and tau2 must read one shared record: a
-    # record of each factor's own last output would hold the radii of the
-    # other coordinate.
+    # pair trades them, so tau1 must be handed the radii of tau2's output
+    # and tau2 those of tau1's: the radii of a factor's own last output
+    # would be those of the other coordinate.  The pointwise maps hand
+    # them on the same way.
     calls = []
-    solve = twist._exponent_newton
+    solve = twist._exponent_fixed_point
 
-    def checked(modes, ks, shape, sign, what, bounds):
+    def checked(fam, bands, x, y, sign, what, bounds):
+        modes = _band_terms(fam, bands, x, y)
         for p, bound in enumerate(bounds[1:]):
             total = sum(abs(k) ** p * np.abs(m) for k, m in modes.items())
             assert np.all(total <= bound * (1 + 1e-12)), (what, p)
         calls.append(what)
-        return solve(modes, ks, shape, sign, what, bounds)
+        return solve(fam, bands, x, y, sign, what, bounds)
 
-    monkeypatch.setattr(twist, "_exponent_newton", checked)
+    monkeypatch.setattr(twist, "_exponent_fixed_point", checked)
     zeta0 = _beta_window(tp, n)[1]
     w = 1.15 * np.exp(2j * np.pi * np.arange(8) / 8)
-    for orbit in (surface._involution_orbits(a, tp, abar)[2], twist._varphi_orbit(a, tp)):
-        for r in (1.0, 1.15**-2):
+    pointwise = (*build_involution_maps(a, tp, abar=abar), twist.make_varphi(a, tp))
+    for r in (1.0, 1.15**-2):
+        for orbit in (surface._involution_orbits(a, tp, abar)[2], twist._varphi_orbit(a, tp)):
             twist._h_orbit(zeta0, r * w, tp, n, orbit)
-    assert calls.count("tau1 inverse") == calls.count("tau2 inverse") == 2 * n
-    assert calls.count("varphi inverse") == 2 * n
+        for evaluate in pointwise:
+            evaluate(zeta0 * r * w, zeta0 / (r * w))
+    assert calls.count("tau1 inverse") == calls.count("tau2 inverse") == 2 * n + 4
+    assert calls.count("varphi inverse") == 2 * n + 2
 
 
 def direct_sum(fam, xi, eta):

@@ -511,16 +511,16 @@ GATE_R2 = _beta_window(GATE_TP, GATE_N)[1] ** 2  # zeta0^2
 def twist_with_h(H, eta_turn=0.0):
     """The twist of GATE_TP turned by a further t H(t) per step, in the orbit
     kernel's step contract: on the level set xi eta = t the step returns
-    the point and its phase t H(t) beyond omega(t), with eta turned by
-    eta_turn more.  The phase sum over n zeta^2 is h = H(zeta^2) (s = 1);
+    the point, its phase t H(t) beyond omega(t) and the radii it was
+    handed, with eta turned by eta_turn more.  The phase sum over n zeta^2 is h = H(zeta^2) (s = 1);
     h reads the phases alone, so eta_turn only spoils the n-step return."""
 
     def orbit(t):
         phase = t * H(t)
         ph = np.exp(1j * (GATE_TP.alpha + t**GATE_TP.s + phase))
 
-        def step(xi, eta):
-            return ph * xi, eta / ph * np.exp(1j * eta_turn), phase
+        def step(xi, eta, radii):
+            return ph * xi, eta / ph * np.exp(1j * eta_turn), phase, radii
 
         return step
 
@@ -687,9 +687,9 @@ class TestPeriodicCurve:
             counts["orbits"] += 1
             step = orbit(t)
 
-            def counted_step(xi, eta):
+            def counted_step(xi, eta, radii):
                 counts["steps"] += 1
-                return step(xi, eta)
+                return step(xi, eta, radii)
 
             return counted_step
 
@@ -886,6 +886,16 @@ def plain_exponent_iteration(fam, xi, eta, sign):
     raise AssertionError("reference iteration did not converge")
 
 
+def exponent_solve(fam, xi, eta, sign, what):
+    """The kernel's exponent solve at the points (xi, eta), broadcast
+    together, on the bands of fam at t = xi eta, bounded at their radii
+    (max|xi|, max|eta|) as the polydisk guard measures them."""
+    xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex))
+    bands = fam._bands(xi * eta)
+    bounds = _mode_bounds(bands)((float(np.abs(xi).max()), float(np.abs(eta).max())))
+    return _exponent_fixed_point(fam, bands, xi, eta, sign, what, bounds)
+
+
 def exponent_residual(fam, xi, eta, sign, c):
     """max |c - fam(e^{i sign c} xi, e^{-i sign c} eta)| over (1 + max|c|)."""
     ph = np.exp(1j * sign * c)
@@ -910,7 +920,7 @@ class TestExponentSolve:
     ], ids=["s1", "s2-hermitian"])
     def test_matches_plain_iteration(self, fam, points, sign):
         xi, eta = SOLVE_POINTS[points]
-        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        c = exponent_solve(fam, xi, eta, sign, "test")
         ref = plain_exponent_iteration(fam, xi, eta, sign)
         assert np.shape(c) == np.broadcast(np.asarray(xi), np.asarray(eta)).shape
         assert np.abs(ref).max() > 1e-3
@@ -919,7 +929,7 @@ class TestExponentSolve:
 
     def test_empty_family_gives_zeros(self):
         xi, eta = SOLVE_POINTS["broadcast"]
-        c = _exponent_fixed_point(CoefficientFamily.empty(1), xi, eta, -1, "test")
+        c = exponent_solve(CoefficientFamily.empty(1), xi, eta, -1, "test")
         assert c.shape == (3, 4) and not np.any(c)
 
     # Each refusal keeps the prefix and names its exit; the reference solve
@@ -935,7 +945,7 @@ class TestExponentSolve:
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"the root lies outside the contraction region, max\|g'\| = "
                            r"\S+ >= 1$"):
-            _exponent_fixed_point(fam, *point, sign, "test")
+            exponent_solve(fam, *point, sign, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
             exponent_solve_oracle(fam, *point, sign, "test")
 
@@ -946,7 +956,7 @@ class TestExponentSolve:
         point = np.array([-1j, 0.3]), 0.5
         with pytest.raises(SolverError, match="^test: exponent iteration did not converge: "
                            "non-finite iterate at step 1$"):
-            _exponent_fixed_point(fam, *point, 1, "test")
+            exponent_solve(fam, *point, 1, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
             exponent_solve_oracle(fam, *point, 1, "test")
 
@@ -957,7 +967,7 @@ class TestExponentSolve:
         fam = CoefficientFamily({(1, 0): 1.5j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"non-finite iterate at step \d+$"):
-            _exponent_fixed_point(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
 
     def test_cycling_newton_raises(self):
         # c = 0.8i e^{-ic}: Newton cycles with steps of order one and meets
@@ -965,7 +975,7 @@ class TestExponentSolve:
         fam = CoefficientFamily({(1, 0): 0.8j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
-            _exponent_fixed_point(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
             exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
 
@@ -987,7 +997,7 @@ class TestExponentSolve:
         xi = 0.6 * p[:, 0] * np.exp(2j * np.pi * p[:, 1])
         eta = 0.6 * p[:, 2] * np.exp(2j * np.pi * p[:, 3])
         try:
-            c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+            c = exponent_solve(fam, xi, eta, sign, "test")
         except SolverError:
             return
         assert exponent_residual(fam, xi, eta, sign, c) <= 1e-14
@@ -1058,7 +1068,7 @@ def exponent_root(modes, sign, dps=40):
 
 def exponent_solve_bound(fam, xi, eta, terms, dg, c):
     """First-order bound on |c_solve - c| for the root c of the solve's
-    equation, from `_exponent_newton`'s exit and the rounding of its last
+    equation, from `_exponent_fixed_point`'s exit and the rounding of its last
     Newton step.
 
     Exit: the solve stops within kappa u A0 of the root of the exact Newton
@@ -1126,7 +1136,7 @@ class TestExponentSolveOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_oracle_bitwise(self, case, sign):
         fam, xi, eta = ORACLE_CASES[case]
-        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        c = exponent_solve(fam, xi, eta, sign, "test")
         ref = exponent_solve_oracle(fam, xi, eta, sign, "test")
         assert c.shape == ref.shape and c.dtype == ref.dtype
         assert np.array_equal(c, ref)
@@ -1139,7 +1149,7 @@ class TestExponentSolveOracle:
         # the last step (`exponent_solve_bound`).
         fam, xi, eta = ORACLE_CASES[case]
         xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
-        c = _exponent_fixed_point(fam, xi, eta, sign, "test")
+        c = exponent_solve(fam, xi, eta, sign, "test")
         if not fam.entries:
             assert not np.any(c)
             return
