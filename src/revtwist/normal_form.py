@@ -2,9 +2,12 @@
 
 The pipeline: bring the reversing involution to the exact swap S, solve
 Phi0 . phi = F . Phi0 for the unique normalized Phi0 and the product form
-F = (M(xi eta) xi, M^{-1} eta) (Phi0 then commutes with S), read off
-Gamma = -i log M, and extract the invariants (lambda, eps, s).  Conjugation
-convention throughout: Phi carries the map phi to Phi . phi . Phi^{-1}.
+F = (M(xi eta) xi, M^{-1} eta), read off Gamma = -i log M, and extract the
+invariants (lambda, eps, s).  Phi0 commutes with S (and, under the
+standard reality condition, has real coefficients), so only its xi half
+is solved: Phi0.y is its transpose and F's second series is 1/M
+(`_solve_conjugacy` derives both).  Conjugation convention throughout:
+Phi carries the map phi to Phi . phi . Phi^{-1}.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from .series import (
     _compose,
     _compose_product_form,
     _powers,
+    _product_half,
     _triangle_mask,
     diagonal_series,
+    jet_mul,
     map_compose,
     map_inverse,
     map_residual,
@@ -153,7 +158,9 @@ def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet]:
     return change, map_inverse(change)
 
 
-def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, np.ndarray, np.ndarray, float]:
+def _solve_conjugacy(
+    phi: MapJet, mu: complex, *, reality: str | None = None
+) -> tuple[MapJet, np.ndarray, np.ndarray, float]:
     """Solve Phi0 . phi = F . Phi0 for the normalized Phi0 and F = (xi M, eta M').
 
     phi has the linear part (mu, 1/mu).  With Phi0 and F known through
@@ -170,7 +177,34 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, np.ndarray, np.n
     step composes at order N, so the defect is read in full.  Phi0 . phi
     reads the corner of phi.y's power table (built once at order N, since
     phi is the inner map of every step) that the degree-d Phi0 and order m
-    need; F . Phi0 is the product-form kernel on M and M'.
+    need; F . Phi0 is one `_product_half` per component over t = XY.
+
+    With ``reality`` None both halves are solved.  Given a reality mode,
+    phi must be reversible by the swap S, S phi S = phi^{-1}, and only the
+    xi half is solved, inside the conjugator's symmetry class:
+
+    - Phi0.y = Phi0.x^T.  (S Phi0 S, S F^{-1} S) solves the equation again,
+      S F^{-1} S is a product form and S Phi0 S is normalized, so by
+      uniqueness S Phi0 S = Phi0 and S F S = F^{-1}.  The degree-d xi
+      equation fixes Phi0.x's degree-d entries and M's coefficient from
+      lower degrees alone (Phi0.y's degree-d entries reach the xi half of
+      F . Phi0 only from degree d + 2), so the xi recursion with Phi0.y set
+      to its transpose gives the unique solution, and the eta half holds.
+    - M' = 1/M.  S F S = (xi M', eta M) = F^{-1}, and F . F^{-1} = id reads
+      M(t P) M'(t) = 1 and M'(t P) M(t) = 1 for P = M M', whose product is
+      P(t P) = 1/P.  P(0) = mu/mu = 1; were P = 1 + c t^k + ..., c != 0,
+      its lowest term would read c = -c, so P = 1 and M' is M's reciprocal.
+    - In "standard" mode Phi0.x is real.  For rho(xi, eta) = (etabar,
+      xibar), rho phi rho = phi, and rho Phi0 rho is a normalized solution
+      with the product form (xi conj(M'), eta conj(M)), so rho Phi0 rho =
+      Phi0: Phi0.x = conj(Phi0.y)^T = conj(Phi0.x).  Each degree-d step
+      therefore keeps only the real part of -err/divisor; "surface" mode
+      has no such rho and keeps the complex step.
+
+    The small divisors amplify the rounding of a float64 input most in the
+    directions this class excludes (Phi0.x - Phi0.y^T, Im Phi0.x), so the
+    class is also what keeps high orders within the gates.  The defect is
+    then the xi half's, and M M' - 1 is zero to rounding.
     """
     n = phi.order
     # pows[n + k] = mu^k for k = -N..N+1: the degree-N elimination divides
@@ -198,20 +232,30 @@ def _solve_conjugacy(phi: MapJet, mu: complex) -> tuple[MapJet, np.ndarray, np.n
     m_series[:, 0] = lin[0, 0], lin[1, 1]
     err = np.array([phi.x.coeffs, phi.y.coeffs])
     err[(0, 1), (1, 0), (0, 1)] -= np.diag(lin)
+    # The halves solved: both, or xi alone, whose eta twin is its transpose.
+    halves = 2 if reality is None else 1
+    half = np.arange(halves)
+    err = err[:halves]
     for d in range(2, n + 1):
-        deg = (slice(None), np.arange(d + 1), np.arange(d, -1, -1))  # the degree-d entries
+        rows, cols = np.arange(d + 1), np.arange(d, -1, -1)  # the degree-d entries
+        deg = (slice(halves), rows, cols)
         e = err[deg]
-        phi0[deg] = np.where(resonant[deg], 0.0, -e / divisors[deg])
-        if d % 2:
-            m_series[:, d // 2] = e[0, d // 2 + 1], e[1, d // 2]
+        step = np.where(resonant[deg], 0.0, -e / divisors[deg])
+        phi0[deg] = step.real if reality == "standard" else step
+        if halves == 1:
+            phi0[1, cols, rows] = phi0[0, rows, cols]
+        if d % 2:  # the resonant entry (k+1, k) in xi, (k, k+1) in eta
+            m_series[half, d // 2] = e[half, d // 2 + 1 - half]
         m = min(d + 1, n)
         conj = MapJet(*(Jet(c[: m + 1, : m + 1].copy(), m) for c in phi0))
         x = phi.x.truncate(m)
         pw = np.where(_triangle_mask(m), ypow[: d + 1, : m + 1, : m + 1], 0.0)
-        rhs = _compose_product_form(*m_series, conj)
-        err = np.array([_compose(conj.x, x, pw).coeffs - rhs.x.coeffs,
-                        _compose(conj.y, x, pw).coeffs - rhs.y.coeffs])
+        t = jet_mul(conj.x, conj.y)
+        err = np.array([_compose(c, x, pw).coeffs - _product_half(ms, c, t).coeffs
+                        for c, ms in zip((conj.x, conj.y)[:halves], m_series)])
 
+    if halves == 1:
+        m_series[1] = series_reciprocal(m_series[0])
     defect = max(float(np.abs(err).max()), _unit_defect(*m_series))
     return MapJet(Jet(phi0[0], n), Jet(phi0[1], n)), m_series[0], m_series[1], defect
 
@@ -326,8 +370,10 @@ def full_normalize(
         type extraction relies on; coefficients beyond the head may acquire
         imaginary parts and are returned as computed.
 
-    The inner gate holds Phi0's conjugacy defect and swap asymmetry
-    Phi0.y - Phi0.x^T to 1e-6 of F's scale ("normalization failed").  The
+    Phi0 is solved in its symmetry class: its xi half alone, Phi0.y its
+    transpose, real in "standard" mode, and M' = 1/M (see
+    ``_solve_conjugacy``).  The inner gate holds the xi half's conjugacy
+    defect to 1e-6 of F's scale ("normalization failed").  The
     result is accepted only if conjugator . phi = target . conjugator and
     conjugator . tau = swap . conjugator hold through degree N (and, in
     "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
@@ -360,11 +406,9 @@ def full_normalize(
     if lam_phi.imag <= 0:
         raise ValueError("normalization requires Im lambda > 0")
 
-    phi0, m_series, m_inv, defect = _solve_conjugacy(map_compose(map_compose(change, phi), change_inv), lam_phi)
-    # The swap-reversed S . Phi0 . S is again a normalized conjugator, so by
-    # uniqueness Phi0 commutes with the swap: Phi0.y is Phi0.x transposed.
-    swap_defect = float(np.abs(phi0.y.coeffs - phi0.x.coeffs.T).max())
-    _check_off_form(max(defect, swap_defect), m_series, m_inv)
+    inner = map_compose(map_compose(change, phi), change_inv)
+    phi0, m_series, m_inv, defect = _solve_conjugacy(inner, lam_phi, reality=reality)
+    _check_off_form(defect, m_series, m_inv)
 
     gamma = gamma_from_M(m_series)
     eps, s = extract_eps_s(gamma)

@@ -333,20 +333,23 @@ def map_compose(outer: MapJet, inner: MapJet) -> MapJet:
     return MapJet(_compose(outer.x, inner.x, ypow), _compose(outer.y, inner.x, ypow))
 
 
-def _compose_product_form(m, m_prime, inner: MapJet) -> MapJet:
-    """(X M(XY), Y M'(XY)), the product form (xi M, eta M') after inner = (X, Y), by
-    a Horner loop in t = XY over the (N + 1) // 2 coefficients of each series
-    that reach degree N; a swapped form (eta M, xi M') is the kernel on (Y, X)."""
-    k = (inner.order + 1) // 2
-    t = jet_mul(inner.x, inner.y)
+def _product_half(m, factor: Jet, t: Jet) -> Jet:
+    """factor M(t), one half of a product form, by a Horner loop in t over
+    the (N + 1) // 2 coefficients of the series M that reach degree N."""
+    c = m[: (t.order + 1) // 2]
     one = Jet.constant(1.0, t.order)
-    out = []
-    for c, factor in ((m[:k], inner.x), (m_prime[:k], inner.y)):
-        acc = c[-1] * one
-        for ck in c[-2::-1]:
-            acc = jet_mul(acc, t) + ck * one
-        out.append(jet_mul(factor, acc))
-    return MapJet(*out)
+    acc = c[-1] * one
+    for ck in c[-2::-1]:
+        acc = jet_mul(acc, t) + ck * one
+    return jet_mul(factor, acc)
+
+
+def _compose_product_form(m, m_prime, inner: MapJet) -> MapJet:
+    """(X M(XY), Y M'(XY)), the product form (xi M, eta M') after inner = (X, Y),
+    one `_product_half` per component over the shared t = XY; a swapped
+    form (eta M, xi M') is the kernel on (Y, X)."""
+    t = jet_mul(inner.x, inner.y)
+    return MapJet(_product_half(m, inner.x, t), _product_half(m_prime, inner.y, t))
 
 
 def map_inverse(phi: MapJet) -> MapJet:

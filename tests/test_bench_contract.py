@@ -6,6 +6,7 @@ import ast
 import importlib.util
 import inspect
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def load_bench_module(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -164,3 +166,18 @@ def test_tracer_counts_obstruction_branches(s, n, alpha, steps, default_steps):
     counts = traced_counts(lambda: Hn_obstruction(a, tp, n, t=1e-2))
     assert counts == {"twist.h_eval": (default_steps, 0),
                       "twist._exponent_fixed_point": ((default_steps + 1) * n * 2, 0)}
+
+
+@pytest.mark.parametrize("seed", [120, 420])
+def test_normal_form_workload_draws_no_refused_operation(seed, monkeypatch):
+    # The s = 1 operation the normal_form workload draws at these seeds
+    # (lambda = e^{2.489i} at seed 420) was refused at N = 16 by the
+    # two-half elimination, with off-form residuals 3.296e-06 (seed 120)
+    # and 1.618e-06 (seed 420); solved in Phi0's symmetry class it passes
+    # every check of the workload.
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = load_bench_module("workloads")
+    op, = (op for op in workloads.normal_form_ops(seed) if op.label.startswith("normalize s=1 "))
+    checks = workloads.Checks()
+    op.check(op.run(lambda fn, *args: fn(*args)), checks)
+    assert checks.problems == []

@@ -6,6 +6,7 @@ back.  Invariants are checked against hand-computed model maps.
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -369,10 +370,18 @@ def test_full_normalize_negative_eps():
     assert res.residual < 1e-9
 
 
+@functools.lru_cache(maxsize=None)
+def planted_frame(n, seed):
+    """The inverse of the planted frame real_swap_commuting_map(default_rng(seed),
+    n, 0.04) and the inverse of that inverse, kept per (n, seed): these
+    two inverses are most of the cost of a planted input at high order."""
+    inverse = map_inverse(real_swap_commuting_map(np.random.default_rng(seed), n, 0.04))
+    return inverse, map_inverse(inverse)
+
+
 def planted_swap_reversible(theta, s, n, seed=1):
-    target = normal_form_map(np.exp(1j * theta), 1, s, n)
-    frame = real_swap_commuting_map(np.random.default_rng(seed), n, 0.04)
-    return conjugate_map(map_inverse(frame), target)
+    inverse, frame = planted_frame(n, seed)
+    return map_compose(map_compose(inverse, normal_form_map(np.exp(1j * theta), 1, s, n)), frame)
 
 
 @pytest.mark.parametrize("theta,n", [(0.7, 12)] + [(t, n) for t in (1.3, 2.4) for n in (8, 12, 16)])
@@ -391,12 +400,39 @@ def test_full_normalize_matches_swap_pair(theta, n):
 
 def test_full_normalize_order_boundary():
     # The highest order the inner gate accepts depends on lambda and s: at
-    # N = 24 lambda = e^{2.4i}, s = 2 still passes, while already at N = 16
-    # lambda = e^{0.7i}, s = 1 fails the inner gate with one error.
+    # N = 24 lambda = e^{2.4i}, s = 2 passes, while at N = 28
+    # lambda = e^{0.7i}, s = 1 fails the inner gate with one error: the
+    # rounding of the input, amplified through |lambda^k - 1| = 0.017,
+    # 0.034 and 0.05 at k = 9, 18 and 27, sets Phi0's top degrees there.
     res = full_normalize(planted_swap_reversible(2.4, 2, 24))
     assert (res.eps, res.s) == (1, 2) and res.residual < 1e-9
     with pytest.raises(ValueError, match="normalization failed"):
-        full_normalize(planted_swap_reversible(0.7, 1, 16))
+        full_normalize(planted_swap_reversible(0.7, 1, 28))
+
+
+# Every (theta, s, N) of the order sweep passes the final gate except these.
+SWEEP_REFUSED = {(0.7, 1, 28)}
+
+
+@pytest.mark.parametrize("theta,s,n,seed", [(t, s, n, 1) for t in (0.7, 1.225, 2.4) for s in (1, 2)
+                                            for n in (12, 16, 20, 24, 28)] + [(0.7, 1, 16, 7)])
+def test_full_normalize_order_sweep(theta, s, n, seed):
+    # Each planted input either passes the final gate with its planted
+    # (eps, s) and lambda, or is refused with one "normalization failed"
+    # line.  Among the passing ones are the inputs a solve outside Phi0's
+    # symmetry class refused: theta = 1.225, s = 1 at N = 20; theta = 0.7,
+    # s = 2 at N = 24 and 28; theta = 0.7, s = 1 at N = 16 on the frames
+    # of seeds 1 and 7.
+    phi = planted_swap_reversible(theta, s, n, seed)
+    if (theta, s, n) in SWEEP_REFUSED:
+        with pytest.raises(ValueError, match="normalization failed") as refused:
+            full_normalize(phi)
+        assert "\n" not in str(refused.value)
+        return
+    res = full_normalize(phi)
+    assert (res.eps, res.s) == (1, s)
+    assert abs(res.lam - np.exp(1j * theta)) < 1e-10
+    assert res.residual <= 1e-6 * max(1.0, phi.max_abs())
 
 
 def test_full_normalize_general_involution():
@@ -600,15 +636,55 @@ def test_conjugacy_matches_dense_form_loop_bitwise(theta, s, n):
     assert assert_bitwise_conjugacy(phi, phi.x.coeff(1, 0))[3] < 1e-9
 
 
-def test_conjugacy_matches_full_order_loop_on_surface_pair():
-    # The pair full_normalize(reality="surface") solves: phi brought into
-    # the frame where tau1 is the swap.
-    n = 12
+def surface_pair_inner():
+    """The map full_normalize(reality="surface") solves for an order-12
+    surface pair: phi brought into the frame where tau1 is the swap, and its mu."""
     fam = CoefficientFamily({(4, 0): 0.05 + 0.02j, (2, 1): 0.03 - 0.01j}, 1)
-    tau1, _, phi = involution_jets(fam, TwistParams(alpha=0.73, s=1), order=n)
+    tau1, _, phi = involution_jets(fam, TwistParams(alpha=0.73, s=1), order=12)
     change, change_inv = linearize_involution(tau1)
-    inner = map_compose(map_compose(change, phi), change_inv)
-    assert assert_same_conjugacy(inner, phi.x.coeff(1, 0)) < 1e-9
+    return map_compose(map_compose(change, phi), change_inv), phi.x.coeff(1, 0)
+
+
+def test_conjugacy_matches_full_order_loop_on_surface_pair():
+    assert assert_same_conjugacy(*surface_pair_inner()) < 1e-9
+
+
+def assert_xi_half_conjugacy(phi, mu, reality):
+    """The xi-half solve in Phi0's symmetry class: Phi0.y is Phi0.x
+    transposed bit for bit, Phi0.x is real in "standard" mode, and both
+    halves of Phi0 . phi = F . Phi0 hold.  M and M' agree with the
+    two-half loop to rounding, Phi0.x to rounding plus the two-half
+    loop's own departure from the class (its Phi0.x - Phi0.y^T and, in
+    "standard" mode, Im Phi0.x): the small divisors amplify the rounding
+    of both loops in the directions the class excludes, and at s = 1
+    that departure reaches 1.7e-11 by N = 16."""
+    tol = 1e-12 * max(1.0, phi.max_abs())
+    phi0, m_series, m_inv, defect = _solve_conjugacy(phi, mu, reality=reality)
+    two_half, m_two, m_inv_two, _ = _solve_conjugacy(phi, mu)
+    assert np.array_equal(phi0.y.coeffs, phi0.x.coeffs.T)
+    if reality == "standard":
+        assert not phi0.x.coeffs.imag.any()
+        departure = float(np.abs(two_half.x.coeffs.imag).max())
+    else:
+        assert phi0.x.coeffs.imag.any()
+        departure = 0.0
+    departure = max(departure, float(np.abs(two_half.x.coeffs - two_half.y.coeffs.T).max()))
+    assert float(np.abs(phi0.x.coeffs - two_half.x.coeffs).max()) <= tol + departure
+    assert np.abs(m_series - m_two).max() <= tol and np.abs(m_inv - m_inv_two).max() <= tol
+    assert map_residual(map_compose(phi0, phi), _compose_product_form(m_series, m_inv, phi0)) <= tol
+    assert defect <= tol
+
+
+@pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2, 3) for n in range(8, 17)])
+def test_xi_half_conjugacy_matches_two_half_loop(s, n):
+    phi = planted_swap_reversible(2.4, s, n)
+    assert_xi_half_conjugacy(phi, phi.x.coeff(1, 0), "standard")
+
+
+def test_xi_half_conjugacy_on_surface_pair():
+    # "surface" mode transposes but does not project onto the reals: the
+    # surface pair's conjugator is not real.
+    assert_xi_half_conjugacy(*surface_pair_inner(), "surface")
 
 
 @pytest.mark.parametrize("n,terms", [(2, 1), (3, 2), (8, 1), (8, 4), (13, 7), (8, 9)])
@@ -695,7 +771,7 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 473, "map_compose": 9, "passes": 0, "map_inverse": 1}
+    assert counts == {"jet_mul": 350, "map_compose": 9, "passes": 0, "map_inverse": 1}
 
 
 def count_exponent_solves(monkeypatch):
