@@ -360,10 +360,12 @@ def map_inverse(phi: MapJet) -> MapJet:
     psi = L^{-1}, where P is the nonlinear part of phi.  If the lowest
     nonzero total degree of P is d, psi = L^{-1} is right through degree
     d - 1 and each pass fixes d - 1 more degrees, so (N - d) // (d - 1) + 1
-    passes reach degree N (none for a linear phi).  This holds bit for bit
-    in floating point: a degree-m coefficient of P(psi) is computed from
-    coefficients of psi of degree at most m - d + 1 alone.  The pass count
-    is the one stopping rule: a pass at the fixed point returns its input.
+    passes reach degree N (none for a linear phi): a degree-m coefficient
+    of P(psi) is computed from coefficients of psi of degree at most
+    m - d + 1 alone.  So pass p composes at the order (p + 2)(d - 1) it
+    fixes, at most N, and pads back to N.  The pass count is the one
+    stopping rule: a later pass recomputes a fixed degree bit for bit
+    unless `jet_mul` changes path (dense or shift-and-add) for it.
     """
     n = phi.order
     if not phi.fixes_origin():
@@ -395,8 +397,9 @@ def map_inverse(phi: MapJet) -> MapJet:
         )
 
     psi = linmap(ident)
-    for _ in range(passes):
-        psi = linmap(ident - map_compose(pnl, psi))
+    for p in range(passes):
+        m = min(n, (p + 2) * (d - 1))
+        psi = linmap(ident - map_compose(pnl.truncate(m), psi.truncate(m)).truncate(n))
     return psi
 
 

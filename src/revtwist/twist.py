@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath
 import numpy as np
@@ -180,35 +180,41 @@ KAPPA = 2.0
 
 
 def _mode_bounds(bands: dict):
-    """radii -> (K, A0, A1, A2) for the modes of a family on one level set.
+    """(radii, lo, hi) -> (K, A0, A1, A2) for a family's modes on a level set.
 
-    The modes of `_band_terms` are B_k x^k (k >= 0) and B_k y^{-k} (k < 0).
-    The band maxima max|B_k| are taken here, once; given radii (rx, ry) of
-    the points x, y, A_p = sum_k |k|^p max|B_k| r^{|k|} (r = rx for k >= 0,
-    ry for k < 0) bounds sum_k |k|^p |m_k| at every point, and K is the
-    largest |k|.
+    The modes of `_band_terms` are B_k x^k (k >= 0) and B_k y^{-k} (k < 0),
+    turned by u = e^{i sign c} into B_k (u x)^k and B_k (y/u)^{-k}.  The
+    band maxima max|B_k| are taken here, once.  Given radii (rx, ry) of the
+    points x, y and lo <= sign Im c <= hi at each, A_p = sum_k |k|^p
+    max|B_k| q^{|k|}, q = rx e^{-lo} for k >= 0 and ry e^{hi} for k < 0,
+    bounds sum_k |k|^p |m_k u^k| at every point (inf past float64's
+    range), and K is the largest |k|.
     """
     terms = [(abs(k), k >= 0, float(np.abs(b).max())) for k, b in bands.items()]
     K = max((k for k, _, _ in terms), default=0)
 
-    def bounds(radii):
-        rx, ry = radii
+    def bounds(radii, lo, hi):
         a0 = a1 = a2 = 0.0
-        for k, on_x, b in terms:
-            a = b * (rx if on_x else ry) ** k
-            a0, a1, a2 = a0 + a, a1 + k * a, a2 + k * k * a
+        try:
+            px, py = radii[0] * math.exp(-lo), radii[1] * math.exp(hi)
+            for k, on_x, b in terms:
+                a = b * (px if on_x else py) ** k
+                a0, a1, a2 = a0 + a, a1 + k * a, a2 + k * k * a
+        except OverflowError:
+            return K, math.inf, math.inf, math.inf
         return K, a0, a1, a2
 
     return bounds
 
 
-def _newton_certified(bounds, cmax: float, dmax: float) -> bool:
-    """Whether the Newton iterate c, after a step delta, is certified within
-    kappa u A0 of the root (the derivation is in `_exponent_fixed_point`):
-    rho = e^{K (max|c| + 2 max|delta|)}, L = rho A1 < 1 and
+def _newton_certified(bounds, dmax: float) -> bool:
+    """Whether the Newton iterate c, after a step delta from c_p, is certified
+    within kappa u A0 of the root (the derivation is in
+    `_exponent_fixed_point`), bounds = (K, A0, A1, A2) at the phases of c_p:
+    rho = e^{3 K max|delta|}, L = rho A1 < 1 and
     rho A2 max|delta|^2 / 2 <= (1 - L) min(kappa u A0, 2 max|delta|)."""
     K, a0, a1, a2 = bounds
-    x = K * (cmax + 2.0 * dmax)
+    x = 3.0 * K * dmax
     if not x < 709.0:  # rho past the float64 range: nothing to certify
         return False
     rho = math.exp(x)
@@ -224,40 +230,34 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, 
     The points (x, y) lie on the level set x*y = t of bands =
     fam._bands(t), which the phase change by u = e^{i sign c} keeps, so
     g(c) = sum_k m_k u^k on the modes m_k of fam at (x, y) (`_band_terms`),
-    whose keys are fam._mode_powers.  bounds = (K, A0, A1, A2) bounds
-    them: A_p >= sum_k |k|^p |m_k| at every point, K >= every |k|
-    (`_mode_bounds` at the radii of (x, y)).  g'(c) = i sign sum_k k m_k u^k.
-    Newton on c - g(c) takes its first step in closed form, c = g/(1 - g')
-    at u = 1; each later step delta, c <- c - delta, costs one exp.
+    whose keys are fam._mode_powers.  bounds(lo, hi) = (K, A0, A1, A2)
+    bounds them wherever lo <= sign Im c <= hi (`_mode_bounds` at the radii
+    of (x, y), partially applied).  g'(c) = i sign sum_k k m_k u^k.  Newton
+    on c - g(c) takes its first step in closed form, c = g/(1 - g') at
+    u = 1; each later step delta, c <- c - delta, costs one exp.
 
-    Exit, in contraction-mapping form.  After a step delta to c, let
-    M = max|c| + 2 max|delta| and rho = e^{K M}.  On the disk |z| <= M
-    every |e^{i sign k z}| <= e^{|k| |z|} <= rho, so |g'| <= L = rho A1 and
-    |g''| <= rho A2 there.  The segment from the previous iterate to c lies
-    in it, and Newton's step makes c - g(c) the remainder of g's linear
-    Taylor expansion along it: |c - g(c)| <= E = rho A2 max|delta|^2 / 2.
-    If L < 1, g maps the disk D = {|z - c| <= r}, r = E / (1 - L), into
-    itself (|g(z) - c| <= L r + E = r), and D lies in |z| <= M while
-    r <= 2 max|delta|.  So D holds a root, the only one with |z| <= M, at
-    most r from c, and |g'| <= L < 1 there: the branch the plain iteration
-    c <- g(c) converges to.  The solve returns c once
+    The one exit, in contraction-mapping form.  Let a step delta from c_p,
+    the iterate the sums were taken at (0 for the first step), reach c; let
+    lo and hi be the least and greatest sign Im c_p, rho = e^{3 K max|delta|}
+    and B the disk of radius 3 max|delta| about each point's c_p.  On B each
+    |u^k| is at most rho times its bound at c_p, so with (K, A0, A1, A2) =
+    bounds(lo, hi), |g'| <= L = rho A1 and |g''| <= rho A2 there.  The
+    segment from c_p to c lies in B, and Newton's step makes c - g(c) the
+    remainder of the linear Taylor expansion of z - g(z) about c_p:
+    |c - g(c)| <= E = rho A2 max|delta|^2 / 2.  If L < 1, g maps the disk
+    D = {|z - c| <= r}, r = E / (1 - L), into itself (|g(z) - c| <= L r +
+    E = r), and D lies in B while r <= 2 max|delta|.  So D holds a root, the
+    only one in B, at most r from c, and |g'| <= L < 1 there: the branch the
+    plain iteration c <- g(c) converges to.  The solve returns c once
     r <= min(kappa u A0, 2 max|delta|) (`_newton_certified`), with u = 2^-53
     the unit roundoff and kappa = 2 < sqrt5: the truncation left is below
     the sqrt5 u sum_k |m_k u^k| to which the complex products of the sum g
-    alone are rounded, a sum that reaches A0 at |u| = 1.  The bound uses
-    the computed step, so c carries the rounding of that step besides.
-
-    Fallback, where the bound cannot fire (L >= 1, or rounding keeps E
-    above kappa u A0): the solve stops at a step of at most
-    4e-16 (1 + max|c|), the first step included, within 80 steps, and
-    accepts a root reached after the first step only where max|g'| < 1 at
-    the start of that step.  An iterate the bound accepts passes that
-    branch check too (|g'| <= L < 1 on the disk).  Otherwise SolverError,
-    "exponent iteration did not converge", names the exit: a non-finite
-    iterate, 80 steps without either stop (with the last step size), or a
-    root outside the contraction region (max|g'| >= 1).  No modes (an
-    empty family) give the root c = 0 of the shape of x, returned without
-    a step.
+    alone are rounded, a sum that A0 bounds at c_p.  The bound uses the
+    computed step, so c carries the rounding of that step besides.
+    Otherwise SolverError, "exponent iteration did not converge", names one
+    of two causes: a non-finite iterate (found by its step) or 80 steps
+    without a certified root (with the last step size).  No modes (an empty
+    family) give the root c = 0 of the shape of x, returned without a step.
     """
     modes = _band_terms(fam, bands, x, y)
     if not modes:
@@ -277,25 +277,21 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, 
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
         g, dg = sums(None)
-        c = g / (1.0 - isign * dg)
+        c = step = g / (1.0 - isign * dg)
+        lo = hi = 0.0
         for n in range(80):
             if n:
+                lo, hi = float(c.imag.min()), float(c.imag.max())
+                if sign < 0:
+                    lo, hi = -hi, -lo
                 g, dg = sums(_power_table(np.exp(isign * c), fam._mode_powers))
                 step = (c - g) / (1.0 - isign * dg)
                 c = c - step
-            cmax = float(np.abs(c).max())
-            if not cmax < math.inf:
+            dmax = float(np.abs(step).max())
+            if not dmax < math.inf:
                 raise SolverError(f"{fail}: non-finite iterate at step {n + 1}")
-            # The first step, from c = 0, has the modulus of c.
-            dmax = float(np.abs(step).max()) if n else cmax
-            if _newton_certified(bounds, cmax, dmax):
+            if _newton_certified(bounds(lo, hi), dmax):
                 return c
-            if dmax <= 4e-16 * (1.0 + cmax):
-                gmax = float(np.abs(dg).max())
-                if n == 0 or gmax < 1.0:
-                    return c
-                raise SolverError(f"{fail}: the root lies outside the contraction "
-                                  f"region, max|g'| = {gmax:.3g} >= 1")
     raise SolverError(f"{fail}: 80 steps without a certified root, last step {dmax:.3e}")
 
 
@@ -310,12 +306,12 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
     step(x, y, radii) -> (x', y', phase, radii'), radii the polydisk radii
     (max|x|, max|y|) that a guard measured on the input.  The inverse of
     phi_g solves c = g(e^{-ic} x, e^{ic} y) (`_exponent_fixed_point`),
-    bounded at those radii, and exits once its error is certified below
-    kappa u A0, or by the step-size fallback; phi_f then multiplies by
-    e^{+-i f} at the model's image, f its Laurent sum (`_laurent`).  x' is
-    the source coordinate (x, or y when swapping) times turn e^{i phase},
-    phase = f - c, or f + c when swapping.  The output must pass the
-    polydisk guard, whose radii are radii' (`_guard_inside`).
+    bounded at those radii, and returns only once its error is certified
+    below kappa u A0; phi_f then multiplies by e^{+-i f} at the model's
+    image, f its Laurent sum (`_laurent`).  x' is the source coordinate
+    (x, or y when swapping) times turn e^{i phase}, phase = f - c, or
+    f + c when swapping.  The output must pass the polydisk guard, whose
+    radii are radii' (`_guard_inside`).
     """
     fb = f._bands(t)
     gb = fb if g is f else g._bands(t)
@@ -325,7 +321,7 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
     def step(x, y, radii):
-        c = _exponent_fixed_point(g, gb, x, y, -1, inverse, bounds(radii))
+        c = _exponent_fixed_point(g, gb, x, y, -1, inverse, partial(bounds, radii))
         if swap:
             q = turn * np.exp(1j * c)
             x, y = q * y, x / q

@@ -37,7 +37,8 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
     zeta w and zeta / w), at dps digits: h = Sigma / (n zeta^{2s}); S,
     the sum over the steps of |f_k| + |c_k| taken term by term; the
     largest d sum |g-terms| of the inverse exponent (d the largest mode);
-    |t|; and the largest |xi_k| and |eta_k| of the orbit."""
+    |t|; the largest |xi_k| and |eta_k| of the orbit; and the largest
+    |Im c_k| of its inverse exponents."""
     z = np.asarray(zeta, dtype=complex)
     xis, etas = z * w, z / w
     g = {k: -np.conj(v) for k, v in a.entries.items()}
@@ -48,7 +49,7 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
             x, t = mpmath.mpc(complex(xi0)), mpmath.mpc(complex(xi0)) * mpmath.mpc(complex(eta0))
             turn = mpmath.expj(mpmath.mpf(tp.alpha) + t**tp.s)
             total = S = 0
-            worst = rx = ry = 0
+            worst = rx = ry = im = 0
             for _ in range(n):
                 rx, ry = max(rx, abs(x)), max(ry, abs(t / x))
                 c = mpmath.mpc(0)
@@ -60,6 +61,7 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
                         break
                     c = c_new
                 c = c_new
+                im = max(im, abs(c.imag))
                 S += sum(abs(v) for v in terms)
                 worst = max(worst, d * sum(abs(v) for v in terms))
                 x = turn * mpmath.expj(-c) * x
@@ -69,22 +71,26 @@ def phase_sum_oracle(a, tp, n, zeta, w, dps=40):
                 x = mpmath.expj(f) * x
                 total += f - c
             h = total / (n * mpmath.mpc(complex(z)) ** (2 * tp.s))
-            out.append((complex(h), float(S), float(worst), float(abs(t)), float(rx), float(ry)))
+            out.append((complex(h), float(S), float(worst), float(abs(t)), float(rx), float(ry),
+                        float(im)))
     return out
 
 
-def solve_truncation(a, n, abs_t, rx, ry):
+def solve_truncation(a, n, abs_t, rx, ry, im):
     """What the exits of an orbit's n inverse-exponent solves may leave in
     Sigma: each c is certified within KAPPA u A0 of its root
-    (`_exponent_fixed_point`), A0 = sum_k max|B_k| r^{|k|} over the modes
-    of g = -abar at the radii of the step's input, the start points'
-    included, which are at most the radii (rx, ry) of the orbit's points
-    (r = rx for k >= 0, ry for k < 0), each within 1e-12 relative of the
-    oracle's."""
+    (`_exponent_fixed_point`), A0 = sum_k max|B_k| q^{|k|} over the modes
+    of g = -abar at the radii of the step's input turned by the phase of
+    the iterate c_p of the last step (`_mode_bounds`): q <= r e^{|Im c_p|},
+    r at most the radii (rx, ry) of the orbit's points, the start points'
+    included (r = rx for k >= 0, ry for k < 0), each within 1e-12 relative
+    of the oracle's, and c_p within 1e-6 of its root, whose |Im c| is at
+    most im."""
     bands = {}
     for (i, j), v in a.entries.items():
         bands[i - j] = bands.get(i - j, 0) + abs(v) * abs_t ** min(i, j)
-    radii = {True: rx * (1 + 1e-12), False: ry * (1 + 1e-12)}
+    turn = (1 + 1e-12) * math.exp(im + 1e-6)
+    radii = {True: rx * turn, False: ry * turn}
     return KAPPA * U * n * sum(b * radii[k >= 0] ** abs(k) for k, b in bands.items())
 
 
@@ -140,9 +146,10 @@ def test_phase_sum_against_a_40_digit_oracle(tp, n, fam):
     oracle = phase_sum_oracle(fam, tp, n, zeta0, w)
     # The kernel's radii are the largest over all four points.
     rx, ry = max(o[4] for o in oracle), max(o[5] for o in oracle)
-    for got, (want, S, worst, abs_t, _, _) in zip(h, oracle):
+    im = max(o[6] for o in oracle)
+    for got, (want, S, worst, abs_t, *_) in zip(h, oracle):
         assert worst <= 0.5
-        T = solve_truncation(fam, n, abs_t, rx, ry)
+        T = solve_truncation(fam, n, abs_t, rx, ry, im)
         assert abs(got - want) <= phase_sum_bound(fam, tp, n, zeta0, S, abs_t, T)
 
 
@@ -229,22 +236,26 @@ def test_pair_phase_sum_matches_the_end_point_form(tp, n, a, abar):
 def test_every_solve_is_bounded_at_its_own_input(monkeypatch, tp, n, a, abar):
     # The mode bounds of each exponent solve come from the radii that a
     # guard measured, which must be those of the solve's own input: at
-    # every point A_p >= sum_k |k|^p |m_k| (up to the rounding of both
-    # sides).  Off the unit w-circle |xi| != |eta|, and each swap of the
-    # pair trades them, so tau1 must be handed the radii of tau2's output
-    # and tau2 those of tau1's: the radii of a factor's own last output
-    # would be those of the other coordinate.  The pointwise maps hand
-    # them on the same way.
+    # every point A_p >= sum_k |k|^p |m_k u^k|, at c = 0 (u = 1,
+    # lo = hi = 0) and at the root, lo and hi its least and greatest
+    # sign Im c (up to the rounding of both sides).  Off the unit w-circle
+    # |xi| != |eta|, and each swap of the pair trades them, so tau1 must
+    # be handed the radii of tau2's output and tau2 those of tau1's: the
+    # radii of a factor's own last output would be those of the other
+    # coordinate.  The pointwise maps hand them on the same way.
     calls = []
     solve = twist._exponent_fixed_point
 
     def checked(fam, bands, x, y, sign, what, bounds):
         modes = _band_terms(fam, bands, x, y)
-        for p, bound in enumerate(bounds[1:]):
-            total = sum(abs(k) ** p * np.abs(m) for k, m in modes.items())
-            assert np.all(total <= bound * (1 + 1e-12)), (what, p)
+        c = solve(fam, bands, x, y, sign, what, bounds)
+        phase = sign * c.imag
+        for lo, hi, u in (0.0, 0.0, 1.0), (phase.min(), phase.max(), np.exp(1j * sign * c)):
+            for p, bound in enumerate(bounds(lo, hi)[1:]):
+                total = sum(abs(k) ** p * np.abs(m * u**k) for k, m in modes.items())
+                assert np.all(total <= bound * (1 + 1e-12)), (what, p)
         calls.append(what)
-        return solve(fam, bands, x, y, sign, what, bounds)
+        return c
 
     monkeypatch.setattr(twist, "_exponent_fixed_point", checked)
     zeta0 = _beta_window(tp, n)[1]

@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -39,6 +40,7 @@ from revtwist.twist import (
     _solve_branch,
     _step_bound,
 )
+from test_orbit_kernel import AXIS_A
 
 
 U = 2.0**-53  # unit roundoff of float64
@@ -892,7 +894,8 @@ def exponent_solve(fam, xi, eta, sign, what):
     (max|xi|, max|eta|) as the polydisk guard measures them."""
     xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex))
     bands = fam._bands(xi * eta)
-    bounds = _mode_bounds(bands)((float(np.abs(xi).max()), float(np.abs(eta).max())))
+    radii = float(np.abs(xi).max()), float(np.abs(eta).max())
+    bounds = partial(_mode_bounds(bands), radii)
     return _exponent_fixed_point(fam, bands, xi, eta, sign, what, bounds)
 
 
@@ -939,12 +942,12 @@ class TestExponentSolve:
     @pytest.mark.parametrize("entries", [{(3, 0): 1.0}, {(4, 0): 1.0}, {(4, 0): -1.0}])
     def test_divergent_input_raises(self, entries, sign):
         # Far outside the solver disk, Newton converges to a root where the
-        # plain iteration would not: max|g'| >= 1 there.
+        # plain iteration would not: max|g'| >= 1 there, so no disk about
+        # it contracts and no step is certified.
         fam = CoefficientFamily(entries, 1, _validate=False)
         point = np.full(4, 0.99), np.full(4, 0.99)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
-                           r"the root lies outside the contraction region, max\|g'\| = "
-                           r"\S+ >= 1$"):
+                           r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
             exponent_solve(fam, *point, sign, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
             exponent_solve_oracle(fam, *point, sign, "test")
@@ -970,14 +973,26 @@ class TestExponentSolve:
             exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
 
     def test_cycling_newton_raises(self):
-        # c = 0.8i e^{-ic}: Newton cycles with steps of order one and meets
-        # neither stop in 80 steps.
+        # c = 0.8i e^{-ic}: Newton cycles with steps of order one and is
+        # never certified in 80 steps.
         fam = CoefficientFamily({(1, 0): 0.8j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
             exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
             exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+
+    def test_iterate_past_the_exp_range_raises(self):
+        # 1 - i g' = -1e-3 at c = 0: the first step lands at Im c ~ 1000,
+        # where e^{ic} underflows and the next step returns to 0, and so on.
+        # The bound's phase factor e^{Im c} is then past float64's range: it
+        # certifies nothing, and raises no OverflowError.
+        fam = CoefficientFamily({(1, 0): -1.001j}, 1, _validate=False)
+        with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
+                           r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
+            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, 1, "test")
+        with pytest.raises(SolverError, match="exponent iteration did not converge"):
+            exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, 1, "test")
 
     @settings(derandomize=True, deadline=None)
     @given(s=st.sampled_from([1, 2]),
@@ -1005,14 +1020,16 @@ class TestExponentSolve:
 
 def exponent_solve_oracle(fam, xi, eta, sign, what):
     """The exponent solve as first written (Newton from c = 0 with sums
-    started from zeros, both stopping maxima taken on every pass), with the
-    certified exit on the solve's own bounds: the reference that the leaner
-    solve, whose first step is the closed form g / (1 - g'), must match bit
-    for bit.  Its modes are the band terms of fam at the point."""
+    started from zeros, the phase extremes and the step maximum taken on
+    every pass), with the certified exit on the solve's own bounds: the
+    reference that the leaner solve, whose first step is the closed form
+    g / (1 - g'), must match bit for bit.  Its modes are the band terms of
+    fam at the point."""
     xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
     bands = fam._bands(xi * eta)
     modes = _band_terms(fam, bands, xi, eta)
-    bounds = _mode_bounds(bands)((float(np.abs(xi).max()), float(np.abs(eta).max())))
+    radii = float(np.abs(xi).max()), float(np.abs(eta).max())
+    bounds = partial(_mode_bounds(bands), radii)
     shape = np.broadcast(xi, eta).shape
     isign = 1j * sign
 
@@ -1026,18 +1043,16 @@ def exponent_solve_oracle(fam, xi, eta, sign, what):
     c = np.zeros(shape, dtype=complex)
     with np.errstate(all="ignore"):
         for n in range(80):
+            phase = sign * c.imag
+            lo, hi = float(phase.min()), float(phase.max())
             g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
             step = (c - g) / (1.0 - isign * dg)
             c = c - step
-            cmax = np.abs(c).max()
-            if not cmax < math.inf:
+            dmax = float(np.abs(step).max())
+            if not dmax < math.inf:
                 break
-            if _newton_certified(bounds, float(cmax), float(np.abs(step).max())):
+            if _newton_certified(bounds(lo, hi), dmax):
                 return c
-            if np.abs(step).max() <= 4e-16 * (1.0 + cmax):
-                if n == 0 or np.abs(dg).max() < 1.0:
-                    return c
-                break
     raise SolverError(f"{what}: exponent iteration did not converge")
 
 
@@ -1066,17 +1081,18 @@ def exponent_root(modes, sign, dps=40):
     return out
 
 
-def exponent_solve_bound(fam, xi, eta, terms, dg, c):
+def exponent_solve_bound(fam, xi, eta, sign, terms, dg, c):
     """First-order bound on |c_solve - c| for the root c of the solve's
     equation, from `_exponent_fixed_point`'s exit and the rounding of its last
     Newton step.
 
     Exit: the solve stops within kappa u A0 of the root of the exact Newton
-    step, A0 = sum_k max|B_k| r^{|k|} at the radii r = max|xi|, max|eta|
-    (B_k the bands at t = xi eta, taken here from the entries), or at a
-    step of 4e-16 (1 + |c|), whose truncation is second order.  At that
-    exit rho A2 |delta|^2 / 2 <= kappa u A0 (rho >= 1), so the last step
-    is at most delta = max(sqrt(2 kappa u A0 / A2), 4e-16 (1 + |c|)).
+    step, A0 = sum_k max|B_k| q^{|k|} (B_k the bands at t = xi eta, taken
+    here from the entries) at the radii turned by the phases of the last
+    step's iterate c_p: q = max|xi| e^{-lo} for k >= 0 and max|eta| e^{hi}
+    for k < 0, lo and hi the least and greatest sign Im c_p, to first order
+    those of the root.  At that exit rho A2 |delta|^2 / 2 <= kappa u A0
+    (rho >= 1), so the last step is at most delta = sqrt(2 kappa u A0 / A2).
 
     Rounding of that step c - (c - g) / (1 - g') from the previous
     iterate, whose terms t_k = m_k u^k are those at the root to first
@@ -1095,12 +1111,13 @@ def exponent_solve_bound(fam, xi, eta, terms, dg, c):
     bands = {}
     for (i, j), v in fam.entries.items():
         bands[i - j] = bands.get(i - j, 0) + v * t ** min(i, j)
-    radii = {True: float(np.abs(xi).max()), False: float(np.abs(eta).max())}
+    phase = [sign * float(v.imag) for v in c.ravel()]
+    radii = {True: float(np.abs(xi).max()) * math.exp(-min(phase)),
+             False: float(np.abs(eta).max()) * math.exp(max(phase))}
     size = {k: float(np.abs(b).max()) * radii[k >= 0] ** abs(k) for k, b in bands.items()}
     a0 = sum(size.values())
     a2 = sum(k * k * v for k, v in size.items())
-    cmax = max(float(abs(v)) for v in c.ravel())
-    delta = max(math.sqrt(2 * KAPPA * U * a0 / a2), 4e-16 * (1 + cmax))
+    delta = math.sqrt(2 * KAPPA * U * a0 / a2)
     w = {k: abs(k) * (EXP + 2 * PRODUCT) + PRODUCT + len(bands) - 1 for k in bands}
     bound = np.empty(np.shape(c))
     for idx in np.ndindex(np.shape(c)):
@@ -1128,6 +1145,9 @@ ORACLE_CASES = {
                                              (1, 4): np.linspace(-0.2, 0.2, 6)}, 1,
                                             _validate=False),
                           0.5 * np.exp(2j * np.pi * np.arange(6) / 6), np.full(6, 0.4 - 0.1j)),
+    # The near-axis point of the orbit kernel's axis test: the mode eta^80
+    # gives K = 80, and only the phase of the iterate certifies the root.
+    "near-axis": (AXIS_A, 1e-4 + 0j, 0.9 + 0j),
 }
 
 
@@ -1155,7 +1175,7 @@ class TestExponentSolveOracle:
             return
         modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
         root, terms, dg = exponent_root(modes, sign)
-        bound = exponent_solve_bound(fam, xi, eta, terms, dg, root)
+        bound = exponent_solve_bound(fam, xi, eta, sign, terms, dg, root)
         err = np.array([float(abs(mpmath.mpc(complex(v)) - r)) for v, r in
                         zip(np.broadcast_to(c, root.shape).ravel(), root.ravel())])
         assert np.all(err <= bound.ravel())
