@@ -139,22 +139,23 @@ class NormalFormResult:
 
 
 def linearize_involution(tau: MapJet) -> tuple[MapJet, MapJet]:
-    """Return (change, change_inv), checked by change . tau = (eta, xi) . change.
+    """Return (change, change_inv) with change . tau = (eta, xi) . change.
 
     The change is the half-power scaling average
     xi' = lambda0^{-1/2} (xi + lambda0 * (eta . tau)) / 2,
     eta' = lambda0^{1/2} (eta + lambda0bar * (xi . tau)) / 2,
-    which sends tau to the exact swap and preserves the standard reality
-    condition whenever tau satisfies it.
+    which sends tau to the exact swap S and preserves the standard reality
+    condition whenever tau satisfies it.  For |lambda0| = 1, componentwise,
+    change . tau - S . change = (lambda0^{1/2} ((tau . tau).y - eta),
+    lambda0^{-1/2} ((tau . tau).x - xi)) / 2, and |lambda0| = 1 + delta adds
+    about delta max(1, |tau|); past `_check_involution` the defect is so at
+    most about 1.5e-10 max(1, |tau|) plus rounding, and is not checked.
     """
     n = tau.order
     lam0 = _check_involution(tau)
     half = np.exp(0.5j * np.angle(lam0))
-    cx = (Jet.coordinate("xi", n) + lam0 * tau.y) * (0.5 / half)
-    cy = (Jet.coordinate("eta", n) + np.conj(lam0) * tau.x) * (0.5 * half)
-    change = MapJet(cx, cy)
-    if map_residual(map_compose(change, tau), MapJet(cy, cx)) > CONJUGATION_TOL * max(1.0, tau.max_abs()):
-        raise ValueError("linearization failed to reach the swap involution")
+    change = MapJet((Jet.coordinate("xi", n) + lam0 * tau.y) * (0.5 / half),
+                    (Jet.coordinate("eta", n) + np.conj(lam0) * tau.x) * (0.5 * half))
     return change, map_inverse(change)
 
 
@@ -370,15 +371,18 @@ def full_normalize(
         type extraction relies on; coefficients beyond the head may acquire
         imaginary parts and are returned as computed.
 
-    Phi0 is solved in its symmetry class: its xi half alone, Phi0.y its
-    transpose, real in "standard" mode, and M' = 1/M (see
+    tau is brought to the swap S (``linearize_involution``), and phi is
+    checked S-reversible where the solve needs it, on inner = change . phi .
+    change^{-1}, as (S inner)^2 = id to 1e-9 of the inputs' scale ("phi is
+    not tau-reversible").  Phi0 is solved in its symmetry class: its xi half
+    alone, Phi0.y its transpose, real in "standard" mode, and M' = 1/M (see
     ``_solve_conjugacy``).  The inner gate holds the xi half's conjugacy
-    defect to 1e-6 of F's scale ("normalization failed").  The
-    result is accepted only if conjugator . phi = target . conjugator and
-    conjugator . tau = swap . conjugator hold through degree N (and, in
-    "standard" mode, the conjugator is real) to 1e-6 of the inputs' scale;
-    ``residual`` is the worst of these defects.  (eps, s) = (0, S_INFINITY)
-    means Gamma is constant through order N (see ``NormalFormResult``).
+    defect to 1e-6 of F's scale ("normalization failed").  The result is
+    accepted only if conjugator . phi = target . conjugator and conjugator .
+    tau = swap . conjugator hold through degree N (and, in "standard" mode,
+    the conjugator is real) to 1e-6 of the inputs' scale; ``residual`` is
+    the worst of these defects.  (eps, s) = (0, S_INFINITY) means Gamma is
+    constant through order N (see ``NormalFormResult``).
     Phi2 and the target are composed from their series by the product-form kernel.
     """
     n = phi.order if order is None else _check_order(order)
@@ -389,8 +393,8 @@ def full_normalize(
     scale = max(1.0, phi.max_abs(), tau.max_abs())
 
     change, change_inv = linearize_involution(tau)
-    # (tau phi)^2 = id is exactly reversibility phi^{-1} = tau phi tau.
-    res_rev = involution_residual(map_compose(tau, phi))
+    inner = map_compose(map_compose(change, phi), change_inv)
+    res_rev = involution_residual(MapJet(inner.y, inner.x))
     if res_rev > CONJUGATION_TOL * scale:
         raise ValueError(f"phi is not tau-reversible: residual {res_rev:.3e}")
     if reality == "standard":
@@ -406,7 +410,6 @@ def full_normalize(
     if lam_phi.imag <= 0:
         raise ValueError("normalization requires Im lambda > 0")
 
-    inner = map_compose(map_compose(change, phi), change_inv)
     phi0, m_series, m_inv, defect = _solve_conjugacy(inner, lam_phi, reality=reality)
     _check_off_form(defect, m_series, m_inv)
 

@@ -183,9 +183,9 @@ def _mode_bounds(bands: dict):
     """(radii, lo, hi) -> (K, A0, A1, A2) for a family's modes on a level set.
 
     The modes of `_band_terms` are B_k x^k (k >= 0) and B_k y^{-k} (k < 0),
-    turned by u = e^{i sign c} into B_k (u x)^k and B_k (y/u)^{-k}.  The
-    band maxima max|B_k| are taken here, once.  Given radii (rx, ry) of the
-    points x, y and lo <= sign Im c <= hi at each, A_p = sum_k |k|^p
+    turned by u = e^{-ic} into B_k (u x)^k and B_k (y/u)^{-k}.  The band
+    maxima max|B_k| are taken here, once.  Given radii (rx, ry) of the
+    points x, y and lo <= -Im c <= hi at each, A_p = sum_k |k|^p
     max|B_k| q^{|k|}, q = rx e^{-lo} for k >= 0 and ry e^{hi} for k < 0,
     bounds sum_k |k|^p |m_k u^k| at every point (inf past float64's
     range), and K is the largest |k|.
@@ -223,22 +223,21 @@ def _newton_certified(bounds, dmax: float) -> bool:
         KAPPA * UNIT_ROUNDOFF * a0, 2.0 * dmax)
 
 
-def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, what: str,
-                          bounds):
-    """Solve c = g(c) = fam(e^{i sign c} x, e^{-i sign c} y) by Newton's method.
+def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, what: str, bounds):
+    """Solve c = g(c) = fam(e^{-ic} x, e^{ic} y) by Newton's method.
 
     The points (x, y) lie on the level set x*y = t of bands =
-    fam._bands(t), which the phase change by u = e^{i sign c} keeps, so
+    fam._bands(t), which the phase change by u = e^{-ic} keeps, so
     g(c) = sum_k m_k u^k on the modes m_k of fam at (x, y) (`_band_terms`),
     whose keys are fam._mode_powers.  bounds(lo, hi) = (K, A0, A1, A2)
-    bounds them wherever lo <= sign Im c <= hi (`_mode_bounds` at the radii
-    of (x, y), partially applied).  g'(c) = i sign sum_k k m_k u^k.  Newton
+    bounds them wherever lo <= -Im c <= hi (`_mode_bounds` at the radii
+    of (x, y), partially applied).  g'(c) = -i sum_k k m_k u^k.  Newton
     on c - g(c) takes its first step in closed form, c = g/(1 - g') at
     u = 1; each later step delta, c <- c - delta, costs one exp.
 
     The one exit, in contraction-mapping form.  Let a step delta from c_p,
     the iterate the sums were taken at (0 for the first step), reach c; let
-    lo and hi be the least and greatest sign Im c_p, rho = e^{3 K max|delta|}
+    lo and hi be the least and greatest -Im c_p, rho = e^{3 K max|delta|}
     and B the disk of radius 3 max|delta| about each point's c_p.  On B each
     |u^k| is at most rho times its bound at c_p, so with (K, A0, A1, A2) =
     bounds(lo, hi), |g'| <= L = rho A1 and |g''| <= rho A2 there.  The
@@ -262,10 +261,9 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, 
     modes = _band_terms(fam, bands, x, y)
     if not modes:
         return np.zeros(np.shape(x), dtype=complex)
-    isign = 1j * sign
 
     def sums(powers):
-        # g = sum m_k u^k and dg = sum k m_k u^k; g'(c) = i sign dg.
+        # g = sum m_k u^k and dg = sum k m_k u^k; g'(c) = -i dg.
         g = None
         for k, mk in modes.items():
             t = mk if powers is None else mk * powers[k]
@@ -277,15 +275,13 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, sign: int, 
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
         g, dg = sums(None)
-        c = step = g / (1.0 - isign * dg)
+        c = step = g / (1.0 + 1j * dg)
         lo = hi = 0.0
         for n in range(80):
             if n:
-                lo, hi = float(c.imag.min()), float(c.imag.max())
-                if sign < 0:
-                    lo, hi = -hi, -lo
-                g, dg = sums(_power_table(np.exp(isign * c), fam._mode_powers))
-                step = (c - g) / (1.0 - isign * dg)
+                lo, hi = -float(c.imag.max()), -float(c.imag.min())
+                g, dg = sums(_power_table(np.exp(-1j * c), fam._mode_powers))
+                step = (c - g) / (1.0 + 1j * dg)
                 c = c - step
             dmax = float(np.abs(step).max())
             if not dmax < math.inf:
@@ -321,7 +317,7 @@ def _phase_factor(f: CoefficientFamily, g: CoefficientFamily, t, turn, swap: boo
     # Operand order matters: numpy's complex product is not bitwise
     # commutative, so ph * xi and xi * ph can differ in the last bit.
     def step(x, y, radii):
-        c = _exponent_fixed_point(g, gb, x, y, -1, inverse, partial(bounds, radii))
+        c = _exponent_fixed_point(g, gb, x, y, inverse, partial(bounds, radii))
         if swap:
             q = turn * np.exp(1j * c)
             x, y = q * y, x / q

@@ -99,6 +99,30 @@ def conjugate_map(frame, target):
 # --- linearize_involution ---------------------------------------------------
 
 
+def surface_pair(s, alpha, n=12):
+    """(tau1, tau2, phi) of the surface pair of TestNormalFormOfPair
+    (test_surface.py) at order n."""
+    fam = CoefficientFamily({(2 * s + 2, 0): 0.05 + 0.02j, (s + 1, s): 0.03 - 0.01j}, s)
+    return involution_jets(fam, TwistParams(alpha=alpha, s=s), order=n)
+
+
+def real_involution(n=10):
+    return conjugate_map(real_diagonal_frame(np.random.default_rng(41), n, np.exp(0.35j), 0.05),
+                         MapJet.swap(n))
+
+
+def near_involution():
+    """real_involution() about 1e-11 off an involution, |lambda0| about 1 + 1e-11."""
+    tau = real_involution()
+    nudge = Jet.from_entries({(0, 1): 1e-11 * tau.x.coeff(0, 1), (3, 0): 1e-11}, tau.order)
+    return MapJet(tau.x + nudge, tau.y)
+
+
+LINEARIZATION_INPUTS = {"surface-s1": lambda: surface_pair(1, 0.73)[0],
+                        "surface-s2": lambda: surface_pair(2, 1.18)[0],
+                        "real": real_involution, "near-involution": near_involution}
+
+
 def test_linearize_swap_is_identity():
     change, change_inv = linearize_involution(MapJet.swap(8))
     assert map_residual(change, MapJet.identity(8)) == 0.0
@@ -119,10 +143,8 @@ def test_linearize_linear_involution():
 
 
 def test_linearize_nonlinear_real_involution():
-    rng = np.random.default_rng(41)
     n = 10
-    frame = real_diagonal_frame(rng, n, np.exp(0.35j), 0.05)
-    tau = conjugate_map(frame, MapJet.swap(n))
+    tau = real_involution(n)
     assert involution_residual(tau) < 1e-12
 
     change, change_inv = linearize_involution(tau)
@@ -135,6 +157,23 @@ def test_linearize_nonlinear_real_involution():
     # a real involution gets a real linearizing change
     assert reality_defect(tau, "standard") < 1e-12
     assert reality_defect(change, "standard") < 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(LINEARIZATION_INPUTS))
+def test_linearization_defect_is_half_the_involution_residual(name):
+    # change . tau - S . change = (lambda0^{1/2} ((tau . tau).y - eta),
+    # lambda0^{-1/2} ((tau . tau).x - xi)) / 2 for |lambda0| = 1, and
+    # |lambda0| = 1 + delta adds at most about delta max(1, |tau|): the
+    # identity that lets linearize_involution skip composing to check it.
+    tau = LINEARIZATION_INPUTS[name]()
+    change, _ = linearize_involution(tau)
+    defect = map_residual(map_compose(change, tau), MapJet(change.y, change.x))
+    half = 0.5 * involution_residual(tau)
+    scale = max(1.0, tau.max_abs())
+    delta = abs(abs(tau.x.coeff(0, 1)) - 1.0)
+    assert abs(defect - half) <= delta * scale + 1e-15 * scale
+    if name == "near-involution":
+        assert half > 5e-12 and delta > 5e-12
 
 
 def test_linearize_rejects_bad_input():
@@ -494,6 +533,21 @@ def test_full_normalize_rejects_bad_maps():
         full_normalize(down, tau=MapJet.swap(8))
 
 
+def test_full_normalize_rejects_map_not_reversed_by_non_swap_involution():
+    # tau is no swap here, and phi = frame . skew . frame^{-1} is not
+    # tau-reversible for tau = frame . S . frame^{-1}, since skew is not
+    # S-reversible: refused where the solve would read it.
+    n = 10
+    lam = np.exp(0.9j)
+    skew = MapJet(
+        lam * Jet.coordinate("xi", n) + Jet.from_entries({(2, 0): 0.1 * lam}, n),
+        np.conj(lam) * Jet.coordinate("eta", n),
+    )
+    frame = real_diagonal_frame(np.random.default_rng(46), n, 1.2 * np.exp(0.35j), 0.04)
+    with pytest.raises(ValueError, match="^phi is not tau-reversible: residual"):
+        full_normalize(conjugate_map(frame, skew), tau=conjugate_map(frame, MapJet.swap(n)))
+
+
 def test_full_normalize_reality_modes():
     rng = np.random.default_rng(47)
     lam = np.exp(0.9j)
@@ -639,8 +693,7 @@ def test_conjugacy_matches_dense_form_loop_bitwise(theta, s, n):
 def surface_pair_inner():
     """The map full_normalize(reality="surface") solves for an order-12
     surface pair: phi brought into the frame where tau1 is the swap, and its mu."""
-    fam = CoefficientFamily({(4, 0): 0.05 + 0.02j, (2, 1): 0.03 - 0.01j}, 1)
-    tau1, _, phi = involution_jets(fam, TwistParams(alpha=0.73, s=1), order=12)
+    tau1, _, phi = surface_pair(1, 0.73)
     change, change_inv = linearize_involution(tau1)
     return map_compose(map_compose(change, phi), change_inv), phi.x.coeff(1, 0)
 
@@ -757,9 +810,10 @@ def test_full_normalize_operation_counts(monkeypatch):
     # Machine-independent cost of one N=12 run on a criterion-2-style input:
     # the conjugacy equation is solved directly against the swap, so only
     # the involution change is inverted (the identity here, in no pass),
-    # after one composition checks it (change . tau against swap . change);
-    # compositions stop at the outer map's top degree and inverses at the
-    # pass count its lowest nonlinear degree fixes.  The elimination makes
+    # and reversibility is checked on the map the solve reads, its
+    # components swapped, by one composition; compositions stop at the
+    # outer map's top degree and inverses at the pass count its lowest
+    # nonlinear degree fixes.  The elimination makes
     # no map_compose call: each step composes at the order the next one
     # reads, over one power table of phi.y.  F, Phi2 and the model map are
     # product forms and never the outer map of map_compose.  Any change
@@ -771,7 +825,18 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 350, "map_compose": 9, "passes": 0, "map_inverse": 1}
+    assert counts == {"jet_mul": 346, "map_compose": 7, "passes": 0, "map_inverse": 1}
+
+
+def test_full_normalize_operation_counts_with_non_swap_reversor(monkeypatch):
+    # The same for an N=12 surface pair, phi = tau1 . tau2 reversed by
+    # tau1: the change sending tau1 to the swap is inverted in five passes
+    # and phi is conjugated by it; nothing composes the change with tau1.
+    tau1, _, phi = surface_pair(1, 0.73)
+    counts = count_series_ops(monkeypatch)
+    res = full_normalize(phi, tau=tau1, reality="surface")
+    assert (res.eps, res.s) == (1, 1)
+    assert counts == {"jet_mul": 529, "map_compose": 12, "passes": 5, "map_inverse": 1}
 
 
 def count_exponent_solves(monkeypatch):

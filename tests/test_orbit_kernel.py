@@ -238,7 +238,7 @@ def test_every_solve_is_bounded_at_its_own_input(monkeypatch, tp, n, a, abar):
     # guard measured, which must be those of the solve's own input: at
     # every point A_p >= sum_k |k|^p |m_k u^k|, at c = 0 (u = 1,
     # lo = hi = 0) and at the root, lo and hi its least and greatest
-    # sign Im c (up to the rounding of both sides).  Off the unit w-circle
+    # -Im c (up to the rounding of both sides).  Off the unit w-circle
     # |xi| != |eta|, and each swap of the pair trades them, so tau1 must
     # be handed the radii of tau2's output and tau2 those of tau1's: the
     # radii of a factor's own last output would be those of the other
@@ -246,11 +246,11 @@ def test_every_solve_is_bounded_at_its_own_input(monkeypatch, tp, n, a, abar):
     calls = []
     solve = twist._exponent_fixed_point
 
-    def checked(fam, bands, x, y, sign, what, bounds):
+    def checked(fam, bands, x, y, what, bounds):
         modes = _band_terms(fam, bands, x, y)
-        c = solve(fam, bands, x, y, sign, what, bounds)
-        phase = sign * c.imag
-        for lo, hi, u in (0.0, 0.0, 1.0), (phase.min(), phase.max(), np.exp(1j * sign * c)):
+        c = solve(fam, bands, x, y, what, bounds)
+        phase = -c.imag
+        for lo, hi, u in (0.0, 0.0, 1.0), (phase.min(), phase.max(), np.exp(-1j * c)):
             for p, bound in enumerate(bounds(lo, hi)[1:]):
                 total = sum(abs(k) ** p * np.abs(m * u**k) for k, m in modes.items())
                 assert np.all(total <= bound * (1 + 1e-12)), (what, p)

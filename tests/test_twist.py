@@ -888,15 +888,28 @@ def plain_exponent_iteration(fam, xi, eta, sign):
     raise AssertionError("reference iteration did not converge")
 
 
-def exponent_solve(fam, xi, eta, sign, what):
-    """The kernel's exponent solve at the points (xi, eta), broadcast
-    together, on the bands of fam at t = xi eta, bounded at their radii
-    (max|xi|, max|eta|) as the polydisk guard measures them."""
+def exponent_solve(fam, xi, eta, what):
+    """The kernel's exponent solve, c = fam(e^{-ic} xi, e^{ic} eta), at the
+    points (xi, eta), broadcast together, on the bands of fam at t = xi eta,
+    bounded at their radii (max|xi|, max|eta|) as the polydisk guard
+    measures them."""
     xi, eta = np.broadcast_arrays(np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex))
     bands = fam._bands(xi * eta)
     radii = float(np.abs(xi).max()), float(np.abs(eta).max())
     bounds = partial(_mode_bounds(bands), radii)
-    return _exponent_fixed_point(fam, bands, xi, eta, sign, what, bounds)
+    return _exponent_fixed_point(fam, bands, xi, eta, what, bounds)
+
+
+def oriented(fam, xi, eta, sign):
+    """The equation c = fam(e^{i sign c} xi, e^{-i sign c} eta) in the
+    solve's own form c = fam'(e^{-ic} xi', e^{ic} eta'): as given at
+    sign = -1, and at sign = +1 the family transposed (a_ij moved to
+    (j, i)) at the swapped point, since fam(e^{ic} xi, e^{-ic} eta) is
+    fam^T(e^{-ic} eta, e^{ic} xi)."""
+    if sign < 0:
+        return fam, xi, eta
+    return CoefficientFamily({(j, i): v for (i, j), v in fam.entries.items()}, fam.s,
+                             _validate=False), eta, xi
 
 
 def exponent_residual(fam, xi, eta, sign, c):
@@ -923,7 +936,7 @@ class TestExponentSolve:
     ], ids=["s1", "s2-hermitian"])
     def test_matches_plain_iteration(self, fam, points, sign):
         xi, eta = SOLVE_POINTS[points]
-        c = exponent_solve(fam, xi, eta, sign, "test")
+        c = exponent_solve(*oriented(fam, xi, eta, sign), "test")
         ref = plain_exponent_iteration(fam, xi, eta, sign)
         assert np.shape(c) == np.broadcast(np.asarray(xi), np.asarray(eta)).shape
         assert np.abs(ref).max() > 1e-3
@@ -932,7 +945,7 @@ class TestExponentSolve:
 
     def test_empty_family_gives_zeros(self):
         xi, eta = SOLVE_POINTS["broadcast"]
-        c = exponent_solve(CoefficientFamily.empty(1), xi, eta, -1, "test")
+        c = exponent_solve(CoefficientFamily.empty(1), xi, eta, "test")
         assert c.shape == (3, 4) and not np.any(c)
 
     # Each refusal keeps the prefix and names its exit; the reference solve
@@ -945,23 +958,23 @@ class TestExponentSolve:
         # plain iteration would not: max|g'| >= 1 there, so no disk about
         # it contracts and no step is certified.
         fam = CoefficientFamily(entries, 1, _validate=False)
-        point = np.full(4, 0.99), np.full(4, 0.99)
+        args = oriented(fam, np.full(4, 0.99), np.full(4, 0.99), sign)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
-            exponent_solve(fam, *point, sign, "test")
+            exponent_solve(*args, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            exponent_solve_oracle(fam, *point, sign, "test")
+            exponent_solve_oracle(*args, "test")
 
     def test_singular_first_step_raises(self):
-        # 1 - i sign sum k m_k vanishes at c = 0 for the first point, so the
+        # 1 + i sum k m_k vanishes at c = 0 for the second point, so the
         # closed-form step is infinite: SolverError, not inf or a warning.
-        fam = CoefficientFamily({(1, 0): 1.0}, 1, _validate=False)
-        point = np.array([-1j, 0.3]), 0.5
+        fam = CoefficientFamily({(0, 1): 1.0}, 1, _validate=False)
+        point = 0.5, np.array([-1j, 0.3])
         with pytest.raises(SolverError, match="^test: exponent iteration did not converge: "
                            "non-finite iterate at step 1$"):
-            exponent_solve(fam, *point, 1, "test")
+            exponent_solve(fam, *point, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            exponent_solve_oracle(fam, *point, 1, "test")
+            exponent_solve_oracle(fam, *point, "test")
 
     def test_growing_iterate_raises(self):
         # c = 1.5i e^{-ic}: the iterates grow through finite values far
@@ -970,7 +983,7 @@ class TestExponentSolve:
         fam = CoefficientFamily({(1, 0): 1.5j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"non-finite iterate at step \d+$"):
-            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, "test")
 
     def test_cycling_newton_raises(self):
         # c = 0.8i e^{-ic}: Newton cycles with steps of order one and is
@@ -978,21 +991,21 @@ class TestExponentSolve:
         fam = CoefficientFamily({(1, 0): 0.8j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
-            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, -1, "test")
+            exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, "test")
 
     def test_iterate_past_the_exp_range_raises(self):
-        # 1 - i g' = -1e-3 at c = 0: the first step lands at Im c ~ 1000,
-        # where e^{ic} underflows and the next step returns to 0, and so on.
+        # 1 - g' = -1e-3 at c = 0: the first step lands at Im c ~ 1000,
+        # where the mode's e^{ic} underflows and the next step returns to 0.
         # The bound's phase factor e^{Im c} is then past float64's range: it
         # certifies nothing, and raises no OverflowError.
-        fam = CoefficientFamily({(1, 0): -1.001j}, 1, _validate=False)
+        fam = CoefficientFamily({(0, 1): -1.001j}, 1, _validate=False)
         with pytest.raises(SolverError, match=r"^test: exponent iteration did not converge: "
                            r"80 steps without a certified root, last step \d\.\d{3}e[+-]\d+$"):
-            exponent_solve(fam, np.array([1.0 + 0j]), 0.5, 1, "test")
+            exponent_solve(fam, 0.5, np.array([1.0 + 0j]), "test")
         with pytest.raises(SolverError, match="exponent iteration did not converge"):
-            exponent_solve_oracle(fam, np.array([1.0 + 0j]), 0.5, 1, "test")
+            exponent_solve_oracle(fam, 0.5, np.array([1.0 + 0j]), "test")
 
     @settings(derandomize=True, deadline=None)
     @given(s=st.sampled_from([1, 2]),
@@ -1012,13 +1025,13 @@ class TestExponentSolve:
         xi = 0.6 * p[:, 0] * np.exp(2j * np.pi * p[:, 1])
         eta = 0.6 * p[:, 2] * np.exp(2j * np.pi * p[:, 3])
         try:
-            c = exponent_solve(fam, xi, eta, sign, "test")
+            c = exponent_solve(*oriented(fam, xi, eta, sign), "test")
         except SolverError:
             return
         assert exponent_residual(fam, xi, eta, sign, c) <= 1e-14
 
 
-def exponent_solve_oracle(fam, xi, eta, sign, what):
+def exponent_solve_oracle(fam, xi, eta, what):
     """The exponent solve as first written (Newton from c = 0 with sums
     started from zeros, the phase extremes and the step maximum taken on
     every pass), with the certified exit on the solve's own bounds: the
@@ -1031,7 +1044,7 @@ def exponent_solve_oracle(fam, xi, eta, sign, what):
     radii = float(np.abs(xi).max()), float(np.abs(eta).max())
     bounds = partial(_mode_bounds(bands), radii)
     shape = np.broadcast(xi, eta).shape
-    isign = 1j * sign
+    isign = -1j
 
     def sums(powers):
         g = dg = np.zeros(shape, dtype=complex)
@@ -1043,7 +1056,7 @@ def exponent_solve_oracle(fam, xi, eta, sign, what):
     c = np.zeros(shape, dtype=complex)
     with np.errstate(all="ignore"):
         for n in range(80):
-            phase = sign * c.imag
+            phase = -c.imag
             lo, hi = float(phase.min()), float(phase.max())
             g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
             step = (c - g) / (1.0 - isign * dg)
@@ -1056,10 +1069,10 @@ def exponent_solve_oracle(fam, xi, eta, sign, what):
     raise SolverError(f"{what}: exponent iteration did not converge")
 
 
-def exponent_root(modes, sign, dps=40):
-    """The root c of c = sum_k m_k e^{i sign k c} at each point, at dps
-    digits, with the float64 modes taken exactly: object arrays of c, of
-    the terms {k: m_k e^{i sign k c}} and of g'(c) at each point."""
+def exponent_root(modes, dps=40):
+    """The root c of c = sum_k m_k e^{-ikc} at each point, at dps digits,
+    with the float64 modes taken exactly: object arrays of c, of the terms
+    {k: m_k e^{-ikc}} and of g'(c) at each point."""
     shape = np.broadcast(*modes.values()).shape
     out = np.empty(shape, dtype=object), np.empty(shape, dtype=object), np.empty(shape, dtype=object)
     with mpmath.workdps(dps):
@@ -1067,21 +1080,21 @@ def exponent_root(modes, sign, dps=40):
             m = {k: mpmath.mpc(complex(np.broadcast_to(v, shape)[idx])) for k, v in modes.items()}
             c = mpmath.mpc(0)
             for _ in range(200):
-                terms = {k: v * mpmath.expj(sign * k * c) for k, v in m.items()}
-                dg = 1j * sign * mpmath.fsum(k * t for k, t in terms.items())
+                terms = {k: v * mpmath.expj(-k * c) for k, v in m.items()}
+                dg = -1j * mpmath.fsum(k * t for k, t in terms.items())
                 step = (c - mpmath.fsum(terms.values())) / (1 - dg)
                 c -= step
                 if abs(step) < mpmath.mpf(10) ** (-dps + 2):
                     break
             else:
                 raise AssertionError("oracle Newton did not converge")
-            terms = {k: v * mpmath.expj(sign * k * c) for k, v in m.items()}
-            dg = 1j * sign * mpmath.fsum(k * t for k, t in terms.items())
+            terms = {k: v * mpmath.expj(-k * c) for k, v in m.items()}
+            dg = -1j * mpmath.fsum(k * t for k, t in terms.items())
             out[0][idx], out[1][idx], out[2][idx] = c, terms, dg
     return out
 
 
-def exponent_solve_bound(fam, xi, eta, sign, terms, dg, c):
+def exponent_solve_bound(fam, xi, eta, terms, dg, c):
     """First-order bound on |c_solve - c| for the root c of the solve's
     equation, from `_exponent_fixed_point`'s exit and the rounding of its last
     Newton step.
@@ -1090,13 +1103,13 @@ def exponent_solve_bound(fam, xi, eta, sign, terms, dg, c):
     step, A0 = sum_k max|B_k| q^{|k|} (B_k the bands at t = xi eta, taken
     here from the entries) at the radii turned by the phases of the last
     step's iterate c_p: q = max|xi| e^{-lo} for k >= 0 and max|eta| e^{hi}
-    for k < 0, lo and hi the least and greatest sign Im c_p, to first order
+    for k < 0, lo and hi the least and greatest -Im c_p, to first order
     those of the root.  At that exit rho A2 |delta|^2 / 2 <= kappa u A0
     (rho >= 1), so the last step is at most delta = sqrt(2 kappa u A0 / A2).
 
     Rounding of that step c - (c - g) / (1 - g') from the previous
     iterate, whose terms t_k = m_k u^k are those at the root to first
-    order: u = e^{i sign c} within EXP u; u^k by at most 2|k| products or
+    order: u = e^{-ic} within EXP u; u^k by at most 2|k| products or
     quotients of the squaring chain, within |k| (EXP + 2 PRODUCT) u; t_k
     within one more PRODUCT u; and the m sums of g and of dg within
     (m - 1) u sum |t|.  So g is off by e_g = u sum_k w_k |t_k|,
@@ -1111,7 +1124,7 @@ def exponent_solve_bound(fam, xi, eta, sign, terms, dg, c):
     bands = {}
     for (i, j), v in fam.entries.items():
         bands[i - j] = bands.get(i - j, 0) + v * t ** min(i, j)
-    phase = [sign * float(v.imag) for v in c.ravel()]
+    phase = [-float(v.imag) for v in c.ravel()]
     radii = {True: float(np.abs(xi).max()) * math.exp(-min(phase)),
              False: float(np.abs(eta).max()) * math.exp(max(phase))}
     size = {k: float(np.abs(b).max()) * radii[k >= 0] ** abs(k) for k, b in bands.items()}
@@ -1155,9 +1168,9 @@ class TestExponentSolveOracle:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_matches_oracle_bitwise(self, case, sign):
-        fam, xi, eta = ORACLE_CASES[case]
-        c = exponent_solve(fam, xi, eta, sign, "test")
-        ref = exponent_solve_oracle(fam, xi, eta, sign, "test")
+        fam, xi, eta = oriented(*ORACLE_CASES[case], sign)
+        c = exponent_solve(fam, xi, eta, "test")
+        ref = exponent_solve_oracle(fam, xi, eta, "test")
         assert c.shape == ref.shape and c.dtype == ref.dtype
         assert np.array_equal(c, ref)
 
@@ -1167,15 +1180,15 @@ class TestExponentSolveOracle:
         # The root of the solve's own equation, its float64 modes taken
         # exactly; the bound is the exit's truncation plus the rounding of
         # the last step (`exponent_solve_bound`).
-        fam, xi, eta = ORACLE_CASES[case]
+        fam, xi, eta = oriented(*ORACLE_CASES[case], sign)
         xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
-        c = exponent_solve(fam, xi, eta, sign, "test")
+        c = exponent_solve(fam, xi, eta, "test")
         if not fam.entries:
             assert not np.any(c)
             return
         modes = _band_terms(fam, fam._bands(xi * eta), xi, eta)
-        root, terms, dg = exponent_root(modes, sign)
-        bound = exponent_solve_bound(fam, xi, eta, sign, terms, dg, root)
+        root, terms, dg = exponent_root(modes)
+        bound = exponent_solve_bound(fam, xi, eta, terms, dg, root)
         err = np.array([float(abs(mpmath.mpc(complex(v)) - r)) for v, r in
                         zip(np.broadcast_to(c, root.shape).ravel(), root.ravel())])
         assert np.all(err <= bound.ravel())
