@@ -117,7 +117,7 @@ def _curve_artifact(args: argparse.Namespace, crv, note: str | None = None,
 def cmd_curve(args: argparse.Namespace) -> tuple[list[str], int]:
     fam = load_family(args.family, args.s, hermitian=args.hermitian)
     crv = periodic_curve(fam, _twist_from_args(args), args.n, args.j, grid_size=args.grid)
-    return _curve_artifact(args, crv)
+    return _curve_artifact(args, crv, effective_grid=crv.grid_size)
 
 
 def cmd_constants(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="periodic curve of a perturbed twist")
     p.add_argument("--n", type=int, required=True, help="period")
     p.add_argument("--j", type=int, required=True, help="branch index")
-    p.add_argument("--grid", type=int, default=256)
+    p.add_argument("--grid", type=int, default=None, help="grid points (default max(8n, 64))")
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("constants", parents=[twist, out],
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="degeneracy order")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help="grid points (default max(8n, 64))")
     p.add_argument("--abar", default=None,
                    help="independent second family (default: conjugate of --family)")
     p.set_defaults(func=cmd_surface)

@@ -385,6 +385,8 @@ def full_normalize(
     constant through order N (see ``NormalFormResult``).
     Phi2 and the target are composed from their series by the product-form kernel.
     """
+    if reality not in ("standard", "surface"):
+        raise ValueError(f"unknown reality mode {reality!r}")
     n = phi.order if order is None else _check_order(order)
     if n > phi.order or (tau is not None and n > tau.order):
         raise ValueError(f"order {n} exceeds the truncation order of phi or tau")
@@ -401,8 +403,6 @@ def full_normalize(
         defect = reality_defect(phi, "standard")
         if defect > INVOLUTION_TOL * scale:
             raise ValueError(f"standard reality condition fails: defect {defect:.3e}")
-    elif reality != "surface":
-        raise ValueError(f"unknown reality mode {reality!r}")
 
     lam_phi = phi.x.coeff(1, 0)
     if abs(abs(lam_phi) - 1.0) > UNIT_CIRCLE_TOL:

@@ -41,7 +41,6 @@ from .twist import (
     TwistParams,
     _beta_window,
     _default_grid,
-    _guard_inside,
     _one_step,
     _phase_factor,
     _solve_branch,
@@ -151,22 +150,12 @@ def build_involution_maps(a: CoefficientFamily, tp: TwistParams,
     coefficient families are independent arguments; abar=None takes
     a.conjugated(), the self-conjugate case where tau2 = rho tau1 rho and
     the reality condition rho tau1 = tau2 rho hold to rounding.  Each is
-    one step of the maps that the orbit kernel iterates, with the same
-    factor code (`_involution_orbits`).
+    `_one_step` of its map in `_involution_orbits`, the maps that the
+    orbit kernel iterates: phi's two factors share the level set of its
+    input, and phi's input guard, whose point enters tau2, is named tau2's.
     """
-    tau1, tau2, _ = _involution_orbits(a, tp, abar)
-
-    def phi(xi, eta):
-        # tau1 at the level set of tau2's output, from the radii tau2's
-        # output guard measured.  That output goes on as arrays, as the
-        # tau1 evaluator would take it: numpy scalars can round a product
-        # differently from 0-d arrays.
-        xi, eta = np.asarray(xi, dtype=complex), np.asarray(eta, dtype=complex)
-        x, y, _, radii = tau2(xi * eta)(xi, eta, _guard_inside(xi, eta, "tau2 input"))
-        x, y = np.asarray(x), np.asarray(y)
-        return tau1(x * y)(x, y, radii)[:2]
-
-    return _one_step(tau1, "tau1"), _one_step(tau2, "tau2"), phi
+    return tuple(_one_step(orbit, what) for orbit, what in
+                 zip(_involution_orbits(a, tp, abar), ("tau1", "tau2", "tau2")))
 
 
 def involution_jets(a: CoefficientFamily, tp: TwistParams,
@@ -209,14 +198,13 @@ def surface_curves(a: CoefficientFamily, tp: TwistParams, n: int, j: int,
                    abar: CoefficientFamily | None = None) -> PeriodicCurve:
     """Solve the branch-j period-n curve of the involution product.
 
-    Runs the solver of `solve_branch`, its stopping rule and gates included,
-    with phi = tau1 tau2 as the orbit kernel's map, on grid_size points (default
-    max(8n, 64)) with the Laurent band of `curve_band`; the returned Laurent
-    data is the input for the real-space intersection search and the w^{2n}
-    probes.  intersect=True fills in `real_intersections`.
+    Runs `periodic_curve`, its grid_size default (`_default_grid`), stopping
+    rule and gates included, with phi = tau1 tau2 as the orbit kernel's map
+    and the Laurent band of `curve_band`; the returned Laurent data is the
+    input for the real-space intersection search and the w^{2n} probes.
+    intersect=True fills in `real_intersections`.
     """
-    G = _default_grid(n) if grid_size is None else grid_size
-    crv = periodic_curve(a, tp, n, j, grid_size=G, _orbit=_involution_orbits(a, tp, abar)[2])
+    crv = periodic_curve(a, tp, n, j, grid_size, _orbit=_involution_orbits(a, tp, abar)[2])
     if intersect:
         crv = replace(crv, real_intersections=real_intersection(crv))
     return crv

@@ -448,7 +448,7 @@ def _beta_window(tp: TwistParams, n: int) -> tuple[ResonanceData, float]:
 
 
 def _default_grid(n: int) -> int:
-    """Default grid of an involution-pair curve: max(8n, 64) points."""
+    """Default grid of every sampled curve: max(8n, 64) points."""
     return max(8 * _check_int(n, "n"), 64)
 
 
@@ -565,30 +565,33 @@ def solve_branch(a, tp: TwistParams, n: int, j: int, w):
     return complex(zeta) if scalar else zeta
 
 
-def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int = 128,
+def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int | None = None,
                    K: int | None = None, check_domain: bool = True, *,
                    _orbit=None) -> PeriodicCurve:
     """Sample the branch over the unit w-circle and take its Laurent data.
 
-    Laurent coefficients come from the discrete Fourier transform over the
-    grid (alias rule: coefficient k is read at index k mod grid_size), so the
-    grid must satisfy grid_size >= 2K+1.  The dict holds |k| <= K, K
-    defaulting to ``curve_band(n, grid_size)``; K picks the keys only and
-    moves no sampled value.
+    The grid has grid_size points, by default ``_default_grid(n)`` =
+    max(8n, 64).  Laurent coefficients come from the discrete Fourier
+    transform over the grid (alias rule: coefficient k is read at index
+    k mod grid_size), so the grid must satisfy grid_size >= 2K+1.  The dict
+    holds |k| <= K, K defaulting to ``curve_band(n, grid_size)``; K picks
+    the keys only and moves no sampled value.
 
     Each sample is solved as in ``solve_branch``: the secant step where R
     moved above its rounding floor, the Picard step elsewhere, stopped on a
     step within the stopping bound; ``steps`` counts the h evaluations this
     took on the grid.  The curve is validated numerically by the gates of
     ``solve_branch`` (|h| <= 1/2, equation residual 1e-12, n-step return
-    1e-10, the last on the orbit of the final h evaluation).  The guard
-    alone keeps |zeta| <= zeta0 2^{1/(2s)}, so ``check_domain`` is accepted
-    and ignored; the paper's constants come from ``compute_constants``.
+    1e-10, the last on the orbit of the final h evaluation).  The |h| <= 1/2
+    gate bounds each iterate T(zeta) = target (1 + h)^{-1/(2s)} by
+    |T(zeta)| <= zeta0 2^{1/(2s)}; the polydisk guard alone keeps only
+    |zeta| < 1 on the unit circle.  ``check_domain`` is accepted and
+    ignored; the paper's constants come from ``compute_constants``.
     The private ``_orbit`` replaces varphi by another map in the step
     contract of the orbit kernel, step(xi, eta, radii) ->
     (xi', eta', phase, radii') (`_h_orbit`), as ``surface_curves`` does.
     """
-    grid_size = _check_int(grid_size, "grid_size")
+    grid_size = _default_grid(n) if grid_size is None else _check_int(grid_size, "grid_size")
     K = curve_band(_check_int(n, "n"), grid_size) if K is None else _check_int(K, "K", 0)
     if grid_size < 2 * K + 1:
         raise ValueError("grid must have at least 2K+1 points")

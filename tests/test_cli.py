@@ -295,6 +295,18 @@ class TestCurveArtifact:
         assert len(first) == 5
         assert abs(float(first[0]) - 1.0) < 1e-15
 
+    def test_default_grid_is_recorded(self, tmp_path):
+        # --grid left out takes the library's max(8n, 64) points, and the
+        # grid the run used goes among the # lines.
+        fam = write(tmp_path / "f.txt", "3 0 0.05 0\n")
+        out = tmp_path / "c.csv"
+        rc = main(["curve", "--alpha", str((2 * math.pi - 0.1) / 9), "--s", "1", "--n", "9",
+                   "--j", "2", "--family", fam, "--hermitian", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert "# grid = None" in lines and "# effective_grid = 72" in lines
+        assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 72
+
     def test_readme_example_reports_its_steps(self, tmp_path):
         # The solver's h evaluations go among the # lines, and the
         # artifact stays byte-identical from run to run.
@@ -444,7 +456,7 @@ class TestOptions:
                 "--s": (None, True, "int", None),
                 "--n": (None, True, "int", None),
                 "--j": (None, True, "int", None),
-                "--grid": (256, False, "int", None),
+                "--grid": (None, False, "int", None),
                 "--family": (None, True, None, None),
                 "--hermitian": (False, False, None, None),
                 "--out": ("-", False, None, None),

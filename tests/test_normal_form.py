@@ -548,6 +548,38 @@ def test_full_normalize_rejects_map_not_reversed_by_non_swap_involution():
         full_normalize(conjugate_map(frame, skew), tau=conjugate_map(frame, MapJet.swap(n)))
 
 
+def test_full_normalize_refuses_unknown_reality_mode_first(monkeypatch):
+    # The mode is an argument check: a map that would also fail
+    # reversibility is refused for its mode, before any composition.
+    n = 6
+    lam = np.exp(0.9j)
+    skew = MapJet(
+        lam * Jet.coordinate("xi", n) + Jet.from_entries({(2, 0): 0.1 * lam}, n),
+        np.conj(lam) * Jet.coordinate("eta", n),
+    )
+    counts = count_series_ops(monkeypatch)
+    with pytest.raises(ValueError, match="^unknown reality mode 'bogus'$"):
+        full_normalize(skew, reality="bogus")
+    assert counts["map_compose"] == 0
+
+
+def test_full_normalize_refuses_complex_gamma_head():
+    # phi = (xi M(t), eta / M(t)), M = e^{0.9i} exp(i (1 + 0.1i) t), is
+    # swap-reversible and already in product form, but its Gamma has the
+    # complex head 1 + 0.1i: "surface" mode refuses it after the solve,
+    # "standard" mode at the input, since rho phi != phi rho.
+    n = 8
+    g = np.zeros(n + 1, dtype=complex)
+    g[1] = 1j * (1 + 0.1j)
+    m = np.exp(0.9j) * series_exp(g)
+    phi = _compose_product_form(m, series_reciprocal(m), MapJet.identity(n))
+    with pytest.raises(ValueError, match=r"^Gamma head is not real \(defect 1\.000e-01\); "
+                                         "pair lacks the rho-symmetry$"):
+        full_normalize(phi, reality="surface")
+    with pytest.raises(ValueError, match="^standard reality condition fails: defect 2\\.000e-01$"):
+        full_normalize(phi)
+
+
 def test_full_normalize_reality_modes():
     rng = np.random.default_rng(47)
     lam = np.exp(0.9j)

@@ -20,7 +20,7 @@ from revtwist.surface import (
     surface_curves,
 )
 from revtwist.surface import _branch_scale, _require_even_resonance, _two_phase_a2, _w2n_coeffs
-from revtwist import surface
+from revtwist import surface, twist
 from revtwist.twist import (
     DomainError,
     HypothesisViolation,
@@ -171,23 +171,39 @@ class TestInvolutionMaps:
         self.check_pair(WITNESS_A, TP, rng, abar=WITNESS_ABAR)
 
     @pytest.mark.parametrize("abar", [None, WITNESS_ABAR], ids=["self", "witness"])
-    def test_phi_is_tau1_after_tau2_bitwise(self, abar):
-        # phi does not test tau2's output again on its way into tau1; the
-        # values and the errors must be those of tau1(*tau2(x)).  (0.99,
-        # 0.99) escapes on the way out of tau2 and (1.2, 0.1) on the way in.
-        tau1, tau2, phi = build_involution_maps(WITNESS_A, TP, abar=abar)
+    def test_evaluators_are_one_step_of_their_orbits(self, abar):
+        # Each pointwise evaluator is one step of the map the orbit kernel
+        # iterates, from the radii of its input guard: values, shapes and
+        # errors.  phi's step is tau2's and then tau1's, both on the level
+        # set of phi's input, tau1 handed the radii of tau2's output guard;
+        # its input guard is tau2's.  (0.99, 0.99) escapes on the way out of
+        # tau2 and (1.2, 0.1) on the way in.
+        tau1, tau2, _ = surface._involution_orbits(WITNESS_A, TP, abar)
+
+        def phi(t):
+            def step(x, y, radii):
+                x, y, _, radii = tau2(t)(x, y, radii)
+                return tau1(t)(x, y, radii)
+
+            return step
+
+        cases = [(twist.make_varphi(WITNESS_A, TP), twist._varphi_orbit(WITNESS_A, TP), "varphi"),
+                 *zip(build_involution_maps(WITNESS_A, TP, abar=abar),
+                      (tau1, tau2, phi), ("tau1", "tau2", "tau2"))]
         xi, eta = sample_points(np.random.default_rng(29), 64)
         for point in ((xi, eta), (0.2 + 0.1j, 0.3 - 0.05j), (0.5, 0.999), (0.99, 0.99),
                       (1.2, 0.1)):
-            try:
-                ref = tau1(*tau2(*point))
-            except DomainError as exc:
-                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
-                    phi(*point)
-                continue
-            for got, want in zip(phi(*point), ref):
-                assert np.shape(got) == np.shape(want)
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            x, y = (np.asarray(v, dtype=complex) for v in point)
+            for evaluate, orbit, what in cases:
+                try:
+                    ref = orbit(x * y)(x, y, twist._guard_inside(x, y, f"{what} input"))[:2]
+                except DomainError as exc:
+                    with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                        evaluate(*point)
+                    continue
+                for got, want in zip(evaluate(*point), ref, strict=True):
+                    assert np.shape(got) == np.shape(want)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_zero_family_reduces_to_rotation(self):
         rng = np.random.default_rng(17)

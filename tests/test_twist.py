@@ -717,7 +717,7 @@ class TestPeriodicCurve:
         n = 4
         tp = TwistParams(alpha=2.8915926535897931, s=1)
         fam = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
-        assert max(periodic_curve(fam, tp, n, 2).laurent) == curve_band(n, 128)
+        assert max(periodic_curve(fam, tp, n, 2).laurent) == curve_band(n, _default_grid(n))
         crv = surface_curves(fam, tp, n, 2, intersect=False)
         assert max(crv.laurent) == curve_band(n, _default_grid(n))
         witness = []
@@ -730,6 +730,15 @@ class TestPeriodicCurve:
         assert obstruction.Hk_estimate(fam, tp, n)[0] == witness[0].laurent[n]
         assert max(witness[0].laurent) == curve_band(n, 4 * n) == 2 * n - 1
         assert (curve_band(n, 16), curve_band(n, 64)) == (7, 16)
+
+    def test_default_grid_holds_the_resonant_mode(self):
+        # Every sampled curve defaults to max(8n, 64) points, so the band
+        # 2n + 8 reaches past w^n at any period: 568 points at n = 71.
+        fam = CoefficientFamily({(4, 0): 0.05 + 0.02j}, 1)
+        crv = periodic_curve(fam, TwistParams(alpha=1.41421356, s=1), 71, 2)
+        assert crv.grid_size == len(crv.samples) == 568
+        assert max(crv.laurent) == 150 and crv.residual <= 1e-10
+        assert np.isfinite(crv.laurent[71])
 
     def test_a_zero_circle(self):
         n = 100
