@@ -20,6 +20,7 @@ import numpy as np
 from .series import (
     Jet,
     MapJet,
+    _check_int,
     _check_order,
     _compose,
     _compose_product_form,
@@ -61,9 +62,15 @@ def involution_residual(m: MapJet) -> float:
     return map_residual(map_compose(m, m), MapJet.identity(m.order))
 
 
-def _check_involution(tau: MapJet) -> complex:
+def _check_finite(m: MapJet, name: str) -> None:
+    if not (np.isfinite(m.x.coeffs).all() and np.isfinite(m.y.coeffs).all()):
+        raise ValueError(f"{name} has a non-finite coefficient")
+
+
+def _check_involution(tau: MapJet, name: str = "tau") -> complex:
     """Check that tau is an involution with linear part (lambda eta, conj(lambda) xi)
     and |lambda| = 1; return lambda."""
+    _check_finite(tau, name)
     tol = INVOLUTION_TOL * max(1.0, tau.max_abs())
     res = involution_residual(tau)
     if res > tol:
@@ -97,7 +104,8 @@ class InvolutionPair:
             raise ValueError(
                 f"tau1 and tau2 have different truncation orders {tau1.order} and {tau2.order}"
             )
-        return InvolutionPair(tau1, tau2, _check_involution(tau1), _check_involution(tau2))
+        return InvolutionPair(tau1, tau2, _check_involution(tau1, "tau1"),
+                              _check_involution(tau2, "tau2"))
 
 
 @dataclass(frozen=True)
@@ -334,13 +342,22 @@ def _model_series(lam: complex, eps: int, s: int | float, order: int):
     # Radial: g = i eps t^s in t = xi eta, zero for eps = 0 or s beyond order.
     g = np.zeros(order // 2 + 1, dtype=complex)
     if eps and s < len(g):
-        g[int(s)] = 1j * eps
+        g[s] = 1j * eps
     return lam * series_exp(g), (1.0 / lam) * series_exp(-g)
 
 
 def normal_form_map(lam: complex, eps: int, s: int | float, order: int) -> MapJet:
-    """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s})."""
+    """The model map (lambda xi e^{i eps (xi eta)^s}, lambda^{-1} eta e^{-i eps (xi eta)^s}).
+
+    eps is -1, 0 or 1; s is a positive integer, or S_INFINITY for eps = 0
+    (as in ``NormalFormResult``).
+    """
     order = _check_order(order)
+    eps = _check_int(eps, "eps", -1, 1)
+    if eps:
+        s = _check_int(s, "s")
+    elif s != S_INFINITY:
+        raise ValueError("eps = 0 requires the infinity marker for s")
     return _compose_product_form(*_model_series(lam, eps, s, order), MapJet.identity(order))
 
 
@@ -358,7 +375,8 @@ def full_normalize(
         Reversible map with linear part (lambda xi, lambda^{-1} eta),
         Im lambda > 0, lambda not a root of unity of order <= N.
     tau : MapJet, optional
-        Reversing involution; defaults to the swap (eta, xi).
+        Reversing involution; None is the swap (eta, xi), with no change
+        of coordinates.
     order : int, optional
         Truncation order N of the computation; defaults to phi's.  It may
         not exceed the truncation order of phi or of tau.
@@ -382,7 +400,8 @@ def full_normalize(
     tau = swap . conjugator hold through degree N (and, in "standard" mode,
     the conjugator is real) to 1e-6 of the inputs' scale; ``residual`` is
     the worst of these defects.  (eps, s) = (0, S_INFINITY) means Gamma is
-    constant through order N (see ``NormalFormResult``).
+    constant through order N (see ``NormalFormResult``).  Without tau, inner
+    is phi, and conjugator . S is the conjugator's tables transposed.
     Phi2 and the target are composed from their series by the product-form kernel.
     """
     if reality not in ("standard", "surface"):
@@ -391,11 +410,14 @@ def full_normalize(
     if n > phi.order or (tau is not None and n > tau.order):
         raise ValueError(f"order {n} exceeds the truncation order of phi or tau")
     phi = phi.truncate(n)
-    tau = MapJet.swap(n) if tau is None else tau.truncate(n)
-    scale = max(1.0, phi.max_abs(), tau.max_abs())
-
-    change, change_inv = linearize_involution(tau)
-    inner = map_compose(map_compose(change, phi), change_inv)
+    _check_finite(phi, "phi")
+    if tau is None:
+        inner, scale = phi, max(1.0, phi.max_abs())
+    else:
+        tau = tau.truncate(n)
+        scale = max(1.0, phi.max_abs(), tau.max_abs())
+        change, change_inv = linearize_involution(tau)
+        inner = map_compose(map_compose(change, phi), change_inv)
     res_rev = involution_residual(MapJet(inner.y, inner.x))
     if res_rev > CONJUGATION_TOL * scale:
         raise ValueError(f"phi is not tau-reversible: residual {res_rev:.3e}")
@@ -424,12 +446,14 @@ def full_normalize(
         if gamma_imag > 1e-8 * max(1.0, float(np.abs(gamma).max())):
             raise ValueError(f"Gamma head is not real (defect {gamma_imag:.3e}); pair lacks the rho-symmetry")
     r = _phi2_series(gamma, eps, s) if eps else np.ones(1)  # Phi2 = identity at eps = 0
-    conjugator = _compose_product_form(r, r, map_compose(phi0, change))
+    conjugator = _compose_product_form(r, r, phi0 if tau is None else map_compose(phi0, change))
     lam = m_series[0]
     target = _compose_product_form(*_model_series(lam, eps, s, n), conjugator)  # target . conjugator
+    moved = (MapJet(Jet(conjugator.x.coeffs.T, n), Jet(conjugator.y.coeffs.T, n)) if tau is None
+             else map_compose(conjugator, tau))  # conjugator . tau
     residual = max(
         map_residual(map_compose(conjugator, phi), target),
-        map_residual(map_compose(conjugator, tau), MapJet(conjugator.y, conjugator.x)),
+        map_residual(moved, MapJet(conjugator.y, conjugator.x)),
     )
     if reality == "standard":
         residual = max(residual, reality_defect(conjugator, "standard"))

@@ -72,7 +72,9 @@ class Jet:
         order = _check_order(order)
         c = np.zeros((order + 1, order + 1), dtype=complex)
         for (i, j), v in entries.items():
-            if i < 0 or j < 0 or i + j > order:
+            name = f"index of entry {(i, j)}"
+            i, j = _check_int(i, name, 0), _check_int(j, name, 0)
+            if i + j > order:
                 raise ValueError(f"index ({i},{j}) outside triangle of order {order}")
             c[i, j] = v
         return Jet(c, order)
@@ -188,28 +190,16 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
 
     Every surviving coefficient is the exact (up to rounding) finite sum
     of its own coefficient products: no padding, no FFT, and no
-    truncation bias below order N.  A factor with only a few nonzero
-    entries is applied by shift-and-add; otherwise the pairs of every
-    output entry are gathered from a plan cached per order
-    (`_product_pairs`), multiplied, and summed group by group.
+    truncation bias below order N.  The pairs of every output entry are
+    gathered from a plan cached per order (`_product_pairs`), multiplied,
+    and summed group by group.
     """
     _same_order(a, b)
     n = a.order
-    na = int(np.count_nonzero(a.coeffs))
-    nb = int(np.count_nonzero(b.coeffs))
-    if min(na, nb) <= 4:
-        if nb < na:
-            a, b = b, a
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        for i, j in zip(*np.nonzero(a.coeffs)):
-            out[i:, j:] += a.coeffs[i, j] * b.coeffs[: n + 1 - i, : n + 1 - j]
-        out[~_triangle_mask(n)] = 0.0
-    else:
-        dest, ia, ib, starts = _product_pairs(n)
-        out = np.zeros((n + 1) * (n + 1), dtype=complex)
-        out[dest] = np.add.reduceat(a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib], starts)
-        out = out.reshape(n + 1, n + 1)
-    return Jet(out, n)
+    dest, ia, ib, starts = _product_pairs(n)
+    out = np.zeros((n + 1) * (n + 1), dtype=complex)
+    out[dest] = np.add.reduceat(a.coeffs.ravel()[ia] * b.coeffs.ravel()[ib], starts)
+    return Jet(out.reshape(n + 1, n + 1), n)
 
 
 @dataclass(frozen=True)
@@ -363,9 +353,10 @@ def map_inverse(phi: MapJet) -> MapJet:
     passes reach degree N (none for a linear phi): a degree-m coefficient
     of P(psi) is computed from coefficients of psi of degree at most
     m - d + 1 alone.  So pass p composes at the order (p + 2)(d - 1) it
-    fixes, at most N, and pads back to N.  The pass count is the one
-    stopping rule: a later pass recomputes a fixed degree bit for bit
-    unless `jet_mul` changes path (dense or shift-and-add) for it.
+    fixes, at most N, and pads back to N: `jet_mul` sums each entry over
+    the same pairs in the same order at every order, so this is the
+    full-order pass bit for bit.  The pass count is the one stopping rule:
+    a later pass recomputes a fixed degree bit for bit.
     """
     n = phi.order
     if not phi.fixes_origin():

@@ -59,6 +59,8 @@ SITES = [
     ("Jet.truncate", "truncation order", lambda v: Jet.zero(8).truncate(v), 4, 65),
     ("full_normalize", "truncation order", lambda v: full_normalize(MODEL, order=v), 6, 0),
     ("normal_form_map", "truncation order", lambda v: normal_form_map(1j, 1, 1, v), 6, 0),
+    ("normal_form_map eps", "eps", lambda v: normal_form_map(1j, v, 1, 6), 1, 2),
+    ("normal_form_map s", "s", lambda v: normal_form_map(1j, 1, v, 6), 2, 0),
     ("involution_jets", "truncation order", lambda v: involution_jets(FAM, TP, order=v), 6, 65),
     ("load_map", "truncation order", lambda v: load_map(os.devnull, v), 6, 0),
     ("TwistParams.s", "s", lambda v: TwistParams(alpha=0.1, s=v), 2, 0),
@@ -67,6 +69,10 @@ SITES = [
      lambda v: CoefficientFamily({(v, 3): 0.1}, 1), 4, -1),
     ("family index j", r"index of entry \(3, .+\)",
      lambda v: CoefficientFamily({(3, v): 0.1}, 1), 4, -1),
+    ("Jet.from_entries index i", r"index of entry \(.+, 3\)",
+     lambda v: Jet.from_entries({(v, 3): 1.0}, 8), 4, -1),
+    ("Jet.from_entries index j", r"index of entry \(3, .+\)",
+     lambda v: Jet.from_entries({(3, v): 1.0}, 8), 4, -1),
     ("beta_reduce", "n", lambda v: beta_reduce(v, 1.0), 5, 0),
     ("iterate", "n", lambda v: iterate(lambda x, y: (x, y), v, (0.1, 0.1)), 3, 0),
     ("compute_constants", "n", lambda v: compute_constants(TP, v), 10, 0),

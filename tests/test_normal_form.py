@@ -474,6 +474,20 @@ def test_full_normalize_order_sweep(theta, s, n, seed):
     assert res.residual <= 1e-6 * max(1.0, phi.max_abs())
 
 
+@pytest.mark.parametrize("theta,s,n", [(t, s, n) for t in (0.7, 1.225, 2.4) for s in (1, 2)
+                                       for n in (8, 12, 16, 20)])
+def test_default_reversor_is_the_swap_bitwise(theta, s, n):
+    # Without tau the swap takes no change of coordinates, and conjugator . S
+    # is read off the transposed tables; the explicit swap is linearized by
+    # the identity and composed.  Every output agrees bit for bit.
+    phi = planted_swap_reversible(theta, s, n)
+    got, want = full_normalize(phi), full_normalize(phi, tau=MapJet.swap(n))
+    for a, b in ((got.Phi.x.coeffs, want.Phi.x.coeffs), (got.Phi.y.coeffs, want.Phi.y.coeffs),
+                 (got.M, want.M), (got.Gamma, want.Gamma)):
+        assert np.array_equal(a, b)
+    assert (got.lam, got.eps, got.s, got.residual) == (want.lam, want.eps, want.s, want.residual)
+
+
 def test_full_normalize_general_involution():
     rng = np.random.default_rng(46)
     lam = np.exp(0.9j)
@@ -500,6 +514,12 @@ def test_full_normalize_linear_map():
     assert res.eps == 0
     assert math.isinf(res.s)
     assert res.residual < 1e-12
+    # the model map with eps = 0 is this linear map, and takes s only as
+    # the infinity marker; eps itself is -1, 0 or 1 (test_integer_rule.py)
+    assert map_residual(normal_form_map(lam, 0, math.inf, n), phi) < 1e-15
+    for s in (2, 0, 1.5):
+        with pytest.raises(ValueError, match="^eps = 0 requires the infinity marker for s$"):
+            normal_form_map(lam, 0, s, n)
 
 
 def test_full_normalize_rejects_bad_maps():
@@ -531,6 +551,35 @@ def test_full_normalize_rejects_bad_maps():
         full_normalize(planted, order=12)
     with pytest.raises(ValueError, match="order 10 exceeds"):
         full_normalize(down, tau=MapJet.swap(8))
+    # a constant term: no formal conjugacy at the origin, refused by the
+    # first composition on both paths
+    shifted = MapJet(down.x + Jet.constant(0.1, n), down.y)
+    for tau in (None, MapJet.swap(n)):
+        with pytest.raises(ValueError, match="^composition target must fix the origin$"):
+            full_normalize(shifted, tau=tau)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_maps_are_refused_by_name(value):
+    # A non-finite coefficient passes every ">" gate, so it is refused by
+    # name before any arithmetic, and no numpy RuntimeWarning fires.
+    n = 8
+    model = normal_form_map(cmath.exp(0.9j), 1, 1, n)
+
+    def spoiled(m, entry):
+        c = m.x.coeffs.copy()
+        c[entry] = value
+        return MapJet(Jet(c, n), m.y)
+
+    for entry in ((3, 2), (2, 1)):
+        for tau in (None, MapJet.swap(n)):
+            with pytest.raises(ValueError, match="^phi has a non-finite coefficient$"):
+                full_normalize(spoiled(model, entry), tau=tau)
+    bad_tau = spoiled(MapJet.swap(n), (2, 0))
+    with pytest.raises(ValueError, match="^tau has a non-finite coefficient$"):
+        full_normalize(model, tau=bad_tau)
+    with pytest.raises(ValueError, match="^tau2 has a non-finite coefficient$"):
+        InvolutionPair.from_maps(MapJet.swap(n), bad_tau)
 
 
 def test_full_normalize_rejects_map_not_reversed_by_non_swap_involution():
@@ -840,16 +889,15 @@ def count_series_ops(monkeypatch):
 
 def test_full_normalize_operation_counts(monkeypatch):
     # Machine-independent cost of one N=12 run on a criterion-2-style input:
-    # the conjugacy equation is solved directly against the swap, so only
-    # the involution change is inverted (the identity here, in no pass),
-    # and reversibility is checked on the map the solve reads, its
-    # components swapped, by one composition; compositions stop at the
-    # outer map's top degree and inverses at the pass count its lowest
-    # nonlinear degree fixes.  The elimination makes
-    # no map_compose call: each step composes at the order the next one
-    # reads, over one power table of phi.y.  F, Phi2 and the model map are
-    # product forms and never the outer map of map_compose.  Any change
-    # here is a change of algorithm and should be deliberate.
+    # with no tau the reversor is the swap itself, so there is no change of
+    # coordinates to build, invert or compose, and conjugator . S is read
+    # off the transposed tables.  Two compositions remain: reversibility,
+    # checked as (S phi)^2 = id, and conjugator . phi in the final gate.
+    # The elimination makes no map_compose call: each step composes at the
+    # order the next one reads, over one power table of phi.y.  F, Phi2 and
+    # the model map are product forms and never the outer map of
+    # map_compose.  Any change here is a change of algorithm and should be
+    # deliberate.
     n = 12
     target = normal_form_map(np.exp(0.7j), 1, 2, n)
     frame = real_swap_commuting_map(np.random.default_rng(1), n, 0.04)
@@ -857,7 +905,7 @@ def test_full_normalize_operation_counts(monkeypatch):
     counts = count_series_ops(monkeypatch)
     res = full_normalize(phi)
     assert (res.eps, res.s) == (1, 2)
-    assert counts == {"jet_mul": 346, "map_compose": 7, "passes": 0, "map_inverse": 1}
+    assert counts == {"jet_mul": 237, "map_compose": 2, "passes": 0, "map_inverse": 0}
 
 
 def test_full_normalize_operation_counts_with_non_swap_reversor(monkeypatch):

@@ -86,8 +86,8 @@ def test_mul_matches_brute_force():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 9, 16, 20])
 def test_mul_kernels_match_brute_force(order):
-    # Both kernels: the dense gather plan and shift-and-add for a factor
-    # with at most 4 nonzero entries (either side), and the zero jet.
+    # The one kernel on dense factors, on factors with 1 or 4 nonzero
+    # entries (either side), and on the zero jet.
     rng = np.random.default_rng(100 + order)
     dense = [random_jet(rng, order) for _ in range(3)]
     sparse = [sparse_jet(rng, order, k) for k in (1, 4)]
@@ -335,9 +335,9 @@ def test_compose_cost_follows_outer_degree(monkeypatch):
         assert len(calls) == 2 * d - 1
 
 
-def reference_inverse(phi):
-    """map_inverse's fixed-point iteration with no pass bound, run until a
-    pass returns its input."""
+def full_order_passes(phi, passes):
+    """map_inverse's fixed-point iteration with every pass composed at full
+    order: psi after `passes` passes, and after one pass more."""
     n = phi.order
     lin = phi.linear_part()
     det = lin[0, 0] * lin[1, 1] - lin[0, 1] * lin[1, 0]
@@ -355,18 +355,30 @@ def reference_inverse(phi):
         )
 
     psi = linmap(ident)
-    for _ in range(2 * n + 1):
-        nxt = linmap(ident - map_compose(pnl, psi))
-        if np.array_equal(nxt.x.coeffs, psi.x.coeffs) and np.array_equal(
-            nxt.y.coeffs, psi.y.coeffs
-        ):
-            return psi
-        psi = nxt
-    raise AssertionError("reference iteration did not settle")
+    for _ in range(passes + 1):
+        psi, last = linmap(ident - map_compose(pnl, psi)), psi
+    return last, psi
 
 
-@pytest.mark.parametrize("order", [12, 20])
+def dense_frame(rng, order, linear, lowest):
+    """A map with the given linear part and dense noise from degree `lowest` on."""
+    cx, cy = (random_jet(rng, order, 0.05).coeffs.copy() for _ in range(2))
+    i = np.arange(order + 1)
+    low = (i[:, None] + i[None, :]) < lowest
+    cx[low] = cy[low] = 0.0
+    cx[1, 0], cx[0, 1], cy[1, 0], cy[0, 1] = linear.ravel()
+    return MapJet(Jet(cx, order), Jet(cy, order))
+
+
+@pytest.mark.parametrize("order", [6, 8, 12, 20])
 def test_inverse_is_bitwise_exact_within_pass_bound(order, monkeypatch):
+    # Pass p composes at the order it fixes, and jet_mul sums each entry
+    # over the same pairs in the same order at every truncation order, so
+    # the inverse is the full-order loop's after the same passes, bit for
+    # bit, and one more full-order pass returns it unchanged.  Frames with a
+    # generic linear part, dense from degree 3, give products with a few
+    # nonzero entries at low truncation orders and many at full order, where
+    # a kernel that treated sparse factors apart would sum in another order.
     rng = np.random.default_rng(200 + order)
     linear = np.array([[0.8, 0.3 - 0.1j], [-0.2j, 1.1]])
     cases = [(MapJet(0.5j * Jet.coordinate("xi", order), Jet.coordinate("eta", order)), None)]
@@ -374,22 +386,20 @@ def test_inverse_is_bitwise_exact_within_pass_bound(order, monkeypatch):
         u = MapJet(homogeneous_jet(rng, order, d), homogeneous_jet(rng, order, d))
         cases.append((MapJet(Jet.coordinate("xi", order) + 0.1 * u.x,
                              Jet.coordinate("eta", order) + 0.1 * u.y), d))
-    dense = MapJet(random_jet(rng, order, 0.05, zero_constant=True),
-                   random_jet(rng, order, 0.05, zero_constant=True))
-    cx, cy = dense.x.coeffs.copy(), dense.y.coeffs.copy()
-    cx[1, 0], cx[0, 1], cy[1, 0], cy[0, 1] = linear.ravel()
-    cases.append((MapJet(Jet(cx, order), Jet(cy, order)), 2))
+    cases.append((dense_frame(rng, order, linear, 2), 2))
+    cases += [(dense_frame(rng, order, linear, 3), 3) for _ in range(4)]
 
     passes = []
     monkeypatch.setattr(series, "map_compose", lambda f, g: passes.append(1) or map_compose(f, g))
     for phi, d in cases:
-        want = reference_inverse(phi)
+        bound = 0 if d is None else (order - d) // (d - 1) + 1
+        want, again = full_order_passes(phi, bound)
         del passes[:]
         got = map_inverse(phi)
-        assert np.array_equal(got.x.coeffs, want.x.coeffs)
-        assert np.array_equal(got.y.coeffs, want.y.coeffs)
-        bound = 0 if d is None else (order - d) // (d - 1) + 1
         assert len(passes) == bound
+        for a, b in ((got, want), (again, want)):
+            assert np.array_equal(a.x.coeffs, b.x.coeffs)
+            assert np.array_equal(a.y.coeffs, b.y.coeffs)
 
 
 def test_exp_i_radial():
