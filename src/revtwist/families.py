@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -20,38 +19,35 @@ import numpy as np
 from .series import Jet, _check_int
 
 
-@lru_cache(maxsize=256)
-def _power_plan(ks: frozenset) -> tuple:
-    """Squaring chain that forms x^k for every k in ks from x and 1/x:
-    (whether 1/x is needed, steps).  Step (k, h, b) forms x^k = x^h x^h,
-    times x^b when b is not 0; every step follows the steps it reads."""
-    known = {-1, 0, 1}
+def _power_plan(ks) -> tuple:
+    """Squaring chain that forms x^k for each k of ks, in order, from x and
+    1/x: (whether 1/x is needed, steps, reads).  On the table [1, x, 1/x],
+    step (h, b) appends table[h]^2, times table[b] when b is not 0, after
+    the steps it reads; x^k is table[r] for r in reads."""
+    slot = {0: 0, 1: 1, -1: 2}
     steps = []
 
     def plan(k):
-        if k not in known:
+        if k not in slot:
             h = int(k / 2)
             plan(h)
-            steps.append((k, h, (1 if k > 0 else -1) if k % 2 else 0))
-            known.add(k)
+            steps.append((slot[h], slot[1 if k > 0 else -1] if k % 2 else 0))
+            slot[k] = len(slot)
 
     for k in ks:
         plan(k)
-    return min(ks, default=0) < 0, tuple(steps)
+    return min(ks, default=0) < 0, steps, [slot[k] for k in ks]
 
 
-def _power_table(x, ks) -> dict:
-    """{k: x^k} for the integers ks, by squaring from x and 1/x (for most
-    k, x**k leaves numpy's fast paths and costs several products).  The
-    chain is planned once per exponent set (`_power_plan`)."""
-    inverse, steps = _power_plan(frozenset(ks))
-    table = {0: 1.0, 1: x}
-    if inverse:
-        table[-1] = 1.0 / x
-    for k, h, b in steps:
+def _powers(x, plan) -> list:
+    """[x^k for k in ks] of plan = `_power_plan(ks)`, by squaring (for most
+    k, x**k leaves numpy's fast paths and costs several products)."""
+    inverse, steps, reads = plan
+    table = [1.0, x, 1.0 / x if inverse else None]
+    for h, b in steps:
         square = table[h] * table[h]
-        table[k] = square * table[b] if b else square
-    return {k: table[k] for k in ks}
+        table.append(square * table[b] if b else square)
+    return [table[r] for r in reads]
 
 
 @dataclass(frozen=True)
@@ -95,13 +91,15 @@ class CoefficientFamily:
                 if abs(v) > 1.0 + 1e-12:
                     raise ValueError(f"entry ({i},{j}) has modulus {abs(v)} > 1")
         object.__setattr__(self, "entries", ent)
-        # The exponent sets of the power tables every evaluation reads: of t
-        # in the bands, of a phase factor u in the modes, and of xi (modes
-        # k >= 0) and eta (modes k < 0, as -k) in the Laurent sum.
-        object.__setattr__(self, "_mode_powers", frozenset(i - j for i, j in ent))
-        object.__setattr__(self, "_band_powers", frozenset(min(i, j) for i, j in ent))
-        object.__setattr__(self, "_laurent_powers", (frozenset(i - j for i, j in ent if i >= j),
-                                                     frozenset(j - i for i, j in ent if i < j)))
+        # The chains (`_power_plan`) of the powers every evaluation reads: of
+        # t in the bands, one per entry, and in mode order (the key order of
+        # `_bands`) of a phase factor u in the modes and of xi (modes k >= 0)
+        # and eta (modes k < 0, as -k) in the Laurent sum.
+        modes = list(dict.fromkeys(i - j for i, j in ent))
+        object.__setattr__(self, "_band_plan", _power_plan([min(i, j) for i, j in ent]))
+        object.__setattr__(self, "_mode_plan", _power_plan(modes))
+        object.__setattr__(self, "_laurent_plans", (_power_plan([k for k in modes if k >= 0]),
+                                                   _power_plan([-k for k in modes if k < 0])))
 
     @staticmethod
     def empty(s: int) -> "CoefficientFamily":
@@ -140,10 +138,10 @@ class CoefficientFamily:
         of modulus at most 1 inside the unit polydisk, never of 1/xi.  An
         orbit that keeps t forms the bands once.
         """
-        powers = _power_table(np.asarray(t, dtype=complex), self._band_powers)
+        powers = _powers(np.asarray(t, dtype=complex), self._band_plan)
         out: dict = {}
-        for (i, j), v in self.entries.items():
-            term = v * powers[min(i, j)] if min(i, j) else v
+        for ((i, j), v), p in zip(self.entries.items(), powers):
+            term = v * p if min(i, j) else v
             out[i - j] = out[i - j] + term if i - j in out else term
         return out
 
@@ -154,12 +152,12 @@ class CoefficientFamily:
 
 def _band_terms(fam: CoefficientFamily, bands: dict, x, y) -> dict:
     """The modes {k: B_k x^k for k >= 0, B_k y^{-k} for k < 0} of fam on its
-    level set x*y = t, bands = fam._bands(t), from one power table of x and
-    one of y: no power of 1/x or 1/y.  A phase change (u x, y/u) keeps t and
-    turns mode k by u^k."""
-    xs, ys = fam._laurent_powers
-    xp, yp = _power_table(x, xs), _power_table(y, ys)
-    return {k: b * (xp[k] if k >= 0 else yp[-k]) for k, b in bands.items()}
+    level set x*y = t, bands = fam._bands(t), from the planned powers of x
+    and of y, read in the key order of bands: no power of 1/x or 1/y.  A
+    phase change (u x, y/u) keeps t and turns mode k by u^k."""
+    xs, ys = fam._laurent_plans
+    xp, yp = iter(_powers(x, xs)), iter(_powers(y, ys))
+    return {k: b * next(xp if k >= 0 else yp) for k, b in bands.items()}
 
 
 def _laurent(fam: CoefficientFamily, bands: dict, x, y):

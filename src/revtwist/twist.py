@@ -21,7 +21,7 @@ from functools import lru_cache, partial
 import mpmath
 import numpy as np
 
-from .families import CoefficientFamily, _band_terms, _laurent, _power_table
+from .families import CoefficientFamily, _band_terms, _laurent, _powers
 from .series import _check_int
 
 
@@ -229,7 +229,7 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, what: str, 
     The points (x, y) lie on the level set x*y = t of bands =
     fam._bands(t), which the phase change by u = e^{-ic} keeps, so
     g(c) = sum_k m_k u^k on the modes m_k of fam at (x, y) (`_band_terms`),
-    whose keys are fam._mode_powers.  bounds(lo, hi) = (K, A0, A1, A2)
+    in the mode order of fam._mode_plan.  bounds(lo, hi) = (K, A0, A1, A2)
     bounds them wherever lo <= -Im c <= hi (`_mode_bounds` at the radii
     of (x, y), partially applied).  g'(c) = -i sum_k k m_k u^k.  Newton
     on c - g(c) takes its first step in closed form, c = g/(1 - g') at
@@ -265,8 +265,8 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, what: str, 
     def sums(powers):
         # g = sum m_k u^k and dg = sum k m_k u^k; g'(c) = -i dg.
         g = None
-        for k, mk in modes.items():
-            t = mk if powers is None else mk * powers[k]
+        for (k, mk), p in zip(modes.items(), powers):
+            t = mk if p is None else mk * p
             g, dg = (t, k * t) if g is None else (g + t, dg + k * t)
         return g, dg
 
@@ -274,13 +274,13 @@ def _exponent_fixed_point(fam: CoefficientFamily, bands: dict, x, y, what: str, 
     # Off the solver disk the steps can overflow or divide by zero; such a
     # run ends at the finiteness test in SolverError, not in a warning.
     with np.errstate(all="ignore"):
-        g, dg = sums(None)
+        g, dg = sums([None] * len(modes))
         c = step = g / (1.0 + 1j * dg)
         lo = hi = 0.0
         for n in range(80):
             if n:
                 lo, hi = -float(c.imag.max()), -float(c.imag.min())
-                g, dg = sums(_power_table(np.exp(-1j * c), fam._mode_powers))
+                g, dg = sums(_powers(np.exp(-1j * c), fam._mode_plan))
                 step = (c - g) / (1.0 + 1j * dg)
                 c = c - step
             dmax = float(np.abs(step).max())
@@ -498,7 +498,8 @@ def _solve_branch(a, tp, n, js, w, orbit):
     equation residual is checked after the loop.  Each gate of
     `solve_branch` is taken over all branches: the input passes only if
     every branch passes, and the error raised is the first gate that any
-    branch reaches.
+    branch reaches.  The gates and the step count see only the points w
+    given: `periodic_curve` hands a Hermitian varphi half its circle.
     """
     if orbit is None:
         orbit = _varphi_orbit(a, tp)
@@ -587,6 +588,13 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int | None = N
     |T(zeta)| <= zeta0 2^{1/(2s)}; the polydisk guard alone keeps only
     |zeta| < 1 on the unit circle.  ``check_domain`` is accepted and
     ignored; the paper's constants come from ``compute_constants``.
+
+    The swap S(xi, eta) = (eta, xi) reverses varphi of a Hermitian family
+    (S varphi S = varphi^{-1}), so it carries the period-n point at w to the
+    one at conj(w) with the same zeta: such a curve is solved on the half
+    w_0 ... w_{G//2} of its G points, sample m read from index min(m, G - m).
+    The gates run on every solved point; ``residual``, ``steps`` and the
+    maxima a refusal quotes are the solved half's.
     The private ``_orbit`` replaces varphi by another map in the step
     contract of the orbit kernel, step(xi, eta, radii) ->
     (xi', eta', phase, radii') (`_h_orbit`), as ``surface_curves`` does.
@@ -597,8 +605,9 @@ def periodic_curve(a, tp: TwistParams, n: int, j: int, grid_size: int | None = N
         raise ValueError("grid must have at least 2K+1 points")
     m = np.arange(grid_size)
     w = np.exp(2j * np.pi * m / grid_size)
-    zeta, zeta0, ret, steps = _solve_branch(a, tp, n, (j,), w, _orbit)
-    zeta = zeta[0]
+    index = np.minimum(m, grid_size - m) if _orbit is None and a.hermitian else m
+    zeta, zeta0, ret, steps = _solve_branch(a, tp, n, (j,), w[: index.max() + 1], _orbit)
+    zeta = zeta[0][index]
     fft = np.fft.fft(zeta) / grid_size
     laurent = {k: complex(fft[k % grid_size]) for k in range(-K, K + 1)}
     reality = None

@@ -6,7 +6,8 @@ import pytest
 from revtwist.families import (
     CoefficientFamily,
     _band_terms,
-    _power_table,
+    _power_plan,
+    _powers,
     load_family,
     save_family,
 )
@@ -99,6 +100,11 @@ def test_shared_power_table_matches_direct_powers(shape, empty):
         assert np.all(np.abs(mk - sum(t for q, t in terms if q == k)) <= tol)
 
 
+def _power_table(x, ks):
+    """{k: x^k} from the chain planned for ks (`_power_plan`, `_powers`)."""
+    return dict(zip(ks, _powers(x, _power_plan(ks))))
+
+
 def test_power_table_squares():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
@@ -133,13 +139,11 @@ def power_table_oracle(x, ks):
 def test_power_table_matches_oracle_bitwise(ks, shape):
     rng = np.random.default_rng(len(ks) + len(shape))
     x = 0.9 * np.exp(2j * np.pi * rng.uniform(size=shape)) * rng.uniform(0.5, 1.0, shape)
-    # twice: the second call reads the cached chain
-    for _ in range(2):
-        got, ref = _power_table(x, ks), power_table_oracle(x, ks)
-        assert got.keys() == ref.keys()
-        for k in ks:
-            assert np.shape(got[k]) == np.shape(ref[k])
-            assert np.asarray(got[k]).tobytes() == np.asarray(ref[k]).tobytes()
+    got, ref = _power_table(x, ks), power_table_oracle(x, ks)
+    assert got.keys() == ref.keys()
+    for k in ks:
+        assert np.shape(got[k]) == np.shape(ref[k])
+        assert np.asarray(got[k]).tobytes() == np.asarray(ref[k]).tobytes()
 
 
 def test_scaled_and_conjugated():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revtwist.families import CoefficientFamily, _band_terms, _power_table
+from revtwist.families import CoefficientFamily, _band_terms, _power_plan, _powers
 from revtwist.twist import (
     CurveDomain,
     DomainError,
@@ -1067,7 +1067,8 @@ def exponent_solve_oracle(fam, xi, eta, what):
         for n in range(80):
             phase = -c.imag
             lo, hi = float(phase.min()), float(phase.max())
-            g, dg = sums(_power_table(np.exp(isign * c), modes) if n else None)
+            table = dict(zip(modes, _powers(np.exp(isign * c), _power_plan(modes)))) if n else None
+            g, dg = sums(table)
             step = (c - g) / (1.0 - isign * dg)
             c = c - step
             dmax = float(np.abs(step).max())
